@@ -1,36 +1,26 @@
-"""E-KERNEL: the columnar join kernel vs the legacy row-at-a-time engine.
+"""E-KERNEL: tau-only counting vs materialize-then-count on the vector kernel.
 
-Old-vs-new on the two paths the kernel was built for
-(docs/performance.md):
+``tau(R_E)`` for every connected subset is the quantity C1-C4 and every
+optimizer cost call consume.  ``Database`` can answer it two ways:
 
-* **full joins** -- evaluating ``R_D`` (all result rows realized) for
-  scale-class chain databases, where the legacy engine builds (sorts,
-  hashes, validates) a ``Row`` dict per intermediate tuple and the
-  kernel moves positional id tuples.  The headline workload is a chain
-  whose intermediate joins are large relative to the final result (a
-  selective last relation) -- the regime the paper's whole cost model is
-  about, where per-intermediate-tuple cost dominates; a dense chain
-  whose final result is as large as its intermediates is reported
-  alongside it.
-* **tau-only condition checks** -- ``tau(R_E)`` for every connected
-  subset (the quantity C1-C4 and every optimizer cost call consume).
-  The old code was ``len(join_of(E))`` -- materialize, then count; the
-  new path counts acyclic subsets by a Yannakakis weighted sweep without
-  materializing anything.
+* **counting** -- :meth:`Database.tau_of`, which counts acyclic subsets
+  by a Yannakakis weighted sweep without materializing anything;
+* **materialize, then count** -- ``len(Database.join_of(E))``, which
+  builds every subset join on the vector kernel (memoized, so
+  overlapping subsets share work) and takes its size.
 
-Both engines run the same seeded workloads: the generators draw one
-value per attribute in sorted order, so the two databases are identical
-tuple for tuple.  Databases are built *outside* the timed region (this
-bench measures join execution, not generation), and a fresh ``Database``
-is used per timed run (the subset caches live on the database; reusing
-one would time cache hits, not joins).
+Both run on fresh, unpinned databases built from the same seeded
+generator, so they see identical tuples; the bench first checks that the
+two paths agree on every count.  Databases are built *outside* the timed
+region (this bench measures join work, not generation), and a fresh
+``Database`` is used per timed run (the subset caches live on the
+database; reusing one would time cache hits, not joins).
 
-Results go to ``BENCH_perf.json`` at the repository root -- the first
-entry of the perf trajectory -- and
-``benchmarks/results/E-KERNEL_join.txt``.  The kernel must be >= 3x on
-full joins and >= 5x on tau-only checks; the CI perf-smoke job runs
-``python benchmarks/bench_join_kernel.py --quick`` and fails if the
-kernel is slower than the legacy path at all.
+Results go to ``BENCH_perf.json`` at the repository root and
+``benchmarks/results/E-KERNEL_join.txt``.  Counting must be >= 5x
+faster than materializing on the full workload; the CI perf-smoke job
+runs ``python benchmarks/bench_join_kernel.py --quick`` and fails if
+counting is slower than materializing at all.
 """
 
 import argparse
@@ -46,7 +36,6 @@ if str(REPO_ROOT / "src") not in sys.path:  # standalone-script entry
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.database import Database  # noqa: E402
-from repro.relational.columnar import using_engine  # noqa: E402
 from repro.report import Table  # noqa: E402
 from repro.workloads.generators import (  # noqa: E402
     WorkloadSpec,
@@ -54,127 +43,55 @@ from repro.workloads.generators import (  # noqa: E402
     generate_database,
 )
 
-# Chain workloads.  ``last_domain`` (when set) gives the final relation a
-# much larger value domain, making the last join selective: intermediate
-# joins stay large while the final result is small.
-FULL_SELECTIVE = dict(relations=6, size=200, domain=100, last_domain=20000, rounds=5)
-FULL_DENSE = dict(relations=6, size=200, domain=100, last_domain=None, rounds=5)
 TAU_SPEC = dict(relations=6, size=40, domain=8, rounds=5)
-QUICK_SELECTIVE = dict(relations=5, size=100, domain=50, last_domain=10000, rounds=3)
 QUICK_TAU = dict(relations=5, size=25, domain=6, rounds=3)
 
-FULL_TARGET = 3.0
 TAU_TARGET = 5.0
 
 
 def _fresh_db(seed: int, spec: dict) -> Database:
-    rng = random.Random(seed)
-    schemes = chain_scheme(spec["relations"])
-    per_relation = None
-    if spec.get("last_domain"):
-        per_relation = {
-            schemes[-1]: WorkloadSpec(size=spec["size"], domain=spec["last_domain"])
-        }
     return generate_database(
-        schemes,
-        rng,
+        chain_scheme(spec["relations"]),
+        random.Random(seed),
         WorkloadSpec(size=spec["size"], domain=spec["domain"]),
-        per_relation=per_relation,
     )
 
 
-def _median_full_join(spec: dict, legacy: bool) -> float:
-    """Median time to materialize R_D; database built outside the timer."""
-    times = []
-    for seed in range(spec["rounds"]):
-        if legacy:
-            with using_engine("legacy"):
-                db = _fresh_db(seed, spec)
-                start = time.perf_counter()
-                result = db.evaluate()
-                # Force full materialization: the kernel's lazy rows must
-                # not win by skipping work the legacy engine performs.
-                assert len(result.rows) == len(result)
-                times.append(time.perf_counter() - start)
-        else:
-            db = _fresh_db(seed, spec)
-            start = time.perf_counter()
-            result = db.evaluate()
-            assert len(result.rows) == len(result)
-            times.append(time.perf_counter() - start)
-    return statistics.median(times)
+def _count(db: Database, subsets) -> list:
+    return [db.tau_of(subset) for subset in subsets]
 
 
-def _bench_full_joins(spec: dict):
-    # Same seeds -> identical databases; verify the engines agree once.
-    with using_engine("legacy"):
-        legacy_result = _fresh_db(0, spec).evaluate()
-        legacy_rows = legacy_result.rows
-    kernel_result = _fresh_db(0, spec).evaluate()
-    assert kernel_result.rows == legacy_rows, "engines disagree on the full join"
-
-    kernel_s = _median_full_join(spec, legacy=False)
-    legacy_s = _median_full_join(spec, legacy=True)
-    return kernel_s, legacy_s, len(kernel_result)
-
-
-def _connected_subset_keys(db: Database):
-    return [frozenset(s.schemes) for s in db.scheme.connected_subsets()]
+def _materialize(db: Database, subsets) -> list:
+    return [len(db.join_of(subset)) for subset in subsets]
 
 
 def _bench_tau_only(spec: dict):
-    """Median time to compute tau(R_E) for every connected subset."""
-    subsets = _connected_subset_keys(_fresh_db(0, spec))
-
-    kernel_db = _fresh_db(0, spec)
-    with using_engine("legacy"):
-        legacy_db = _fresh_db(0, spec)
-        legacy_taus = [len(legacy_db.join_of(s)) for s in subsets]
-    kernel_taus = [kernel_db.tau_of(s) for s in subsets]
-    assert kernel_taus == legacy_taus, "tau-only counts disagree with join sizes"
-
-    kernel_times = []
-    legacy_times = []
+    """Median times of counting and of materializing every connected
+    subset.  The two paths alternate within each round, so host drift
+    hits both sides alike."""
+    subsets = [
+        frozenset(s.schemes) for s in _fresh_db(0, spec).scheme.connected_subsets()
+    ]
+    counted = _count(_fresh_db(0, spec), subsets)
+    materialized = _materialize(_fresh_db(0, spec), subsets)
+    assert counted == materialized, "tau-only counts disagree with join sizes"
+    times = {_count: [], _materialize: []}
     for seed in range(spec["rounds"]):
-        db = _fresh_db(seed, spec)
-        start = time.perf_counter()
-        for subset in subsets:
-            db.tau_of(subset)
-        kernel_times.append(time.perf_counter() - start)
-        # The pre-kernel implementation: materialize the subset join
-        # (row-at-a-time, memoized), then count it.
-        with using_engine("legacy"):
+        for path, samples in times.items():
             db = _fresh_db(seed, spec)
             start = time.perf_counter()
-            for subset in subsets:
-                len(db.join_of(subset))
-            legacy_times.append(time.perf_counter() - start)
-    return statistics.median(kernel_times), statistics.median(legacy_times), len(subsets)
-
-
-def _workload_label(spec: dict) -> str:
-    label = "{relations}-relation chain (size={size}, domain={domain}".format(**spec)
-    if spec.get("last_domain"):
-        label += ", selective last relation domain={}".format(spec["last_domain"])
-    return label + ")"
+            path(db, subsets)
+            samples.append(time.perf_counter() - start)
+    count_s = statistics.median(times[_count])
+    materialize_s = statistics.median(times[_materialize])
+    return count_s, materialize_s, len(subsets)
 
 
 def run_benchmark(quick: bool = False) -> dict:
-    full_spec = QUICK_SELECTIVE if quick else FULL_SELECTIVE
     tau_spec = QUICK_TAU if quick else TAU_SPEC
-    full_kernel_s, full_legacy_s, full_tau = _bench_full_joins(full_spec)
-    tau_kernel_s, tau_legacy_s, subset_count = _bench_tau_only(tau_spec)
-    payload = {
+    count_s, materialize_s, subset_count = _bench_tau_only(tau_spec)
+    return {
         "quick": quick,
-        "full_join": {
-            "workload": "evaluate R_D on a " + _workload_label(full_spec),
-            "rounds": full_spec["rounds"],
-            "final_tau": full_tau,
-            "kernel_s": full_kernel_s,
-            "legacy_s": full_legacy_s,
-            "speedup": full_legacy_s / full_kernel_s,
-            "target_speedup": FULL_TARGET,
-        },
         "tau_only": {
             "workload": "tau(R_E) for all {count} connected subsets of a "
             "{relations}-relation chain (size={size}, domain={domain})".format(
@@ -182,46 +99,27 @@ def run_benchmark(quick: bool = False) -> dict:
             ),
             "rounds": tau_spec["rounds"],
             "connected_subsets": subset_count,
-            "kernel_s": tau_kernel_s,
-            "legacy_s": tau_legacy_s,
-            "speedup": tau_legacy_s / tau_kernel_s,
+            "count_s": count_s,
+            "materialize_s": materialize_s,
+            "speedup": materialize_s / count_s,
             "target_speedup": TAU_TARGET,
         },
     }
-    if not quick:
-        # Secondary, untargeted datapoint: a dense chain whose final
-        # result is as large as its intermediates, so Row materialization
-        # of the (shared) output bounds the achievable ratio.
-        dense_kernel_s, dense_legacy_s, dense_tau = _bench_full_joins(FULL_DENSE)
-        payload["full_join_dense"] = {
-            "workload": "evaluate R_D on a " + _workload_label(FULL_DENSE),
-            "rounds": FULL_DENSE["rounds"],
-            "final_tau": dense_tau,
-            "kernel_s": dense_kernel_s,
-            "legacy_s": dense_legacy_s,
-            "speedup": dense_legacy_s / dense_kernel_s,
-        }
-    return payload
 
 
 def _render_table(payload: dict) -> Table:
     table = Table(
-        ["path", "legacy (s)", "kernel (s)", "speedup", "target"],
-        title="E-KERNEL: columnar kernel vs legacy engine",
+        ["path", "materialize (s)", "count (s)", "speedup", "target"],
+        title="E-KERNEL: tau-only counting vs materialize-then-count",
     )
-    rows = [("full_join", "full joins"), ("tau_only", "tau-only checks")]
-    if "full_join_dense" in payload:
-        rows.append(("full_join_dense", "full joins (dense)"))
-    for key, label in rows:
-        entry = payload[key]
-        target = entry.get("target_speedup")
-        table.add_row(
-            label,
-            f"{entry['legacy_s']:.4f}",
-            f"{entry['kernel_s']:.4f}",
-            f"{entry['speedup']:.1f}x",
-            f">={target:.0f}x" if target else "-",
-        )
+    entry = payload["tau_only"]
+    table.add_row(
+        "tau-only checks",
+        f"{entry['materialize_s']:.4f}",
+        f"{entry['count_s']:.4f}",
+        f"{entry['speedup']:.1f}x",
+        f">={entry['target_speedup']:.0f}x",
+    )
     return table
 
 
@@ -231,44 +129,40 @@ def _write_json(payload: dict) -> None:
     )
 
 
-def test_kernel_beats_legacy_engine(record):
+def test_counting_beats_materializing(record):
     payload = run_benchmark(quick=False)
     _write_json(payload)
     record("E-KERNEL_join", _render_table(payload).render())
-    assert payload["full_join"]["speedup"] >= FULL_TARGET
     assert payload["tau_only"]["speedup"] >= TAU_TARGET
-    # The dense chain is output-bound, but the kernel must still win.
-    assert payload["full_join_dense"]["speedup"] >= 1.0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="old-vs-new join engine benchmark (writes BENCH_perf.json)"
+        description="tau-only counting vs materialize-then-count "
+        "(writes BENCH_perf.json)"
     )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="smaller workloads; fail only if the kernel is slower than "
-        "the legacy path (the CI perf-smoke contract)",
+        help="smaller workload; fail only if counting is slower than "
+        "materializing (the CI perf-smoke contract)",
     )
     args = parser.parse_args(argv)
     payload = run_benchmark(quick=args.quick)
     _write_json(payload)
     print(_render_table(payload).render())
-    full = payload["full_join"]["speedup"]
     tau = payload["tau_only"]["speedup"]
     if args.quick:
-        ok = full >= 1.0 and tau >= 1.0
-        verdict = "kernel >= legacy" if ok else "KERNEL SLOWER THAN LEGACY"
+        ok = tau >= 1.0
+        verdict = "counting >= materializing" if ok else "COUNTING SLOWER"
     else:
-        ok = full >= FULL_TARGET and tau >= TAU_TARGET
+        ok = tau >= TAU_TARGET
         verdict = (
-            "targets met"
+            "target met"
             if ok
-            else f"TARGETS MISSED (full {full:.1f}x/{FULL_TARGET:.0f}x, "
-            f"tau {tau:.1f}x/{TAU_TARGET:.0f}x)"
+            else f"TARGET MISSED (tau {tau:.1f}x/{TAU_TARGET:.0f}x)"
         )
-    print(f"\n{verdict}: full joins {full:.1f}x, tau-only {tau:.1f}x")
+    print(f"\n{verdict}: tau-only {tau:.1f}x")
     return 0 if ok else 1
 
 

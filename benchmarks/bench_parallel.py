@@ -53,7 +53,6 @@ from repro.parallel import (  # noqa: E402
     resolve_jobs,
     visible_cpus,
 )
-from repro.relational.columnar import current_engine  # noqa: E402
 from repro.report import Table  # noqa: E402
 from repro.workloads.generators import (  # noqa: E402
     WorkloadSpec,
@@ -189,7 +188,6 @@ def run_benchmark(quick: bool = False) -> dict:
     payload = {
         "quick": quick,
         "cpu_count": cpus,
-        "engine": current_engine(),
         "oversubscribe": oversubscription_allowed(),
         "start_method": START_METHOD if parallel_available() else None,
         "jobs_grid": list(JOBS_GRID),

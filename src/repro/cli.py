@@ -43,7 +43,7 @@ from typing import List, Optional
 import repro.obs as obs
 from repro import __version__
 from repro.conditions.checks import check_condition
-from repro.relational.columnar import set_engine
+from repro.database import ENGINES, Database
 from repro.optimizer.spaces import SearchSpace
 from repro.query import JoinQuery, Plan
 from repro.report import Table, render_kv
@@ -81,15 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=["vector", "columnar", "legacy", "wcoj", "yannakakis"],
+        choices=ENGINES,
         default="vector",
-        help="relational execution engine: the vectorized batch kernel "
-        "(default; cyclic schemes are auto-routed to the worst-case "
+        help="execution engine every database of the command carries: "
+        "the vectorized binary kernel (default; the database stays "
+        "unpinned, so cyclic schemes are auto-routed to the worst-case "
         "optimal generic join and acyclic ones to the Yannakakis "
-        "semijoin-reduction pipeline), the classic per-row columnar "
-        "kernel, the legacy row-at-a-time paths, the generic-join "
-        "engine forced on, or the Yannakakis engine forced on (see "
-        "docs/performance.md)",
+        "semijoin-reduction pipeline), the generic-join engine forced "
+        "on, or the Yannakakis engine forced on (see docs/performance.md)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -247,7 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_examples() -> int:
+def _with_engine(db: Database, args: argparse.Namespace) -> Database:
+    """``db`` pinned to ``--engine``; the default ``vector`` leaves it
+    unpinned, so the engine router decides."""
+    return db if args.engine == "vector" else db.with_engine(args.engine)
+
+
+def _cmd_examples(args: argparse.Namespace) -> int:
     table = Table(
         ["example", "what it shows", "verdict"],
         title="The paper's examples, replayed",
@@ -260,8 +265,7 @@ def _cmd_examples() -> int:
         ("5", "the unique optimum is bushy: Theorem 3 needs C3", example5),
     ]
     for number, lesson, make in rows:
-        db = make()
-        query = JoinQuery(db)
+        query = JoinQuery(_with_engine(make(), args))
         best = query.optimize()
         verdict = (
             f"optimum tau={best.cost}, linear={best.is_linear}, "
@@ -360,7 +364,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         or args.chrome_trace is not None
     )
     spec = WorkloadSpec.from_args(args)
-    db = spec.build()
+    db = _with_engine(spec.build(), args)
     query = JoinQuery(db, jobs=args.jobs, runtime=_runtime_from(args))
     if not tracing:
         plan = _plan(args, query)
@@ -422,7 +426,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.obs.profile import RunReport
 
     spec = WorkloadSpec.from_args(args)
-    db = spec.build()
+    db = _with_engine(spec.build(), args)
     # A clean slate so the exports below carry exactly this run.
     obs.reset()
     try:
@@ -451,7 +455,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_conditions(args: argparse.Namespace) -> int:
-    db = _EXAMPLES[args.example]()
+    db = _with_engine(_EXAMPLES[args.example](), args)
     runtime = _runtime_from(args)
     pairs = []
     for name in ("C1", "C1'", "C2", "C3", "C4"):
@@ -471,13 +475,14 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         sample_strategy,
     )
 
-    db = WorkloadSpec(
+    spec = WorkloadSpec(
         size=15,
         domain=5,
         shape=args.shape,
         relations=args.relations,
         seed=args.seed,
-    ).build()
+    )
+    db = _with_engine(spec.build(), args)
     sampler = sample_linear_strategy if args.linear else sample_strategy
     summary = cost_distribution(
         db,
@@ -520,9 +525,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    set_engine(args.engine)
     if args.command == "examples":
-        return _cmd_examples()
+        return _cmd_examples(args)
     if args.command == "census":
         return _cmd_census(args.max_n)
     if args.command == "optimize":

@@ -25,6 +25,13 @@ join cardinality).  Only genuinely cyclic connected subsets fall back to
 materializing the join.  Counts survive join-cache eviction: evicted
 results leave their cardinality behind in the tau-cache.
 
+Each database carries its own engine, ``Database(engine=...)`` with one
+of :data:`ENGINES`.  The default ``None`` leaves it unpinned: it runs as
+``"vector"``, and :class:`~repro.query.JoinQuery` may re-pin it through
+:class:`~repro.optimizer.route.EngineRouter`.  No engine state lives at
+module level, so databases carrying different engines can run in
+concurrent threads.
+
 The paper's relation schemes within one database are distinct sets of
 attributes, and we enforce that; display names are carried by the
 relations for readable strategies.
@@ -52,26 +59,31 @@ from repro.obs.metrics import get_registry
 from repro.obs.recorder import get_recorder
 from repro.obs.trace import get_tracer
 from repro.relational.attributes import AttributeSet, AttrsLike, attrs, format_attrs
-from repro.relational.columnar import (
-    ENGINES,
-    _picker,
-    current_engine,
-    get_kernel,
-    using_engine,
-)
+from repro.relational.columnar import _picker
 from repro.relational.relation import Relation
 from repro.runtime.core import current_runtime
 from repro.schemegraph.acyclicity import is_alpha_acyclic
 from repro.schemegraph.jointree import build_join_tree
 from repro.schemegraph.scheme import DatabaseScheme
-from repro.wcoj.join import GenericJoinExhausted, generic_join, record_fallback
+from repro.wcoj.join import (
+    GenericJoinExhausted,
+    generic_join,
+    record_fallback as record_wcoj_fallback,
+)
 from repro.yannakakis.join import (
     YannakakisExhausted,
     record_fallback as record_yannakakis_fallback,
     yannakakis_join,
 )
 
-__all__ = ["CacheStats", "Database", "database"]
+__all__ = ["ENGINES", "CacheStats", "Database", "database"]
+
+#: The engines a database can carry (``Database(engine=...)``).  Binary
+#: joins always run on the vector kernel; ``"wcoj"`` adds Generic Join
+#: for connected cyclic subsets, and ``"yannakakis"`` adds semijoin
+#: reduction for connected acyclic subsets plus Generic Join for cyclic
+#: ones.
+ENGINES = ("vector", "wcoj", "yannakakis")
 
 # Subset-join cache telemetry (see docs/observability.md).  The hit/miss
 # counters cover both the join memo and the tau-cache: a tau-cache hit is
@@ -382,14 +394,15 @@ class Database:
     @property
     def engine(self) -> str:
         """The execution engine this database's joins run on: the
-        pinned ``engine=`` choice, or the process-wide engine when
-        unpinned."""
-        return self._engine if self._engine is not None else current_engine()
+        pinned ``engine=`` choice, or ``"vector"`` when unpinned."""
+        return self._engine or "vector"
 
     @property
     def pinned_engine(self) -> Optional[str]:
         """The ``engine=`` choice this database was built with, or
-        ``None`` when it follows the process-wide engine."""
+        ``None`` when it is unpinned (runs as ``"vector"``, and
+        :class:`~repro.query.JoinQuery` may re-pin it through
+        :class:`~repro.optimizer.route.EngineRouter`)."""
         return self._engine
 
     def with_engine(self, engine: Optional[str]) -> "Database":
@@ -411,10 +424,7 @@ class Database:
         memoized per subset; the memo is filled recursively so overlapping
         subsets share work.
         """
-        if self._engine is None:
-            return self._join_memo(self._resolve_subset(subset))
-        with using_engine(self._engine):
-            return self._join_memo(self._resolve_subset(subset))
+        return self._join_memo(self._resolve_subset(subset))
 
     def _join_memo(self, chosen: SubsetKey) -> Relation:
         """Compute (and memoize) the subset join.
@@ -469,77 +479,51 @@ class Database:
         return result
 
     def _multiway_join(self, chosen: SubsetKey) -> Optional[Relation]:
-        """Dispatch a connected subset of >= 3 relations to a multiway
-        kernel, or return ``None`` for the binary pipeline.
+        """Run a connected subset of >= 3 relations on this database's
+        multiway kernel, or return ``None`` for the binary pipeline.
 
         The dispatch mirrors :class:`~repro.optimizer.route.EngineRouter`
-        at the per-subset level: cyclic subsets go to Generic Join when
-        the ``wcoj`` flag is up, acyclic subsets to the Yannakakis
-        pipeline when the ``yannakakis`` flag is up.  The ``"yannakakis"``
-        engine raises both flags, so a mixed database (a cyclic connected
-        subset inside an acyclic query) routes every subset to its best
-        kernel; the ``"wcoj"`` engine keeps acyclic subsets on the binary
-        pipeline (a join tree already gives an optimal binary order
-        there, and Generic Join would only add trie-building overhead).
+        at the per-subset level.  ``"yannakakis"`` sends acyclic subsets
+        to the semijoin-reduction pipeline and cyclic ones to Generic
+        Join, so a mixed database (a cyclic connected subset inside an
+        acyclic query) routes every subset to its best kernel.
+        ``"wcoj"`` sends only cyclic subsets to Generic Join and keeps
+        acyclic ones on the binary pipeline (a join tree already gives
+        an optimal binary order there, and Generic Join would only add
+        trie-building overhead).
+
+        When the kernel trips the ambient runtime's deadline or budget,
+        the fallback is recorded on the runtime, on the kernel's own
+        ``*.fallback`` counter, and on the flight recorder, so
+        degradation provenance names the abandoned kernel; the result
+        is then ``None`` as well.
         """
-        kernel = get_kernel()
-        if not kernel.wcoj or len(chosen) < 3:
+        engine = self._engine
+        if engine not in ("wcoj", "yannakakis") or len(chosen) < 3:
             return None
         if is_alpha_acyclic(DatabaseScheme(chosen)):
-            if not kernel.yannakakis:
+            if engine == "wcoj":
                 return None
-            return self._yannakakis_join(chosen)
-        return self._wcoj_join(chosen)
-
-    def _wcoj_join(self, chosen: SubsetKey) -> Optional[Relation]:
-        """The Generic-Join path for connected *cyclic* subsets.
-
-        Returns ``None`` -- meaning "use the binary pipeline" -- when the
-        expansion trips the ambient runtime's deadline/budget; the
-        fallback is recorded on the runtime, the ``wcoj.fallback``
-        counter, and the flight recorder, so degradation provenance
-        names the abandoned kernel.
-        """
+            join, exhausted = yannakakis_join, YannakakisExhausted
+            count_fallback = record_yannakakis_fallback
+            kernel, site = "yannakakis", "yannakakis.pipeline"
+        else:
+            join, exhausted = generic_join, GenericJoinExhausted
+            count_fallback = record_wcoj_fallback
+            kernel, site = "wcoj", "wcoj.generic_join"
         ordered = sorted(chosen, key=lambda s: s.sorted())
         tables = [self._relations[s]._table() for s in ordered]
         runtime = current_runtime()
         try:
-            table = generic_join(tables, runtime=runtime)
-        except GenericJoinExhausted as exc:
-            record_fallback(exc.trigger)
+            table = join(tables, runtime=runtime)
+        except exhausted as exc:
+            count_fallback(exc.trigger)
             if runtime is not None:
-                runtime.record_exhaustion(exc.trigger, "wcoj.generic_join")
+                runtime.record_exhaustion(exc.trigger, site)
                 runtime.record_fallback(exc.trigger, "binary join pipeline")
             get_recorder().record(
                 "event",
-                "wcoj.fallback",
-                trigger=exc.trigger,
-                relations=len(chosen),
-            )
-            return None
-        return Relation._from_table(AttributeSet(table.order), table)
-
-    def _yannakakis_join(self, chosen: SubsetKey) -> Optional[Relation]:
-        """The semijoin-reduction path for connected *acyclic* subsets.
-
-        Returns ``None`` -- meaning "use the binary pipeline" -- when the
-        pipeline trips the ambient runtime's deadline/budget; the
-        fallback is recorded on the runtime, the ``yannakakis.fallback``
-        counter, and the flight recorder, exactly as the wcoj path does.
-        """
-        ordered = sorted(chosen, key=lambda s: s.sorted())
-        tables = [self._relations[s]._table() for s in ordered]
-        runtime = current_runtime()
-        try:
-            table = yannakakis_join(tables, runtime=runtime)
-        except YannakakisExhausted as exc:
-            record_yannakakis_fallback(exc.trigger)
-            if runtime is not None:
-                runtime.record_exhaustion(exc.trigger, "yannakakis.pipeline")
-                runtime.record_fallback(exc.trigger, "binary join pipeline")
-            get_recorder().record(
-                "event",
-                "yannakakis.fallback",
+                f"{kernel}.fallback",
                 trigger=exc.trigger,
                 relations=len(chosen),
             )
@@ -579,12 +563,6 @@ class Database:
         the module docstring) and only cyclic subsets fall back to
         ``len(join_of(...))``.
         """
-        if self._engine is None:
-            return self._tau_of(subset)
-        with using_engine(self._engine):
-            return self._tau_of(subset)
-
-    def _tau_of(self, subset: Optional[Iterable[AttrsLike]] = None) -> int:
         chosen = self._resolve_subset(subset)
         cached = self._join_cache.get(chosen)
         if cached is not None:

@@ -1,11 +1,9 @@
 """The perf-regression sentinel: diff fresh benchmark runs against
 committed baselines.
 
-PR 2 bought an 8.9x full-join and a 158x tau-only speedup; this module
-defends them.  ``benchmarks/baselines/`` holds the accepted
-``BENCH_perf.json`` / ``BENCH_obs.json`` payloads, and
-:func:`compare_files` diffs freshly regenerated copies against them on a
-fixed set of *machine-relative* metrics (speedup ratios and overhead
+``benchmarks/baselines/`` holds the accepted ``BENCH_*.json`` payloads,
+and :func:`compare_files` diffs freshly regenerated copies against them
+on a fixed set of *machine-relative* metrics (speedup ratios and overhead
 fractions, not absolute seconds -- so the comparison is meaningful
 across hosts) with a configurable noise tolerance (default +/-20%).
 
@@ -82,15 +80,15 @@ class MetricSpec:
         return f"<MetricSpec {self.path} ({arrow} is better)>"
 
 
-#: The guarded metrics per benchmark file.  Speedups are ratios of legacy
-#: to kernel time on the same host; the dormant-overhead fraction is a
-#: ratio of guard cost to run time -- all host-relative, so committed
-#: baselines transfer across machines.
+#: The guarded metrics per benchmark file.  Speedups are ratios of two
+#: paths' times on the same host (materialize-then-count over tau-only
+#: counting, best binary plan over a multiway kernel, jobs=1 over
+#: jobs=4); the dormant-overhead fraction is a ratio of guard cost to run
+#: time -- all host-relative, so committed baselines transfer across
+#: machines.
 BASELINE_METRICS: Dict[str, Tuple[MetricSpec, ...]] = {
     "BENCH_perf.json": (
-        MetricSpec("full_join.speedup", higher_is_better=True),
         MetricSpec("tau_only.speedup", higher_is_better=True),
-        MetricSpec("full_join_dense.speedup", higher_is_better=True),
     ),
     "BENCH_obs.json": (
         MetricSpec("dormant_overhead_fraction", higher_is_better=False),
@@ -158,7 +156,7 @@ class Comparison:
 
 
 def lookup(payload: Mapping[str, Any], dotted: str) -> Optional[float]:
-    """Resolve a dotted path (``"full_join.speedup"``) in a nested dict;
+    """Resolve a dotted path (``"tau_only.speedup"``) in a nested dict;
     ``None`` when any component is missing or the leaf is not a number."""
     node: Any = payload
     for part in dotted.split("."):

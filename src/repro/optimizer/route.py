@@ -13,14 +13,13 @@ two shapes defeat every binary order:
   (:mod:`repro.yannakakis`) bounds every intermediate by input + output.
 
 :class:`EngineRouter` encodes the resulting policy.  It never overrides
-an explicit choice -- a database pinned with ``engine=`` or a process
-engine somebody :func:`~repro.relational.columnar.set_engine`-ed away
-from the default stays put -- but when the choice is just "the default",
-it classifies every connected component: cyclic components of three or
-more relations want ``"wcoj"``, acyclic ones want ``"yannakakis"``, and
+an explicit choice -- a database pinned with ``engine=`` stays put --
+but an unpinned database (which runs as ``"vector"``) has every
+connected component classified: cyclic components of three or more
+relations want ``"wcoj"``, acyclic ones want ``"yannakakis"``, and
 everything else stays on ``"vector"``.  A database mixing both kinds
-routes to ``"yannakakis"``, whose kernel flags enable *both* multiway
-paths so each connected subset runs on its best kernel (see
+routes to ``"yannakakis"``, which runs *both* multiway kernels so each
+connected subset runs on its best one (see
 :meth:`~repro.database.Database._multiway_join`).
 
 The :class:`EngineRouting` record the router returns is the one
@@ -36,7 +35,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.database import Database
 from repro.relational.attributes import format_attrs
-from repro.relational.columnar import current_engine
 from repro.schemegraph.acyclicity import is_alpha_acyclic
 from repro.schemegraph.jointree import JoinTree, build_join_tree
 from repro.schemegraph.scheme import DatabaseScheme
@@ -50,7 +48,7 @@ class EngineRouting:
     """Why a query runs on the engine it runs on.
 
     ``requested`` is the engine the database would have used on its own
-    (its pin, or the process-wide engine); ``effective`` the engine the
+    (its pin, or ``"vector"`` when unpinned); ``effective`` the engine the
     router chose; ``cyclic``/``connected`` the scheme-shape facts the
     decision rests on; ``reason`` a one-line human explanation;
     ``cover`` the optimal fractional edge cover of the scheme hypergraph
@@ -182,15 +180,13 @@ class EngineRouter:
     """Classify a database's connected subsets and pick its engine.
 
     The router only ever *upgrades the default*: a database pinned with
-    ``engine=`` keeps its pin, and a process engine that was explicitly
-    moved off ``"vector"`` is respected.  The decision matrix (also in
+    ``engine=`` keeps its pin.  The decision matrix (also in
     docs/api.md):
 
     ========================  ==========================================
     situation                 effective engine
     ========================  ==========================================
     ``Database(engine=...)``  the pin, always
-    process engine != vector  the process engine, always
     some cyclic component     ``wcoj`` (``yannakakis`` when acyclic
     of >= 3 relations         components of >= 3 relations coexist)
     some acyclic component    ``yannakakis``
@@ -247,9 +243,7 @@ class EngineRouter:
         pinned = db.pinned_engine
         if pinned is not None:
             return finish(pinned, pinned, "pinned on the database")
-        requested = current_engine()
-        if requested != "vector":
-            return finish(requested, requested, "process engine set explicitly")
+        requested = db.engine
         wanted = {engine for _, _, engine in components}
         if "yannakakis" in wanted and "wcoj" in wanted:
             return finish(

@@ -12,15 +12,12 @@ functional dependencies, attribute closures, superkeys and candidate keys,
 and the tableau chase used to decide lossless joins.
 
 Execution runs on the columnar kernel (:mod:`repro.relational.columnar`):
-interned value ids, positional id tuples, and hash joins over column
-blocks, with ``Row`` objects materialized only at API boundaries.  See
-docs/performance.md; :func:`set_engine`/:func:`using_engine` select the
-``"vector"`` (batch-at-a-time, the default), ``"columnar"`` (classic
-per-row kernel), ``"legacy"`` (row-at-a-time), ``"wcoj"`` (Generic Join
-for cyclic connected subsets), or ``"yannakakis"`` (semijoin reduction
-for acyclic connected subsets) engine by name, and
-:class:`~repro.database.Database` accepts an ``engine=`` keyword to pin
-one database's joins.
+interned value ids, positional id tuples, and batch-at-a-time hash joins
+over column blocks, with ``Row`` objects materialized only at API
+boundaries (see docs/performance.md).  The multiway engines are chosen
+per database, never here: ``Database(engine=...)`` takes ``"vector"``,
+``"wcoj"`` (Generic Join for cyclic connected subsets), or
+``"yannakakis"`` (semijoin reduction for acyclic connected subsets).
 """
 
 from repro.relational.attributes import (
@@ -29,15 +26,9 @@ from repro.relational.attributes import (
     format_attrs,
 )
 from repro.relational.columnar import (
-    ENGINES,
     ColumnarTable,
-    current_engine,
     interner_export,
     interner_import,
-    kernel_enabled,
-    set_engine,
-    set_kernel_enabled,
-    using_engine,
 )
 from repro.relational.relation import (
     Relation,
@@ -66,15 +57,9 @@ __all__ = [
     "AttributeSet",
     "attrs",
     "format_attrs",
-    "ENGINES",
     "ColumnarTable",
-    "current_engine",
     "interner_export",
     "interner_import",
-    "kernel_enabled",
-    "set_engine",
-    "set_kernel_enabled",
-    "using_engine",
     "Relation",
     "RelationSchema",
     "Row",

@@ -8,10 +8,10 @@ quantity the paper defines (``tau``, C1-C4, Theorems 1-3 all reduce to
 evaluating many overlapping natural joins).  The kernel removes that cost:
 
 * **Value interning** -- every attribute value is mapped once to a small
-  integer id (:func:`intern_value`).  Interning uses the same dict-key
-  equivalence as the row-level engine (``hash`` + ``==``), so two values
-  receive the same id exactly when the legacy hash join would have put
-  them in the same bucket.  Ids are process-wide, never recycled, and
+  integer id (:func:`intern_value`).  Interning uses dict-key
+  equivalence (``hash`` + ``==``), so two values receive the same id
+  exactly when they would collide as dict keys.  Ids are process-wide,
+  never recycled, and
   allocation is guarded by a lock so concurrent threads (the planned
   async server) cannot race an id.  :func:`interner_export` /
   :func:`interner_import` round-trip the table across process
@@ -33,8 +33,8 @@ evaluating many overlapping natural joins).  The kernel removes that cost:
   Because the attribute order is always the sorted scheme, two tables
   over the same scheme are positionally aligned and set operations are
   raw ``frozenset`` ops on id tuples.
-* **Vector kernel operators** -- the default engine (``"vector"``)
-  evaluates :func:`join_tables`, :func:`semijoin_tables`,
+* **Vector kernel operators** -- the one binary kernel:
+  :func:`join_tables`, :func:`semijoin_tables`,
   :func:`antijoin_tables`, and :func:`project_table` batch-at-a-time
   over columns instead of row-at-a-time over tuples: composite join
   keys are built for a whole column block with one bulk ``zip`` (one C
@@ -51,34 +51,25 @@ evaluating many overlapping natural joins).  The kernel removes that cost:
   the packed-key representation of choice; packed ``int64`` buffers
   are used where they do win -- the shared-memory snapshot format.
 
-The previous per-row-tuple kernel is kept verbatim as the
-``"columnar"`` engine: it is the equivalence baseline the vector
-property suite compares against, and the conservative fallback.
-
-The kernel is on by default.  The public engine switch is by *name*:
-:func:`set_engine`/:func:`current_engine` select ``"vector"`` (default),
-``"columnar"``, or ``"legacy"`` process-wide, and :func:`using_engine`
-scopes the choice to a block (used by ``benchmarks/bench_join_kernel.py``
-for old-vs-new comparisons and by the equivalence property suites).  A
-single :class:`~repro.database.Database` can also pin its own engine via
-the ``engine=`` constructor keyword.  :func:`set_kernel_enabled` remains
-the low-level boolean toggle (``False`` = legacy row-at-a-time paths;
-``True`` = the current columnar/vector selection).
+Every :class:`~repro.database.Database` runs its binary joins here,
+whatever engine it carries (``Database(engine=...)``; the multiway
+kernels in :mod:`repro.wcoj` and :mod:`repro.yannakakis` handle only
+connected subsets of three or more relations).  The reference these
+operators are tested against is the nested-loop oracle in
+``tests/oracle.py``, which never touches the interner.
 
 Telemetry (docs/observability.md): kernel joins emit the ``join.*``
 counters.  ``join.probes`` counts hash-table lookups (one per probe-side
 row); ``join.comparisons`` counts the candidate row pairs examined after
 a bucket hit -- in a natural join the bucket key is the entire shared
 scheme, so every candidate pair merges and ``comparisons`` equals the
-merged pair count pre-dedup.  The vector and classic kernels count
-identically, so profiles are comparable across engines.
+merged pair count pre-dedup.
 """
 
 from __future__ import annotations
 
 import threading
 from array import array
-from contextlib import contextmanager
 from functools import partial
 from itertools import chain, compress, count, repeat
 from operator import is_not, itemgetter, not_
@@ -87,7 +78,6 @@ from typing import (
     FrozenSet,
     Hashable,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -111,12 +101,6 @@ __all__ = [
     "semijoin_tables",
     "antijoin_tables",
     "project_table",
-    "kernel_enabled",
-    "set_kernel_enabled",
-    "ENGINES",
-    "current_engine",
-    "set_engine",
-    "using_engine",
 ]
 
 #: A tuple of interned value ids, positionally aligned with a table order.
@@ -151,7 +135,7 @@ def intern_value(value: Hashable) -> int:
 
     Thread-safe: concurrent first sights of the same value converge on
     one id.  Raises :class:`~repro.errors.RelationError` for unhashable
-    values -- the same contract the row-level engine enforces.
+    values -- the same contract :class:`Row` enforces.
     """
     try:
         vid = _IDS.get(value)
@@ -392,10 +376,6 @@ class ColumnarTable:
 # -- kernel operators ----------------------------------------------------------
 
 
-def _positions(order: Tuple[str, ...]) -> Dict[str, int]:
-    return {attr: i for i, attr in enumerate(order)}
-
-
 def _picker(indices: Tuple[int, ...]):
     """A C-speed callable mapping a tuple to the sub-tuple at ``indices``.
 
@@ -420,9 +400,11 @@ def _keys_of(cols: Dict[str, Sequence[int]], common: List[str]):
 _HIT = partial(is_not, None)
 
 
-def _vector_join(left: ColumnarTable, right: ColumnarTable) -> ColumnarTable:
-    """Batch-at-a-time natural join: bulk-zip keys, key->row-index-array
-    hash build, single-pass probe emitting output columns.
+def join_tables(left: ColumnarTable, right: ColumnarTable) -> ColumnarTable:
+    """Natural join of two tables (Cartesian product on disjoint orders).
+
+    Batch-at-a-time: bulk-zip keys, key->row-index-array hash build,
+    single-pass probe emitting output columns.
 
     The only Python-level loop is the hash build over the *smaller*
     input; the probe is a ``map``/``compress``/``chain`` pipeline that
@@ -464,8 +446,7 @@ def _vector_join(left: ColumnarTable, right: ColumnarTable) -> ColumnarTable:
             _OUTPUT_TUPLES.inc(len(result), kind="product")
         return result
 
-    # Build the hash table on the smaller input (same tie-break as the
-    # classic kernel: left builds on equal sizes, so probe counts match).
+    # Build the hash table on the smaller input (left on equal sizes).
     if n_left <= n_right:
         build, probe, bcols, pcols = left, right, lcols, rcols
     else:
@@ -505,94 +486,6 @@ def _vector_join(left: ColumnarTable, right: ColumnarTable) -> ColumnarTable:
     return result
 
 
-def _classic_join(left: ColumnarTable, right: ColumnarTable) -> ColumnarTable:
-    """The per-row-tuple hash join (the ``"columnar"`` engine)."""
-    left_pos = _positions(left.order)
-    right_pos = _positions(right.order)
-    common = [attr for attr in left.order if attr in right_pos]
-    out_order = tuple(sorted(set(left.order) | set(right.order)))
-    enabled = _METRICS.enabled
-
-    if not common:
-        # Compose by concatenating the pair and permuting once with a
-        # C-speed picker (left positions as-is, right offset by the width
-        # of the left row).
-        width = len(left.order)
-        compose = _picker(
-            tuple(
-                left_pos[attr] if attr in left_pos else width + right_pos[attr]
-                for attr in out_order
-            )
-        )
-        out = set()
-        add = out.add
-        for lrow in left.rows:
-            for rrow in right.rows:
-                add(compose(lrow + rrow))
-        result = ColumnarTable(out_order, frozenset(out))
-        if enabled:
-            _JOINS.inc(kind="product")
-            _COMPARISONS.inc(len(left.rows) * len(right.rows), kind="product")
-            _OUTPUT_TUPLES.inc(len(result.rows), kind="product")
-        return result
-
-    # Build the hash table on the smaller input.
-    if len(left.rows) <= len(right.rows):
-        build, probe, build_pos, probe_pos = left, right, left_pos, right_pos
-    else:
-        build, probe, build_pos, probe_pos = right, left, right_pos, left_pos
-    key_of_build = _picker(tuple(build_pos[attr] for attr in common))
-    key_of_probe = _picker(tuple(probe_pos[attr] for attr in common))
-    # Shared attributes carry equal ids on a match; pick them from the
-    # probe side so every output position has exactly one source.  Output
-    # rows are composed as probe + build concatenated, then permuted once.
-    probe_width = len(probe.order)
-    compose = _picker(
-        tuple(
-            probe_pos[attr]
-            if attr in probe_pos
-            else probe_width + build_pos[attr]
-            for attr in out_order
-        )
-    )
-
-    buckets: Dict[IdRow, List[IdRow]] = {}
-    setdefault = buckets.setdefault
-    for brow in build.rows:
-        setdefault(key_of_build(brow), []).append(brow)
-
-    out = set()
-    add = out.add
-    get = buckets.get
-    compared = 0
-    for prow in probe.rows:
-        bucket = get(key_of_probe(prow))
-        if bucket is None:
-            continue
-        compared += len(bucket)
-        for brow in bucket:
-            add(compose(prow + brow))
-    result = ColumnarTable(out_order, frozenset(out))
-    if enabled:
-        _JOINS.inc(kind="hash")
-        _PROBES.inc(len(probe.rows), kind="hash")
-        _COMPARISONS.inc(compared, kind="hash")
-        _OUTPUT_TUPLES.inc(len(result.rows), kind="hash")
-    return result
-
-
-def join_tables(left: ColumnarTable, right: ColumnarTable) -> ColumnarTable:
-    """Natural join of two tables (Cartesian product on disjoint orders).
-
-    Dispatches to the vector kernel (default) or the classic per-row
-    kernel per the process-wide engine selection; both produce the same
-    relation and the same telemetry counts.
-    """
-    if _KERNEL.vector:
-        return _vector_join(left, right)
-    return _classic_join(left, right)
-
-
 def semijoin_tables(left: ColumnarTable, right: ColumnarTable) -> ColumnarTable:
     """Semijoin ``left ⋉ right``: the left rows that join with ``right``."""
     right_attrs = set(right.order)
@@ -600,21 +493,11 @@ def semijoin_tables(left: ColumnarTable, right: ColumnarTable) -> ColumnarTable:
     if not common:
         # With disjoint orders every pair joins, unless right is empty.
         return left if len(right) else ColumnarTable(left.order)
-    if _KERNEL.vector:
-        keys = set(_keys_of(right.columns(), common))
-        lcols = left.columns()
-        mask = list(map(keys.__contains__, _keys_of(lcols, common)))
-        out_cols = {
-            attr: list(compress(lcols[attr], mask)) for attr in left.order
-        }
-        return ColumnarTable.from_columns(left.order, out_cols, sum(mask))
-    key_of_left = _picker(tuple(_positions(left.order)[attr] for attr in common))
-    key_of_right = _picker(tuple(_positions(right.order)[attr] for attr in common))
-    keys = set(map(key_of_right, right.rows))
-    return ColumnarTable(
-        left.order,
-        frozenset(lrow for lrow in left.rows if key_of_left(lrow) in keys),
-    )
+    keys = set(_keys_of(right.columns(), common))
+    lcols = left.columns()
+    mask = list(map(keys.__contains__, _keys_of(lcols, common)))
+    out_cols = {attr: list(compress(lcols[attr], mask)) for attr in left.order}
+    return ColumnarTable.from_columns(left.order, out_cols, sum(mask))
 
 
 def antijoin_tables(left: ColumnarTable, right: ColumnarTable) -> ColumnarTable:
@@ -623,155 +506,22 @@ def antijoin_tables(left: ColumnarTable, right: ColumnarTable) -> ColumnarTable:
     common = [attr for attr in left.order if attr in right_attrs]
     if not common:
         return ColumnarTable(left.order) if len(right) else left
-    if _KERNEL.vector:
-        keys = set(_keys_of(right.columns(), common))
-        lcols = left.columns()
-        mask = list(
-            map(not_, map(keys.__contains__, _keys_of(lcols, common)))
-        )
-        out_cols = {
-            attr: list(compress(lcols[attr], mask)) for attr in left.order
-        }
-        return ColumnarTable.from_columns(left.order, out_cols, sum(mask))
-    key_of_left = _picker(tuple(_positions(left.order)[attr] for attr in common))
-    key_of_right = _picker(tuple(_positions(right.order)[attr] for attr in common))
-    keys = set(map(key_of_right, right.rows))
-    return ColumnarTable(
-        left.order,
-        frozenset(lrow for lrow in left.rows if key_of_left(lrow) not in keys),
-    )
+    keys = set(_keys_of(right.columns(), common))
+    lcols = left.columns()
+    mask = list(map(not_, map(keys.__contains__, _keys_of(lcols, common))))
+    out_cols = {attr: list(compress(lcols[attr], mask)) for attr in left.order}
+    return ColumnarTable.from_columns(left.order, out_cols, sum(mask))
 
 
 def project_table(table: ColumnarTable, wanted_order: Tuple[str, ...]) -> ColumnarTable:
     """Projection onto ``wanted_order`` (a sorted subset of the table
     order), with set-semantics dedup on the id tuples.
 
-    This is the one operator where set semantics force a dedup; the
-    vector path pays it as a single bulk ``zip`` of the picked columns
-    straight into a frozenset (one C call end to end).
+    This is the one operator where set semantics force a dedup; it is
+    paid as a single bulk ``zip`` of the picked columns straight into a
+    frozenset (one C call end to end).
     """
-    if _KERNEL.vector:
-        cols = table.columns()
-        return ColumnarTable(
-            wanted_order, frozenset(zip(*(cols[attr] for attr in wanted_order)))
-        )
-    pos = _positions(table.order)
-    pick = _picker(tuple(pos[attr] for attr in wanted_order))
-    return ColumnarTable(wanted_order, frozenset(map(pick, table.rows)))
-
-
-# -- the engine switch ---------------------------------------------------------
-
-
-class _KernelSwitch:
-    """Process-wide engine selection.  Mirrors the metrics registry
-    idiom: hot paths pay a single attribute load.  ``enabled`` routes
-    the algebra through the columnar substrate at all (False = legacy
-    row-at-a-time); ``vector`` picks the batch-at-a-time kernel over the
-    classic per-row-tuple kernel; ``wcoj`` additionally routes connected
-    *cyclic* subset joins through the Generic-Join kernel
-    (:mod:`repro.wcoj`) -- binary steps still run on the vector kernel;
-    ``yannakakis`` routes connected *acyclic* subset joins through the
-    semijoin-reduction pipeline (:mod:`repro.yannakakis`).  The
-    ``"yannakakis"`` engine sets both multiway flags so mixed databases
-    (a cyclic connected subset inside an acyclic query) route every
-    connected subset to its best kernel."""
-
-    __slots__ = ("enabled", "vector", "wcoj", "yannakakis")
-
-    def __init__(self) -> None:
-        self.enabled = True
-        self.vector = True
-        self.wcoj = False
-        self.yannakakis = False
-
-
-_KERNEL = _KernelSwitch()
-
-
-def get_kernel() -> _KernelSwitch:
-    """The process-wide kernel switch (for hot-path flag checks)."""
-    return _KERNEL
-
-
-def kernel_enabled() -> bool:
-    """True when the columnar kernel handles the relational algebra."""
-    return _KERNEL.enabled
-
-
-def set_kernel_enabled(enabled: bool) -> None:
-    """Route the relational algebra through the columnar substrate
-    (default; the vector/columnar selection is left as-is) or the legacy
-    row-at-a-time engine (``False``)."""
-    _KERNEL.enabled = bool(enabled)
-
-
-#: The engine names :func:`set_engine` accepts.
-ENGINES = ("vector", "columnar", "legacy", "wcoj", "yannakakis")
-
-
-def _engine_flags(engine: str) -> Tuple[bool, bool, bool, bool]:
-    if engine not in ENGINES:
-        raise RelationError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    return (
-        engine != "legacy",
-        engine in ("vector", "wcoj", "yannakakis"),
-        engine in ("wcoj", "yannakakis"),
-        engine == "yannakakis",
+    cols = table.columns()
+    return ColumnarTable(
+        wanted_order, frozenset(zip(*(cols[attr] for attr in wanted_order)))
     )
-
-
-def current_engine() -> str:
-    """The name of the engine currently executing the relational
-    algebra: ``"vector"`` (the batch-at-a-time kernel, default),
-    ``"columnar"`` (the per-row-tuple kernel), ``"legacy"``, ``"wcoj"``
-    (vector binary kernel plus Generic Join for cyclic connected
-    subsets), or ``"yannakakis"`` (vector binary kernel plus semijoin
-    reduction for acyclic connected subsets and Generic Join for cyclic
-    ones)."""
-    if not _KERNEL.enabled:
-        return "legacy"
-    if _KERNEL.yannakakis:
-        return "yannakakis"
-    if _KERNEL.wcoj:
-        return "wcoj"
-    return "vector" if _KERNEL.vector else "columnar"
-
-
-def _apply_flags(flags: Tuple[bool, bool, bool, bool]) -> None:
-    (
-        _KERNEL.enabled,
-        _KERNEL.vector,
-        _KERNEL.wcoj,
-        _KERNEL.yannakakis,
-    ) = flags
-
-
-def set_engine(engine: str) -> None:
-    """Select the process-wide execution engine by name
-    (``"vector"``, ``"columnar"``, ``"legacy"``, ``"wcoj"``, or
-    ``"yannakakis"``).
-
-    Raises :class:`~repro.errors.RelationError` for unknown names.
-    """
-    _apply_flags(_engine_flags(engine))
-
-
-@contextmanager
-def using_engine(engine: str) -> Iterator[None]:
-    """Context manager: run the enclosed block on the named engine,
-    restoring the previous engine afterwards."""
-    flags = _engine_flags(engine)
-    previous = (
-        _KERNEL.enabled,
-        _KERNEL.vector,
-        _KERNEL.wcoj,
-        _KERNEL.yannakakis,
-    )
-    _apply_flags(flags)
-    try:
-        yield
-    finally:
-        _apply_flags(previous)

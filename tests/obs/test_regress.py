@@ -17,7 +17,7 @@ from repro.obs.regress import (
     render_report,
 )
 
-SPEEDUP = MetricSpec("full_join.speedup", higher_is_better=True)
+SPEEDUP = MetricSpec("tau_only.speedup", higher_is_better=True)
 OVERHEAD = MetricSpec("dormant_overhead_fraction", higher_is_better=False)
 
 
@@ -42,21 +42,21 @@ class TestLookup:
 
 class TestClassification:
     def test_identical_values_are_ok(self):
-        c = _one(SPEEDUP, {"full_join": {"speedup": 8.9}}, {"full_join": {"speedup": 8.9}})
+        c = _one(SPEEDUP, {"tau_only": {"speedup": 8.9}}, {"tau_only": {"speedup": 8.9}})
         assert c.status == "ok"
         assert c.ratio == pytest.approx(1.0)
 
     def test_drop_beyond_tolerance_is_regression(self):
         # 30% below baseline on a higher-is-better metric.
-        c = _one(SPEEDUP, {"full_join": {"speedup": 10.0}}, {"full_join": {"speedup": 7.0}})
+        c = _one(SPEEDUP, {"tau_only": {"speedup": 10.0}}, {"tau_only": {"speedup": 7.0}})
         assert c.status == "regression"
 
     def test_drop_within_tolerance_is_ok(self):
-        c = _one(SPEEDUP, {"full_join": {"speedup": 10.0}}, {"full_join": {"speedup": 9.0}})
+        c = _one(SPEEDUP, {"tau_only": {"speedup": 10.0}}, {"tau_only": {"speedup": 9.0}})
         assert c.status == "ok"
 
     def test_gain_beyond_tolerance_is_improved_not_failure(self):
-        c = _one(SPEEDUP, {"full_join": {"speedup": 10.0}}, {"full_join": {"speedup": 15.0}})
+        c = _one(SPEEDUP, {"tau_only": {"speedup": 10.0}}, {"tau_only": {"speedup": 15.0}})
         assert c.status == "improved"
         assert not has_regressions([c])
 
@@ -78,8 +78,8 @@ class TestClassification:
         # ratio == 1 - tolerance is *not* outside the band.
         c = _one(
             SPEEDUP,
-            {"full_join": {"speedup": 10.0}},
-            {"full_join": {"speedup": 8.0}},
+            {"tau_only": {"speedup": 10.0}},
+            {"tau_only": {"speedup": 8.0}},
             tolerance=0.20,
         )
         assert c.status == "ok"
@@ -87,23 +87,23 @@ class TestClassification:
     def test_custom_tolerance_narrows_the_band(self):
         c = _one(
             SPEEDUP,
-            {"full_join": {"speedup": 10.0}},
-            {"full_join": {"speedup": 9.0}},
+            {"tau_only": {"speedup": 10.0}},
+            {"tau_only": {"speedup": 9.0}},
             tolerance=0.05,
         )
         assert c.status == "regression"
 
     def test_missing_fresh_metric_is_a_regression(self):
-        c = _one(SPEEDUP, {"full_join": {"speedup": 10.0}}, {"full_join": {}})
+        c = _one(SPEEDUP, {"tau_only": {"speedup": 10.0}}, {"tau_only": {}})
         assert c.status == "missing-fresh"
         assert has_regressions([c])
 
     def test_missing_fresh_payload_is_a_regression(self):
-        c = _one(SPEEDUP, {"full_join": {"speedup": 10.0}}, None)
+        c = _one(SPEEDUP, {"tau_only": {"speedup": 10.0}}, None)
         assert c.status == "missing-fresh"
 
     def test_missing_baseline_metric_is_tolerated(self):
-        c = _one(SPEEDUP, {}, {"full_join": {"speedup": 10.0}})
+        c = _one(SPEEDUP, {}, {"tau_only": {"speedup": 10.0}})
         assert c.status == "missing-baseline"
         assert not has_regressions([c])
 
@@ -209,7 +209,7 @@ class TestComparison:
 
 def _write_payloads(
     directory,
-    perf_speedups=(8.0, 150.0, 3.0),
+    perf_speedup=15.0,
     overhead=0.01,
     parallel_speedups=(2.5, 3.0),
     cpu_count=8,
@@ -217,15 +217,8 @@ def _write_payloads(
     yannakakis_speedups=(60.0, 1.1),
 ):
     directory.mkdir(parents=True, exist_ok=True)
-    full, tau, dense = perf_speedups
     (directory / "BENCH_perf.json").write_text(
-        json.dumps(
-            {
-                "full_join": {"speedup": full},
-                "tau_only": {"speedup": tau},
-                "full_join_dense": {"speedup": dense},
-            }
-        )
+        json.dumps({"tau_only": {"speedup": perf_speedup}})
     )
     (directory / "BENCH_obs.json").write_text(
         json.dumps({"dormant_overhead_fraction": overhead})
@@ -276,7 +269,7 @@ class TestCompareFilesAndMain:
 
     def test_perturbed_beyond_tolerance_exits_nonzero(self, tmp_path, capsys):
         _write_payloads(tmp_path / "base")
-        _write_payloads(tmp_path / "fresh", perf_speedups=(5.0, 150.0, 3.0))
+        _write_payloads(tmp_path / "fresh", perf_speedup=10.0)
         code = main(
             ["--baseline-dir", str(tmp_path / "base"), "--fresh-dir", str(tmp_path / "fresh")]
         )
@@ -285,7 +278,7 @@ class TestCompareFilesAndMain:
 
     def test_tolerance_flag_widens_the_band(self, tmp_path, capsys):
         _write_payloads(tmp_path / "base")
-        _write_payloads(tmp_path / "fresh", perf_speedups=(5.0, 150.0, 3.0))
+        _write_payloads(tmp_path / "fresh", perf_speedup=10.0)
         code = main(
             [
                 "--baseline-dir", str(tmp_path / "base"),
@@ -307,7 +300,7 @@ class TestCompareFilesAndMain:
 
     def test_json_report_written(self, tmp_path, capsys):
         _write_payloads(tmp_path / "base")
-        _write_payloads(tmp_path / "fresh", perf_speedups=(5.0, 150.0, 3.0))
+        _write_payloads(tmp_path / "fresh", perf_speedup=10.0)
         report_path = tmp_path / "report.json"
         code = main(
             [
@@ -321,8 +314,8 @@ class TestCompareFilesAndMain:
         assert report["regressed"] is True
         assert report["tolerance"] == DEFAULT_TOLERANCE
         statuses = {c["path"]: c["status"] for c in report["comparisons"]}
-        assert statuses["full_join.speedup"] == "regression"
-        assert statuses["tau_only.speedup"] == "ok"
+        assert statuses["tau_only.speedup"] == "regression"
+        assert statuses["dormant_overhead_fraction"] == "ok"
         capsys.readouterr()
 
     def test_only_flag_restricts_guarded_files(self, tmp_path, capsys):
@@ -331,7 +324,7 @@ class TestCompareFilesAndMain:
         _write_payloads(tmp_path / "base")
         _write_payloads(
             tmp_path / "fresh",
-            perf_speedups=(5.0, 150.0, 3.0),
+            perf_speedup=10.0,
             parallel_speedups=(2.5, 3.0),
         )
         args = ["--baseline-dir", str(tmp_path / "base"), "--fresh-dir", str(tmp_path / "fresh")]
@@ -356,7 +349,7 @@ class TestCompareFilesAndMain:
 class TestRenderReport:
     def test_table_contains_verdicts_and_values(self):
         comparisons = [
-            Comparison("BENCH_perf.json", "full_join.speedup", 10.0, 7.0, "regression", 0.2),
+            Comparison("BENCH_perf.json", "tau_only.speedup", 10.0, 7.0, "regression", 0.2),
             Comparison("BENCH_obs.json", "dormant_overhead_fraction", 0.01, None, "missing-fresh", 0.2),
         ]
         text = render_report(comparisons)

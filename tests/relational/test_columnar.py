@@ -2,8 +2,8 @@
 
 Two families of guarantees:
 
-* **old/new equivalence** -- the kernel and the legacy row-at-a-time
-  engine produce identical relations (scheme, rows, tau) for every
+* **oracle equivalence** -- the kernel and the nested-loop oracle
+  (``tests/oracle.py``) produce the same scheme, rows, and tau for every
   algebra operation, across randomized schemes and densities including
   Cartesian products, empty inputs, and skewed keys;
 * **tau-only counting** -- ``Database.tau_of`` (the count-without-
@@ -16,19 +16,10 @@ import random
 
 import pytest
 
-from repro.database import Database
-from repro.errors import RelationError
-from repro.relational.columnar import (
-    ColumnarTable,
-    current_engine,
-    intern_value,
-    join_tables,
-    kernel_enabled,
-    set_engine,
-    set_kernel_enabled,
-    using_engine,
-)
-from repro.relational.relation import Relation, Row, relation
+from repro.database import ENGINES, Database
+from repro.errors import SchemaError
+from repro.relational.columnar import ColumnarTable, intern_value, join_tables
+from repro.relational.relation import Relation, relation
 from repro.workloads.generators import (
     WorkloadSpec,
     chain_scheme,
@@ -43,86 +34,57 @@ from repro.workloads.paper import (
     example4,
     example5,
 )
+from tests import oracle
 
 PAPER_WORKLOADS = [example1, example2_c2_only, example3, example4, example5]
 
 
 def _random_relation(rng, scheme, size, domain):
-    """A random relation over ``scheme`` built through the public Row API
-    (so legacy and kernel runs start from identical inputs)."""
+    """A random relation over ``scheme`` built through the public Row API,
+    and the oracle operand holding the same raw rows."""
     order = sorted(scheme)
-    rows = [
-        Row({attr: rng.randint(1, domain) for attr in order})
-        for _ in range(size)
-    ]
-    return Relation(scheme, rows)
+    rows = [{attr: rng.randint(1, domain) for attr in order} for _ in range(size)]
+    return Relation.from_dicts(scheme, rows), (scheme, rows)
 
 
-def _assert_same(kernel_result, legacy_result):
-    assert kernel_result.scheme == legacy_result.scheme
-    assert len(kernel_result) == len(legacy_result)
-    assert kernel_result.rows == legacy_result.rows
-    assert kernel_result == legacy_result
+def _relation(scheme, tuples=()):
+    """``relation(scheme, tuples)`` and the oracle operand of the same tuples."""
+    return relation(scheme, tuples), oracle.operand(scheme, tuples)
 
 
 class TestEngineSwitch:
-    def test_kernel_on_by_default(self):
-        assert kernel_enabled()
-        assert current_engine() == "vector"
-
-    def test_using_engine_restores(self):
-        assert kernel_enabled()
-        with using_engine("legacy"):
-            assert not kernel_enabled()
-            assert current_engine() == "legacy"
-        assert kernel_enabled()
-        assert current_engine() == "vector"
-
-    def test_using_engine_classic_columnar(self):
-        with using_engine("columnar"):
-            assert kernel_enabled()
-            assert current_engine() == "columnar"
-        assert current_engine() == "vector"
-
-    def test_set_engine_round_trip(self):
-        set_engine("legacy")
-        try:
-            assert current_engine() == "legacy"
-        finally:
-            set_engine("columnar")
-        assert current_engine() == "columnar"
-        set_engine("vector")
-        assert current_engine() == "vector"
-
     def test_unknown_engine_rejected(self):
-        with pytest.raises(RelationError):
-            set_engine("vectorized")
-        with pytest.raises(RelationError):
-            with using_engine("blob"):
-                pass  # pragma: no cover
-
-    def test_set_kernel_enabled_round_trip(self):
-        set_kernel_enabled(False)
-        try:
-            assert not kernel_enabled()
-        finally:
-            set_kernel_enabled(True)
-        assert kernel_enabled()
+        # The removed kernels are not engines; the error names the three
+        # that are.
+        assert ENGINES == ("vector", "wcoj", "yannakakis")
+        for name in ("legacy", "columnar", "vectorized"):
+            with pytest.raises(SchemaError) as excinfo:
+                Database([relation("AB", [(1, 2)])], engine=name)
+            for engine in ENGINES:
+                assert f"'{engine}'" in str(excinfo.value)
 
     def test_use_legacy_engine_is_gone(self):
-        # The deprecated shim was removed; the named API is the only
-        # surface.
+        # The deprecated shim and the process-global engine switch were
+        # removed; Database(engine=...) is the only engine selector.
         import repro.relational as relational
         import repro.relational.columnar as columnar
 
-        assert not hasattr(columnar, "use_legacy_engine")
-        assert not hasattr(relational, "use_legacy_engine")
-        assert "use_legacy_engine" not in columnar.__all__
-        assert "use_legacy_engine" not in relational.__all__
+        removed = (
+            "use_legacy_engine",
+            "set_engine",
+            "using_engine",
+            "current_engine",
+            "set_kernel_enabled",
+            "kernel_enabled",
+        )
+        for module in (columnar, relational):
+            for name in removed:
+                assert not hasattr(module, name), (module.__name__, name)
+                assert name not in module.__all__
 
 
 class TestJoinEquivalence:
-    """Kernel vs legacy across random schemes and densities."""
+    """Kernel vs the oracle across random schemes and densities."""
 
     # (shared attrs, left-only, right-only) scheme shapes.
     SHAPES = [
@@ -141,12 +103,9 @@ class TestJoinEquivalence:
         right_scheme = set(shared) | set(right_only) or {"X"}
         size = rng.randint(0, 25)
         domain = rng.choice([2, 5, 30])  # dense, medium, sparse keys
-        left = _random_relation(rng, left_scheme, size, domain)
-        right = _random_relation(rng, right_scheme, rng.randint(0, 25), domain)
-        kernel = left.join(right)
-        with using_engine("legacy"):
-            legacy = left.join(right)
-        _assert_same(kernel, legacy)
+        left, lraw = _random_relation(rng, left_scheme, size, domain)
+        right, rraw = _random_relation(rng, right_scheme, rng.randint(0, 25), domain)
+        oracle.assert_matches(left.join(right), oracle.join(lraw, rraw))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_skewed_keys(self, seed):
@@ -157,21 +116,20 @@ class TestJoinEquivalence:
         rows_r = [(1, rng.randint(1, 50)) for _ in range(30)]
         rows_l += [(rng.randint(2, 5), rng.randint(1, 50)) for _ in range(5)]
         rows_r += [(rng.randint(2, 5), rng.randint(1, 50)) for _ in range(5)]
-        left = relation("AB", rows_l)
-        right = relation("AC", rows_r)
-        kernel = left.join(right)
-        with using_engine("legacy"):
-            legacy = left.join(right)
-        _assert_same(kernel, legacy)
+        left, lraw = _relation("AB", rows_l)
+        right, rraw = _relation("AC", rows_r)
+        oracle.assert_matches(left.join(right), oracle.join(lraw, rraw))
 
     def test_empty_inputs(self):
-        empty = relation("AB")
-        nonempty = relation("BC", [(1, 2), (3, 4)])
-        for l, r in [(empty, nonempty), (nonempty, empty), (empty, empty)]:
+        empty = _relation("AB")
+        nonempty = _relation("BC", [(1, 2), (3, 4)])
+        for (l, lraw), (r, rraw) in [
+            (empty, nonempty),
+            (nonempty, empty),
+            (empty, empty),
+        ]:
             kernel = l.join(r)
-            with using_engine("legacy"):
-                legacy = l.join(r)
-            _assert_same(kernel, legacy)
+            oracle.assert_matches(kernel, oracle.join(lraw, rraw))
             assert len(kernel) == 0
 
     def test_empty_cartesian_product(self):
@@ -181,12 +139,10 @@ class TestJoinEquivalence:
         assert len(other.join(empty)) == 0
 
     def test_non_integer_values(self):
-        left = relation("AB", [("p", None), ("q", (1, 2))])
-        right = relation("BC", [(None, frozenset({7})), ((1, 2), "x")])
+        left, lraw = _relation("AB", [("p", None), ("q", (1, 2))])
+        right, rraw = _relation("BC", [(None, frozenset({7})), ((1, 2), "x")])
         kernel = left.join(right)
-        with using_engine("legacy"):
-            legacy = left.join(right)
-        _assert_same(kernel, legacy)
+        oracle.assert_matches(kernel, oracle.join(lraw, rraw))
         assert len(kernel) == 2
 
 
@@ -194,21 +150,11 @@ class TestOtherOperators:
     @pytest.mark.parametrize("seed", range(5))
     def test_project_semijoin_antijoin_match_legacy(self, seed):
         rng = random.Random(200 + seed)
-        left = _random_relation(rng, {"A", "B", "C"}, 20, 4)
-        right = _random_relation(rng, {"B", "D"}, 15, 4)
-        pairs = [
-            (left.project("AB"), None),
-            (left.semijoin(right), None),
-            (left.antijoin(right), None),
-        ]
-        with using_engine("legacy"):
-            legacy = [
-                left.project("AB"),
-                left.semijoin(right),
-                left.antijoin(right),
-            ]
-        for (kernel, _), old in zip(pairs, legacy):
-            _assert_same(kernel, old)
+        left, lraw = _random_relation(rng, {"A", "B", "C"}, 20, 4)
+        right, rraw = _random_relation(rng, {"B", "D"}, 15, 4)
+        oracle.assert_matches(left.project("AB"), oracle.project(lraw, "AB"))
+        oracle.assert_matches(left.semijoin(right), oracle.semijoin(lraw, rraw))
+        oracle.assert_matches(left.antijoin(right), oracle.antijoin(lraw, rraw))
 
     def test_semijoin_disjoint_schemes(self):
         left = relation("AB", [(1, 1), (2, 2)], name="L")
@@ -220,20 +166,16 @@ class TestOtherOperators:
     @pytest.mark.parametrize("seed", range(5))
     def test_set_ops_match_legacy(self, seed):
         rng = random.Random(300 + seed)
-        a = _random_relation(rng, {"A", "B"}, 15, 3)
-        b = _random_relation(rng, {"A", "B"}, 15, 3)
+        a, araw = _random_relation(rng, {"A", "B"}, 15, 3)
+        b, braw = _random_relation(rng, {"A", "B"}, 15, 3)
         # Exercise the id-set fast path: operands fresh from the kernel.
-        ka = a.join(relation("AB", [(v, w) for v in range(1, 4) for w in range(1, 4)]))
-        kb = b.join(relation("AB", [(v, w) for v in range(1, 4) for w in range(1, 4)]))
-        kernel = [ka | kb, ka & kb, ka - kb]
-        with using_engine("legacy"):
-            la, lb = (
-                Relation("AB", ka.rows),
-                Relation("AB", kb.rows),
-            )
-            legacy = [la | lb, la & lb, la - lb]
-        for k, l in zip(kernel, legacy):
-            _assert_same(k, l)
+        full, fraw = _relation("AB", [(v, w) for v in range(1, 4) for w in range(1, 4)])
+        ka, kb = a.join(full), b.join(full)
+        scheme, oa = oracle.join(araw, fraw)
+        _, ob = oracle.join(braw, fraw)
+        oracle.assert_matches(ka | kb, (scheme, oa | ob))
+        oracle.assert_matches(ka & kb, (scheme, oa & ob))
+        oracle.assert_matches(ka - kb, (scheme, oa - ob))
 
 
 class TestKernelInternals:
@@ -244,7 +186,7 @@ class TestKernelInternals:
 
     def test_equal_numerics_share_an_id(self):
         # dict-key equivalence: 1 and 1.0 collide as keys, so the kernel
-        # must join them exactly as the legacy engine did.
+        # joins them exactly as a dict-keyed hash join would.
         assert intern_value(1) == intern_value(1.0)
 
     def test_join_tables_direct(self):
@@ -331,13 +273,12 @@ class TestTauOnlyCounting:
         assert db.tau_of(whole) == len(fresh.join_of(whole))
 
     def test_legacy_engine_counts_agree(self):
+        # The paper's states are built through relation(), so the oracle
+        # reads their decoded rows: this checks every counting path of
+        # tau_of against nested loops.
         make = PAPER_WORKLOADS[0]
         kernel_db = make()
-        taus = {
-            frozenset(s.schemes): kernel_db.tau_of(s)
-            for s in kernel_db.scheme.subsets()
-        }
-        with using_engine("legacy"):
-            legacy_db = make()
-            for subset, tau in taus.items():
-                assert legacy_db.tau_of(subset) == tau
+        states = {rel.scheme: (rel.scheme, rel.rows) for rel in make()}
+        for subset in kernel_db.scheme.subsets():
+            _, rows = oracle.join_all(states[s] for s in subset.sorted_schemes())
+            assert kernel_db.tau_of(subset) == len(rows)

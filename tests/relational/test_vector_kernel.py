@@ -1,13 +1,12 @@
-"""The vectorized kernel's contracts: byte-identity across all three
-engines, column caching, and the thread-safe interner.
+"""The vectorized kernel's contracts: agreement with the nested-loop
+oracle, column caching, and the thread-safe interner.
 
-The ``"vector"`` engine (batch-at-a-time column pipelines) must be
-indistinguishable from the ``"columnar"`` classic kernel and the
-``"legacy"`` row-at-a-time engine on every algebra operation -- same
-scheme, same row set, byte-identical packed form -- across randomized
-relations including the no-common-attribute product path, empty inputs,
-and single-row tables.  These are the guarantees that let the parallel
-layer swap engines without re-validating the drivers.
+The vector kernel (batch-at-a-time column pipelines) must agree with the
+oracle in ``tests/oracle.py`` on every algebra operation -- same scheme,
+same decoded row set -- across randomized relations including the
+no-common-attribute product path, empty inputs, and single-row tables.
+The oracle reads the raw values each test built, never interned ids, so
+the comparison covers the interner too.
 """
 
 import random
@@ -18,48 +17,30 @@ import pytest
 from repro.relational.columnar import (
     ColumnarTable,
     antijoin_tables,
-    current_engine,
+    decode_row,
     intern_value,
     interner_export,
     interner_import,
     join_tables,
     project_table,
     semijoin_tables,
-    using_engine,
     value_of,
 )
 from repro.relational.relation import Relation, Row, relation
+from tests import oracle
 
 
 def _random_relation(rng, scheme, size, domain):
+    """A random relation over ``scheme`` and the oracle operand holding
+    the same raw rows."""
     order = sorted(scheme)
-    rows = [
-        Row({attr: rng.randint(1, domain) for attr in order}) for _ in range(size)
-    ]
-    return Relation(scheme, rows)
+    rows = [{attr: rng.randint(1, domain) for attr in order} for _ in range(size)]
+    return Relation.from_dicts(scheme, rows), (scheme, rows)
 
 
-def _packed_bytes(rel):
-    """The relation's canonical packed form -- the byte-identity probe."""
-    return rel._table().to_packed().tobytes()
-
-
-def _run_all_engines(op):
-    """Evaluate ``op()`` under each engine, returning {engine: result}."""
-    results = {}
-    for engine in ("vector", "columnar", "legacy"):
-        with using_engine(engine):
-            results[engine] = op()
-    return results
-
-
-def _assert_engines_agree(results):
-    vector = results["vector"]
-    for engine in ("columnar", "legacy"):
-        other = results[engine]
-        assert vector.scheme == other.scheme, engine
-        assert vector.rows == other.rows, engine
-        assert _packed_bytes(vector) == _packed_bytes(other), engine
+def _relation(scheme, tuples=()):
+    """``relation(scheme, tuples)`` and the oracle operand of the same tuples."""
+    return relation(scheme, tuples), oracle.operand(scheme, tuples)
 
 
 # Scheme shapes: (shared attrs, left-only, right-only).  The disjoint
@@ -76,6 +57,8 @@ SIZES = [0, 1, 7, 24]  # empty, single-row, small, medium
 
 
 class TestThreeEngineEquivalence:
+    """The vector kernel against the oracle on every algebra operation."""
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("shared,left_only,right_only", SHAPES)
     def test_join(self, seed, shared, left_only, right_only):
@@ -84,96 +67,97 @@ class TestThreeEngineEquivalence:
         right_scheme = set(shared) | set(right_only) or {"X"}
         size = rng.choice(SIZES)
         domain = rng.choice([2, 4, 20])
-        left = _random_relation(rng, left_scheme, size, domain)
-        right = _random_relation(rng, right_scheme, rng.choice(SIZES), domain)
-        _assert_engines_agree(_run_all_engines(lambda: left.join(right)))
+        left, lraw = _random_relation(rng, left_scheme, size, domain)
+        right, rraw = _random_relation(rng, right_scheme, rng.choice(SIZES), domain)
+        oracle.assert_matches(left.join(right), oracle.join(lraw, rraw))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_semijoin_and_antijoin(self, seed):
         rng = random.Random(2000 + seed)
-        left = _random_relation(rng, {"A", "B", "C"}, rng.choice(SIZES), 4)
-        right = _random_relation(rng, {"B", "C", "D"}, rng.choice(SIZES), 4)
-        _assert_engines_agree(_run_all_engines(lambda: left.semijoin(right)))
-        _assert_engines_agree(_run_all_engines(lambda: left.antijoin(right)))
+        left, lraw = _random_relation(rng, {"A", "B", "C"}, rng.choice(SIZES), 4)
+        right, rraw = _random_relation(rng, {"B", "C", "D"}, rng.choice(SIZES), 4)
+        oracle.assert_matches(left.semijoin(right), oracle.semijoin(lraw, rraw))
+        oracle.assert_matches(left.antijoin(right), oracle.antijoin(lraw, rraw))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_project(self, seed):
         rng = random.Random(3000 + seed)
-        rel = _random_relation(rng, {"A", "B", "C", "D"}, rng.choice(SIZES), 3)
+        rel, raw = _random_relation(rng, {"A", "B", "C", "D"}, rng.choice(SIZES), 3)
         for wanted in ("A", "AB", "ABD", "ABCD"):
-            _assert_engines_agree(_run_all_engines(lambda: rel.project(wanted)))
+            oracle.assert_matches(rel.project(wanted), oracle.project(raw, wanted))
 
     def test_single_row_tables(self):
-        left = relation("AB", [(1, 2)])
-        right = relation("BC", [(2, 3)])
-        miss = relation("BC", [(9, 9)])
-        _assert_engines_agree(_run_all_engines(lambda: left.join(right)))
-        _assert_engines_agree(_run_all_engines(lambda: left.join(miss)))
-        _assert_engines_agree(_run_all_engines(lambda: left.semijoin(miss)))
-        _assert_engines_agree(_run_all_engines(lambda: left.antijoin(miss)))
+        left, lraw = _relation("AB", [(1, 2)])
+        right, rraw = _relation("BC", [(2, 3)])
+        miss, mraw = _relation("BC", [(9, 9)])
+        oracle.assert_matches(left.join(right), oracle.join(lraw, rraw))
+        oracle.assert_matches(left.join(miss), oracle.join(lraw, mraw))
+        oracle.assert_matches(left.semijoin(miss), oracle.semijoin(lraw, mraw))
+        oracle.assert_matches(left.antijoin(miss), oracle.antijoin(lraw, mraw))
 
     def test_empty_inputs(self):
-        empty = relation("AB")
-        nonempty = relation("BC", [(1, 2), (3, 4)])
-        for op in (
-            lambda: empty.join(nonempty),
-            lambda: nonempty.join(empty),
-            lambda: empty.join(empty),
-            lambda: nonempty.semijoin(empty),
-            lambda: nonempty.antijoin(empty),
-            lambda: empty.project("A"),
+        empty, eraw = _relation("AB")
+        nonempty, nraw = _relation("BC", [(1, 2), (3, 4)])
+        for result, expected in (
+            (empty.join(nonempty), oracle.join(eraw, nraw)),
+            (nonempty.join(empty), oracle.join(nraw, eraw)),
+            (empty.join(empty), oracle.join(eraw, eraw)),
+            (nonempty.semijoin(empty), oracle.semijoin(nraw, eraw)),
+            (nonempty.antijoin(empty), oracle.antijoin(nraw, eraw)),
+            (empty.project("A"), oracle.project(eraw, "A")),
         ):
-            _assert_engines_agree(_run_all_engines(op))
+            oracle.assert_matches(result, expected)
 
     def test_chained_joins_stay_identical(self):
-        # Chains keep intermediate results in their born-columnar form
-        # under the vector engine; the final relation must still match.
+        # Chains keep intermediate results in their born-columnar form;
+        # the final relation must still match.
         rng = random.Random(4242)
-        rels = [
+        pairs = [
             _random_relation(rng, {chr(65 + i), chr(66 + i)}, 15, 3)
             for i in range(4)
         ]
+        acc = pairs[0][0]
+        for nxt, _ in pairs[1:]:
+            acc = acc.join(nxt)
+        oracle.assert_matches(acc, oracle.join_all(raw for _, raw in pairs))
 
-        def chain():
-            acc = rels[0]
-            for nxt in rels[1:]:
-                acc = acc.join(nxt)
-            return acc
 
-        _assert_engines_agree(_run_all_engines(chain))
+def _table(order, tuples):
+    """A columnar table over ``order`` holding the interned ``tuples``."""
+    return ColumnarTable(order, [tuple(map(intern_value, values)) for values in tuples])
+
+
+def _decoded(table):
+    """A table's rows decoded back to values."""
+    return {Row(dict(decode_row(table.order, idrow))) for idrow in table.rows}
 
 
 class TestTableLevelKernels:
-    """`join_tables` and friends compare vector vs classic directly."""
+    """`join_tables` and friends, called on tables directly, against the
+    oracle."""
 
-    def _tables(self, seed):
+    def _tuples(self, seed):
         rng = random.Random(seed)
-        rows_l = [
-            (intern_value(rng.randint(1, 4)), intern_value(rng.randint(1, 4)))
-            for _ in range(12)
-        ]
-        rows_r = [
-            (intern_value(rng.randint(1, 4)), intern_value(rng.randint(1, 4)))
-            for _ in range(12)
-        ]
-        return ColumnarTable(("A", "B"), rows_l), ColumnarTable(("B", "C"), rows_r)
+        rows_l = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(12)]
+        rows_r = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(12)]
+        return rows_l, rows_r
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ops_match_classic(self, seed):
-        a, b = self._tables(5000 + seed)
-        for op in (join_tables, semijoin_tables, antijoin_tables):
-            with using_engine("vector"):
-                vec = op(a, b)
-            with using_engine("columnar"):
-                classic = op(a, b)
-            assert vec.order == classic.order
-            assert vec.rows == classic.rows
-            assert vec.to_packed().tobytes() == classic.to_packed().tobytes()
-        with using_engine("vector"):
-            vec = project_table(a, ("A",))
-        with using_engine("columnar"):
-            classic = project_table(a, ("A",))
-        assert vec.rows == classic.rows
+        rows_l, rows_r = self._tuples(5000 + seed)
+        a, b = _table(("A", "B"), rows_l), _table(("B", "C"), rows_r)
+        lraw, rraw = oracle.operand("AB", rows_l), oracle.operand("BC", rows_r)
+        for op, reference in (
+            (join_tables, oracle.join),
+            (semijoin_tables, oracle.semijoin),
+            (antijoin_tables, oracle.antijoin),
+        ):
+            scheme, rows = reference(lraw, rraw)
+            out = op(a, b)
+            assert out.order == tuple(sorted(scheme))
+            assert _decoded(out) == rows
+        out = project_table(a, ("A",))
+        assert (frozenset(out.order), _decoded(out)) == oracle.project(lraw, "A")
 
 
 class TestColumnCaching:
@@ -237,11 +221,3 @@ class TestInterner:
         # ...and each id resolves back to the value that produced it.
         for v, vid in zip(values, results[0]):
             assert value_of(vid) == v
-
-    def test_engine_switch_does_not_leak(self):
-        before = current_engine()
-        with using_engine("legacy"):
-            with using_engine("vector"):
-                assert current_engine() == "vector"
-            assert current_engine() == "legacy"
-        assert current_engine() == before

@@ -7,6 +7,7 @@ import pytest
 import repro.obs as obs
 from repro import __version__
 from repro.cli import build_parser, main
+from repro.database import Database
 
 
 class TestParser:
@@ -42,6 +43,40 @@ class TestParser:
         args = build_parser().parse_args(["optimize"])
         assert args.trace is False
         assert args.trace_json is None
+
+
+class TestEngineFlag:
+    @pytest.mark.parametrize("removed", ["legacy", "columnar"])
+    def test_removed_engines_rejected(self, capsys, removed):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--engine", removed, "examples"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        for engine in ("vector", "wcoj", "yannakakis"):
+            assert f"'{engine}'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["examples"],
+            ["optimize", "--relations", "3"],
+            ["explain", "--relations", "3", "--no-memory"],
+            ["conditions", "--example", "4"],
+            ["sample", "--relations", "3", "--samples", "5"],
+        ],
+    )
+    def test_every_database_carries_the_engine(self, capsys, monkeypatch, argv):
+        pinned = []
+        with_engine = Database.with_engine
+
+        def spy(db, engine):
+            pinned.append(engine)
+            return with_engine(db, engine)
+
+        monkeypatch.setattr(Database, "with_engine", spy)
+        assert main(["--engine", "yannakakis", *argv]) == 0
+        capsys.readouterr()
+        assert pinned and set(pinned) == {"yannakakis"}
 
 
 class TestExamplesCommand:

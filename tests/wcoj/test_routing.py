@@ -1,7 +1,12 @@
 """Engine routing: the shape-driven upgrade to wcoj/yannakakis, its
-explain surface, and the pin/process-engine escape hatches."""
+explain surface, the database pin that bypasses it, and databases with
+different pins running side by side in threads."""
 
+import importlib
 import json
+import random
+import sys
+import threading
 
 import pytest
 
@@ -9,8 +14,9 @@ from repro import JoinQuery
 from repro.cli import main
 from repro.database import Database
 from repro.optimizer import EngineRouter, EngineRouting
-from repro.relational.columnar import current_engine, set_engine, using_engine
+from repro.relational.relation import Relation
 from repro.workloads.generators import generate_spiked_cycle
+from tests import oracle
 
 
 @pytest.fixture
@@ -52,27 +58,6 @@ class TestEngineRouter:
         assert routing.effective == "vector"
         assert not routing.routed
         assert "pinned" in routing.reason
-
-    def test_explicit_process_engine_wins(self, triangle):
-        with using_engine("columnar"):
-            routing = route_of(triangle)
-        assert routing.effective == "columnar"
-        assert not routing.routed
-        assert "explicitly" in routing.reason
-
-    def test_precedence_is_pin_then_process_then_shape(self, triangle):
-        # The decision matrix (docs/api.md), pinned row first: a database
-        # pin beats an explicit process engine beats classification.
-        pinned = Database(triangle.relations(), engine="legacy")
-        with using_engine("columnar"):
-            routing = route_of(pinned)
-        assert routing.effective == "legacy"
-        assert "pinned" in routing.reason
-        with using_engine("columnar"):
-            unpinned = route_of(Database(triangle.relations()))
-        assert unpinned.effective == "columnar"
-        assert "explicitly" in unpinned.reason
-        assert route_of(Database(triangle.relations())).effective == "wcoj"
 
     def test_disconnected_scheme_has_no_cover(self, disconnected_db):
         routing = route_of(disconnected_db)
@@ -116,23 +101,6 @@ class TestEngineRouter:
 
 
 class TestEngineSwitch:
-    def test_wcoj_is_a_named_engine(self):
-        with using_engine("wcoj"):
-            assert current_engine() == "wcoj"
-        assert current_engine() == "vector"
-
-    def test_yannakakis_is_a_named_engine(self):
-        with using_engine("yannakakis"):
-            assert current_engine() == "yannakakis"
-        assert current_engine() == "vector"
-
-    def test_set_engine_round_trip(self):
-        set_engine("wcoj")
-        try:
-            assert current_engine() == "wcoj"
-        finally:
-            set_engine("vector")
-
     def test_with_engine_repins_with_fresh_caches(self, triangle):
         routed = triangle.with_engine("wcoj")
         assert routed.pinned_engine == "wcoj"
@@ -232,16 +200,13 @@ class TestCLI:
         assert "join tree" in out
 
     def test_engine_flag_accepts_wcoj(self, capsys):
-        try:
-            assert (
-                main(
-                    ["--engine", "wcoj", "optimize", "--shape", "cycle",
-                     "--relations", "3", "--size", "15", "--domain", "4"]
-                )
-                == 0
+        assert (
+            main(
+                ["--engine", "wcoj", "optimize", "--shape", "cycle",
+                 "--relations", "3", "--size", "15", "--domain", "4"]
             )
-        finally:
-            set_engine("vector")
+            == 0
+        )
         out = capsys.readouterr().out
         assert "engine: wcoj" in out
 
@@ -250,3 +215,81 @@ def test_engine_routing_repr(triangle):
     routing = EngineRouter(triangle).route()
     assert "vector->wcoj" in repr(routing)
     assert isinstance(routing, EngineRouting)
+
+
+class TestConcurrentPins:
+    """Each database carries its own engine: threads evaluating databases
+    with different pins neither borrow nor disturb each other's engine."""
+
+    ITERATIONS = 10
+
+    @staticmethod
+    def _four_cycle():
+        """A 4-cycle AB-BC-CD-AD as relations and as oracle operands."""
+        rng = random.Random(17)
+        relations, operands = [], {}
+        for scheme in ("AB", "BC", "CD", "AD"):
+            rows = [
+                {scheme[0]: rng.randint(1, 4), scheme[1]: rng.randint(1, 4)}
+                for _ in range(12)
+            ]
+            relation = Relation.from_dicts(scheme, rows)
+            relations.append(relation)
+            operands[relation.scheme] = (scheme, rows)
+        return relations, operands
+
+    def test_wcoj_and_vector_pins_run_concurrently(self, monkeypatch):
+        relations, operands = self._four_cycle()
+        subsets = Database(relations).connected_subsets()
+        expected_taus = [
+            len(oracle.join_all(operands[s] for s in subset.sorted_schemes())[1])
+            for subset in subsets
+        ]
+        expected = oracle.join_all(operands.values())
+
+        # ``repro.database`` as an attribute is the database() helper,
+        # so fetch the module itself to patch the kernel it calls.
+        database_module = importlib.import_module("repro.database")
+        real_generic_join = database_module.generic_join
+        callers = []
+
+        def spy(tables, runtime=None):
+            callers.append(threading.current_thread().name)
+            return real_generic_join(tables, runtime=runtime)
+
+        monkeypatch.setattr(database_module, "generic_join", spy)
+
+        results = {}
+
+        def work(engine):
+            runs = results[threading.current_thread().name] = []
+            for _ in range(self.ITERATIONS):
+                db = Database(relations, engine=engine)
+                taus = [db.tau_of(subset) for subset in subsets]
+                runs.append((taus, db.evaluate()))
+
+        threads = [
+            threading.Thread(target=work, args=(engine,), name=f"{engine}-{i}")
+            for i, engine in enumerate(("wcoj", "vector", "wcoj", "vector"))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        for thread in threads:
+            assert not thread.is_alive(), thread.name
+
+        assert sorted(results) == sorted(thread.name for thread in threads)
+        for runs in results.values():
+            assert len(runs) == self.ITERATIONS
+            for taus, evaluated in runs:
+                assert taus == expected_taus
+                oracle.assert_matches(evaluated, expected)
+        # Generic Join ran in the wcoj-pinned threads, and only there.
+        assert set(callers) == {"wcoj-0", "wcoj-2"}
+

@@ -11,7 +11,6 @@ from repro.database import Database
 from repro.conditions.checks import check_condition
 from repro.obs.metrics import get_registry
 from repro.parallel import parallel_available
-from repro.relational.columnar import using_engine
 from repro.workloads.generators import (
     WorkloadSpec,
     chain_scheme,
@@ -99,7 +98,7 @@ class TestByteIdentity:
 
 class TestPerSubsetRouting:
     def test_cyclic_subset_runs_on_generic_join(self):
-        # The yannakakis engine raises both multiway flags: a cyclic
+        # The yannakakis engine runs both multiway kernels: a cyclic
         # database still routes to the wcoj kernel.
         db = generate_spiked_cycle(3, 21)
         expected = Database(db.relations(), engine="vector").evaluate()
@@ -147,12 +146,6 @@ class TestPerSubsetRouting:
         with obs.observed():
             Database(chain3.relations(), engine="vector").evaluate()
             assert get_registry().counter("yannakakis.joins").value() is None
-
-    def test_process_engine_matches_the_pin(self, chain3):
-        expected = Database(chain3.relations(), engine="vector").evaluate()
-        with using_engine("yannakakis"):
-            result = Database(chain3.relations()).evaluate()
-        assert _identical(expected, result)
 
 
 class TestMixedComponents:
