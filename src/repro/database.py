@@ -21,9 +21,15 @@ weighted sweep over a join tree (each relation's tuples start with weight
 summed weights of the child tuples it joins with, and parents with no
 match drop out -- the running intersection property makes tree-local
 agreement imply global consistency, so the root weights sum to the exact
-join cardinality).  Only genuinely cyclic connected subsets fall back to
-materializing the join.  Counts survive join-cache eviction: evicted
-results leave their cardinality behind in the tau-cache.
+join cardinality).  A cyclic connected subset has no join tree.  On the
+``"wcoj"`` and ``"yannakakis"`` engines Generic Join counts every proper
+one (:func:`~repro.wcoj.join.generic_count`: weighted tries over the
+shared attributes only, nothing materialized), while the whole database
+``R_D`` is still joined and memoized, because the subset DP asks for its
+tau first and ``Plan.execute`` returns it.  On the ``"vector"`` engine
+every cyclic subset is joined (binary joins, memoized) and its length
+taken.  Counts survive join-cache eviction: evicted results leave their
+cardinality behind in the tau-cache.
 
 Each database carries its own engine, ``Database(engine=...)`` with one
 of :data:`ENGINES`.  The default ``None`` leaves it unpinned: it runs as
@@ -52,6 +58,7 @@ from typing import (
     Optional,
     Tuple,
     TypeVar,
+    Union,
 )
 
 from repro.errors import AcyclicityError, SchemaError
@@ -67,6 +74,7 @@ from repro.schemegraph.jointree import build_join_tree
 from repro.schemegraph.scheme import DatabaseScheme
 from repro.wcoj.join import (
     GenericJoinExhausted,
+    generic_count,
     generic_join,
     record_fallback as record_wcoj_fallback,
 )
@@ -472,13 +480,18 @@ class Database:
             else:
                 result = self._multiway_join(chosen)
                 if result is None:
-                    leaf = self._spanning_tree_leaf(chosen)
-                    result = self._join_memo(chosen - {leaf}).join(
-                        self._relations[leaf]
-                    )
+                    result = self._binary_join(chosen)
         return result
 
-    def _multiway_join(self, chosen: SubsetKey) -> Optional[Relation]:
+    def _binary_join(self, chosen: SubsetKey) -> Relation:
+        """The binary pipeline's join of a connected subset: its
+        spanning-tree leaf joined onto the memoized join of the rest."""
+        leaf = self._spanning_tree_leaf(chosen)
+        return self._join_memo(chosen - {leaf}).join(self._relations[leaf])
+
+    def _multiway_join(
+        self, chosen: SubsetKey, count: bool = False
+    ) -> Union[Relation, int, None]:
         """Run a connected subset of >= 3 relations on this database's
         multiway kernel, or return ``None`` for the binary pipeline.
 
@@ -492,16 +505,26 @@ class Database:
         an optimal binary order there, and Generic Join would only add
         trie-building overhead).
 
+        ``count=True`` asks for the tau of a *cyclic* subset instead of
+        its join (:meth:`_component_tau` counts acyclic ones itself):
+        :func:`~repro.wcoj.join.generic_count` counts it without
+        materializing anything.
+
         When the kernel trips the ambient runtime's deadline or budget,
-        the fallback is recorded on the runtime, on the kernel's own
-        ``*.fallback`` counter, and on the flight recorder, so
-        degradation provenance names the abandoned kernel; the result
-        is then ``None`` as well.
+        the fallback is recorded once -- on the runtime, on the kernel's
+        own ``*.fallback`` counter, and on the flight recorder -- so
+        degradation provenance names the abandoned kernel, and the
+        binary pipeline serves the result (or its length) without
+        re-entering the kernel on this subset.
         """
         engine = self._engine
         if engine not in ("wcoj", "yannakakis") or len(chosen) < 3:
             return None
-        if is_alpha_acyclic(DatabaseScheme(chosen)):
+        if count:
+            join, exhausted = generic_count, GenericJoinExhausted
+            count_fallback = record_wcoj_fallback
+            kernel, site = "wcoj", "wcoj.generic_join"
+        elif is_alpha_acyclic(DatabaseScheme(chosen)):
             if engine == "wcoj":
                 return None
             join, exhausted = yannakakis_join, YannakakisExhausted
@@ -515,7 +538,7 @@ class Database:
         tables = [self._relations[s]._table() for s in ordered]
         runtime = current_runtime()
         try:
-            table = join(tables, runtime=runtime)
+            result = join(tables, runtime=runtime)
         except exhausted as exc:
             count_fallback(exc.trigger)
             if runtime is not None:
@@ -527,8 +550,11 @@ class Database:
                 trigger=exc.trigger,
                 relations=len(chosen),
             )
-            return None
-        return Relation._from_table(AttributeSet(table.order), table)
+            binary = self._binary_join(chosen)
+            return len(binary) if count else binary
+        if count:
+            return result
+        return Relation._from_table(AttributeSet(result.order), result)
 
     @staticmethod
     def _spanning_tree_leaf(chosen: SubsetKey) -> AttributeSet:
@@ -559,8 +585,10 @@ class Database:
 
         Served without materializing the join whenever possible: a cached
         full result or cached count answers immediately; otherwise
-        acyclic subsets are counted by a Yannakakis weighted sweep (see
-        the module docstring) and only cyclic subsets fall back to
+        acyclic subsets are counted by a Yannakakis weighted sweep, and
+        on the multiway engines proper cyclic subsets by Generic Join's
+        counting mode (see the module docstring).  Only ``R_D`` itself,
+        and cyclic subsets on the vector engine, fall back to
         ``len(join_of(...))``.
         """
         chosen = self._resolve_subset(subset)
@@ -610,7 +638,10 @@ class Database:
     def _component_tau(
         self, chosen: SubsetKey, subscheme: Optional[DatabaseScheme] = None
     ) -> int:
-        """tau of a connected subset, via caches, counting, or fallback."""
+        """tau of a connected subset: from the caches, the weighted sweep
+        (acyclic), :func:`~repro.wcoj.join.generic_count` (a proper
+        cyclic subset on the ``"wcoj"``/``"yannakakis"`` engines, cached
+        as a count only), or else the memoized join's length."""
         cached = self._join_cache.get(chosen)
         if cached is not None:
             return len(cached)
@@ -623,8 +654,17 @@ class Database:
         try:
             tree = build_join_tree(subscheme or DatabaseScheme(chosen))
         except AcyclicityError:
-            # Cyclic connected subset: no join tree, so the count requires
-            # the join itself.  The memo keeps the materialized result.
+            # Cyclic connected subset: no join tree.  On the multiway
+            # engines Generic Join counts a proper subset.  R_D itself is
+            # materialized and memoized, because the DP asks for tau(R_D)
+            # first and Plan.execute returns R_D; so is every cyclic
+            # subset on the vector engine, whose binary pipeline reuses
+            # the memoized joins of the smaller subsets.
+            if len(chosen) < len(self._relations):
+                tau = self._multiway_join(chosen, count=True)
+                if tau is not None:
+                    self._tau_cache.put(chosen, tau)
+                    return tau
             return len(self._join_memo(chosen))
         tau = self._acyclic_count(tree)
         self._tau_cache.put(chosen, tau)

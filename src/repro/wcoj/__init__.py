@@ -9,6 +9,7 @@ fractional-edge-cover bound).  This subpackage is the kernel behind
 
 * :mod:`trie` -- per-relation nested-dict tries over the columnar
   tables' interned id columns, built in the chosen attribute order;
+  *weighted* tries count the rows behind each key instead;
 * :mod:`order` -- the greedy frequency/adjacency heuristic that picks
   the global attribute expansion order;
 * :mod:`agm` -- the AGM bound itself: the fractional edge cover LP,
@@ -18,18 +19,24 @@ fractional-edge-cover bound).  This subpackage is the kernel behind
   attribute-at-a-time expansion, intersecting the participating
   relations' candidate sets smallest-first, charging the ambient
   :class:`~repro.runtime.Runtime` and emitting ``wcoj.*`` counters and
-  one span per attribute level.
+  one span per attribute level.  One expansion loop has two entry
+  points: :func:`generic_join` materializes the join, and
+  :func:`generic_count` counts it over weighted tries, expanding only
+  the attributes two or more relations share.
 
 The kernel handles *connected, cyclic* subsets of three or more
 relations; everything else (acyclic subsets, binary steps, Cartesian
 components) stays on the vector kernel, which is already optimal there.
-Results are byte-identical to the vector engine by construction: both
-produce frozensets of process-interned id tuples over the sorted
-attribute order (see tests/wcoj/test_equivalence.py).
+:class:`~repro.database.Database` materializes with :func:`generic_join`
+(``join_of``, and ``tau_of`` of the whole database) and counts every
+proper cyclic subset's ``tau`` with :func:`generic_count`.  Results are
+byte-identical to the vector engine by construction: both produce
+frozensets of process-interned id tuples over the sorted attribute order
+(see tests/wcoj/test_generic_join.py).
 """
 
 from repro.wcoj.agm import FractionalEdgeCover, fractional_edge_cover
-from repro.wcoj.join import GenericJoinExhausted, generic_join
+from repro.wcoj.join import GenericJoinExhausted, generic_count, generic_join
 from repro.wcoj.order import choose_order
 from repro.wcoj.trie import build_trie
 
@@ -39,5 +46,6 @@ __all__ = [
     "build_trie",
     "choose_order",
     "fractional_edge_cover",
+    "generic_count",
     "generic_join",
 ]

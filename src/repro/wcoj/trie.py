@@ -10,40 +10,58 @@ reason wcoj results are byte-identical to the binary engines (both
 compute over the same process-wide ids).
 
 The representation: every interior node is a ``dict`` mapping a value
-id to its child node; the last level maps the id to ``True``.  The
-expansion only ever *reads* a node at levels where the relation still
-has unbound attributes, so the leaf payload is never inspected -- it
-merely terminates the chain.
+id to its child node.  The leaf payload depends on the trie's use:
+
+* a plain trie (the materializing join) maps the last id to ``True``.
+  The expansion only reads a node where the relation still has unbound
+  attributes, so this payload is never inspected -- it merely
+  terminates the chain;
+* a *weighted* trie (the counting join) runs along only part of the
+  relation's scheme and maps the last id to the number of rows behind
+  that key path.  The count multiplies these weights, so here the
+  payload is the point.  A weighted trie along an empty path is just
+  the row count.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from collections import Counter
+from typing import Dict, Tuple, Union
 
 from repro.relational.columnar import ColumnarTable
 
 __all__ = ["Trie", "build_trie"]
 
-#: A trie level: value id -> child level (or ``True`` at the last level).
+#: A trie level: value id -> child level (or the leaf payload at the
+#: last level: ``True``, or a row count in a weighted trie).
 Trie = Dict[int, object]
 
 
-def build_trie(table: ColumnarTable, path: Tuple[str, ...]) -> Trie:
+def build_trie(
+    table: ColumnarTable, path: Tuple[str, ...], weighted: bool = False
+) -> Union[Trie, int]:
     """Index ``table`` as a nested-dict trie along ``path``.
 
-    ``path`` must list each attribute of the table exactly once -- the
-    global expansion order restricted to this relation's scheme.  The
-    build is one pass over the id columns (O(rows × arity) dict
-    upserts); sibling rows share prefixes, so repeated prefixes cost a
-    lookup, not an allocation.
+    Unweighted, ``path`` must list each attribute of the table exactly
+    once -- the global expansion order restricted to this relation's
+    scheme.  Weighted, ``path`` may be any subset of the scheme: each
+    leaf holds how many rows project onto its key path (so the weights
+    sum to ``len(table)``), and an empty path yields ``len(table)``
+    itself.  The build is one pass over the id columns
+    (O(rows × arity) dict upserts); sibling rows share prefixes, so
+    repeated prefixes cost a lookup, not an allocation.
     """
-    root: Trie = {}
     depth = len(path)
+    if weighted and depth == 0:
+        return len(table)
+    root: Trie = {}
     if depth == 0 or len(table) == 0:
         return root
     columns = [table.column(attr) for attr in path]
     if depth == 1:
         # Single attribute: the trie is one level of membership keys.
+        if weighted:
+            return dict(Counter(columns[0]))
         return dict.fromkeys(columns[0], True)
     last = depth - 1
     for row in zip(*columns):
@@ -54,5 +72,9 @@ def build_trie(table: ColumnarTable, path: Tuple[str, ...]) -> Trie:
             if child is None:
                 child = node[vid] = {}
             node = child
-        node[row[last]] = True
+        if weighted:
+            vid = row[last]
+            node[vid] = node.get(vid, 0) + 1  # type: ignore[operator]
+        else:
+            node[row[last]] = True
     return root

@@ -213,7 +213,7 @@ def _write_payloads(
     overhead=0.01,
     parallel_speedups=(2.5, 3.0),
     cpu_count=8,
-    wcoj_speedups=(5.0, 0.75),
+    wcoj_speedups=(5.0, 0.75, 3.0),
     yannakakis_speedups=(60.0, 1.1),
 ):
     directory.mkdir(parents=True, exist_ok=True)
@@ -233,12 +233,13 @@ def _write_payloads(
             }
         )
     )
-    triangle, cycle4 = wcoj_speedups
+    triangle, cycle4, clique5_count = wcoj_speedups
     (directory / "BENCH_wcoj.json").write_text(
         json.dumps(
             {
                 "triangle": {"speedup": triangle},
                 "cycle4": {"speedup": cycle4},
+                "clique5_count": {"speedup": clique5_count},
             }
         )
     )

@@ -1,6 +1,8 @@
 """Runtime integration: the expansion charges the ambient runtime and
 degrades to the binary pipeline, with full provenance, when it trips."""
 
+import random
+
 import pytest
 
 import repro.obs as obs
@@ -8,8 +10,24 @@ from repro.database import Database
 from repro.obs.metrics import get_registry
 from repro.obs.recorder import get_recorder
 from repro.runtime import Deadline, Runtime, WorkBudget, using_runtime
-from repro.wcoj import GenericJoinExhausted, generic_join
-from repro.workloads.generators import generate_spiked_cycle
+from repro.wcoj import GenericJoinExhausted, generic_count, generic_join
+from repro.workloads.generators import (
+    WorkloadSpec,
+    clique_scheme,
+    generate_database,
+    generate_spiked_cycle,
+)
+from tests import oracle
+
+#: The two ways a runtime trips, as (runtime factory, trigger, the
+#: runtime's own exhaustion counter).
+_TRIPS = {
+    "budget": (lambda: Runtime(budget=WorkBudget(1)), "runtime.budget_exhausted"),
+    "deadline": (
+        lambda: Runtime(deadline=Deadline.after_ms(0)),
+        "runtime.timeout",
+    ),
+}
 
 
 def _relations(size=200):
@@ -35,6 +53,14 @@ class TestGenericJoinExhaustion:
         with pytest.raises(GenericJoinExhausted) as excinfo:
             generic_join(tables, runtime=Runtime(deadline=Deadline.after_ms(0)))
         assert excinfo.value.trigger == "deadline"
+
+    @pytest.mark.parametrize("trigger", sorted(_TRIPS))
+    def test_count_trips_too(self, trigger):
+        tables = [rel._table() for rel in _relations()]
+        make_runtime, _ = _TRIPS[trigger]
+        with pytest.raises(GenericJoinExhausted) as excinfo:
+            generic_count(tables, runtime=make_runtime())
+        assert excinfo.value.trigger == trigger
 
     def test_unbounded_runtime_is_free(self):
         tables = [rel._table() for rel in _relations(21)]
@@ -92,3 +118,52 @@ class TestDatabaseFallback:
                 result = Database(relations, engine="wcoj").evaluate()
             assert get_registry().counter("wcoj.fallback").value() is None
         assert len(result) == 1 + 3 * 10
+
+
+class TestCountFallback:
+    """A trip inside ``generic_count`` is recorded exactly once for the
+    abandoned subset, and the count comes from the binary pipeline."""
+
+    @staticmethod
+    def _clique4_triangle():
+        """A uniform clique4 and one of its four triangles (a proper
+        cyclic subset, so ``tau_of`` counts it with Generic Join)."""
+        db = generate_database(
+            clique_scheme(4), random.Random(3), WorkloadSpec(size=40, domain=4)
+        )
+        triangle = db.scheme.sorted_schemes()[:3]
+        operands = [(s, db.state_for(s).rows) for s in triangle]
+        return db.relations(), triangle, len(oracle.join_all(operands)[1])
+
+    @pytest.mark.parametrize("trigger", sorted(_TRIPS))
+    def test_trip_is_recorded_once_per_channel(self, trigger):
+        make_runtime, exhausted_counter = _TRIPS[trigger]
+        relations, triangle, expected = self._clique4_triangle()
+        recorder = get_recorder()
+        before = len(recorder.events())
+        with obs.observed():
+            db = Database(relations, engine="wcoj")
+            with using_runtime(make_runtime()):
+                tau = db.tau_of(triangle)
+            registry = get_registry()
+            assert tau == expected
+            # The kernel's own counter, and Generic Join ran once.
+            assert registry.counter("wcoj.fallback").series() == {
+                (("trigger", trigger),): 1
+            }
+            assert registry.counter("wcoj.joins").series() == {
+                (("mode", "count"),): 1
+            }
+            # The runtime's exhaustion and fallback series.
+            assert registry.counter(exhausted_counter).series() == {
+                (("where", "wcoj.generic_join"),): 1
+            }
+            assert registry.counter("runtime.fallback").series() == {
+                (("fallback", "binary join pipeline"), ("trigger", trigger)): 1
+            }
+        names = [e["name"] for e in recorder.events()[before:]]
+        assert names.count("wcoj.fallback") == 1
+        assert names.count("runtime.exhausted") == 1
+        # The binary pipeline's count is cached like any other.
+        assert db.tau_of(triangle) == expected
+        assert db.cache_stats().tau_hits == 1

@@ -9,6 +9,8 @@ import repro.obs as obs
 from repro.database import Database
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
+from repro.schemegraph.acyclicity import is_alpha_acyclic
+from repro.wcoj import generic_count, generic_join
 from repro.workloads.generators import (
     WorkloadSpec,
     chain_scheme,
@@ -104,7 +106,7 @@ class TestTelemetry:
         with obs.observed():
             result = Database(relations, engine="wcoj").evaluate()
             registry = get_registry()
-            assert registry.counter("wcoj.joins").value() == 1
+            assert registry.counter("wcoj.joins").value(mode="join") == 1
             assert registry.counter("wcoj.output_tuples").value() == len(result)
             order = result._table().order
             intersections = registry.counter("wcoj.intersections")
@@ -120,12 +122,65 @@ class TestTelemetry:
         relations = generate_spiked_cycle(3, 11).relations()
         Database(relations, engine="wcoj").evaluate()
         # Outside observed() the registry records nothing.
-        assert get_registry().counter("wcoj.joins").value() is None
+        assert get_registry().counter("wcoj.joins").series() == {}
 
     def test_acyclic_subsets_stay_on_the_binary_path(self, chain3):
         with obs.observed():
             wcoj = Database(chain3.relations(), engine="wcoj")
             result = wcoj.evaluate()
-            assert get_registry().counter("wcoj.joins").value() is None
+            assert get_registry().counter("wcoj.joins").series() == {}
         vector = Database(chain3.relations(), engine="vector").evaluate()
         assert _identical(vector, result)
+
+    def test_count_runs_carry_their_mode_and_count_the_tau(self):
+        db = generate_database(
+            clique_scheme(4), random.Random(2), WorkloadSpec(size=20, domain=3)
+        )
+        tables = [rel._table() for rel in db.relations()[:3]]
+        with obs.observed():
+            tau = generic_count(tables)
+            registry = get_registry()
+            assert registry.counter("wcoj.joins").series() == {
+                (("mode", "count"),): 1
+            }
+            # On a count run the output is the counted tau itself.
+            assert registry.counter("wcoj.output_tuples").value() == tau
+        assert tau == len(generic_join(tables).rows)
+
+
+class TestCountingMemoContract:
+    """Proper cyclic subsets are counted, never joined; the whole
+    database stays materialized and memoized for ``Plan.execute``."""
+
+    @staticmethod
+    def _clique(n, engine):
+        db = generate_database(
+            clique_scheme(n), random.Random(n), WorkloadSpec(size=20, domain=3)
+        )
+        return Database(db.relations(), engine=engine)
+
+    @pytest.mark.parametrize("engine", ["wcoj", "yannakakis"])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_proper_subsets_leave_no_join_entries(self, engine, n):
+        db = self._clique(n, engine)
+        proper = [s for s in db.connected_subsets() if len(s) < n]
+        cyclic = [s for s in proper if not is_alpha_acyclic(s)]
+        assert cyclic
+        with obs.observed():
+            taus = [db.tau_of(s) for s in proper]
+            assert get_registry().counter("wcoj.joins").series() == {
+                (("mode", "count"),): len(cyclic)
+            }
+        assert db.cache_stats().join_entries == 0
+        vector = self._clique(n, "vector")
+        assert taus == [vector.tau_of(s) for s in proper]
+
+    @pytest.mark.parametrize("engine", ["wcoj", "yannakakis"])
+    def test_whole_database_stays_memoized(self, engine):
+        db = self._clique(4, engine)
+        tau = db.tau_of(None)
+        before = db.cache_stats()
+        assert before.join_entries == 1
+        result = db.evaluate()
+        assert db.cache_stats().delta(before).join_hits == 1
+        assert len(result) == tau

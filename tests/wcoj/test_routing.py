@@ -225,10 +225,13 @@ class TestConcurrentPins:
 
     @staticmethod
     def _four_cycle():
-        """A 4-cycle AB-BC-CD-AD as relations and as oracle operands."""
+        """A 4-cycle AB-BC-CD-AD with the chord AC, as relations and as
+        oracle operands.  The chord makes the triangles AB-BC-AC and
+        AC-CD-AD proper cyclic subsets, which ``tau_of`` counts with
+        Generic Join; the whole database is joined with it."""
         rng = random.Random(17)
         relations, operands = [], {}
-        for scheme in ("AB", "BC", "CD", "AD"):
+        for scheme in ("AB", "BC", "CD", "AD", "AC"):
             rows = [
                 {scheme[0]: rng.randint(1, 4), scheme[1]: rng.randint(1, 4)}
                 for _ in range(12)
@@ -250,14 +253,19 @@ class TestConcurrentPins:
         # ``repro.database`` as an attribute is the database() helper,
         # so fetch the module itself to patch the kernel it calls.
         database_module = importlib.import_module("repro.database")
-        real_generic_join = database_module.generic_join
-        callers = []
+        callers = set()
 
-        def spy(tables, runtime=None):
-            callers.append(threading.current_thread().name)
-            return real_generic_join(tables, runtime=runtime)
+        def spy(name):
+            kernel = getattr(database_module, name)
 
-        monkeypatch.setattr(database_module, "generic_join", spy)
+            def run(tables, runtime=None):
+                callers.add((name, threading.current_thread().name))
+                return kernel(tables, runtime=runtime)
+
+            monkeypatch.setattr(database_module, name, run)
+
+        spy("generic_join")
+        spy("generic_count")
 
         results = {}
 
@@ -290,6 +298,11 @@ class TestConcurrentPins:
             for taus, evaluated in runs:
                 assert taus == expected_taus
                 oracle.assert_matches(evaluated, expected)
-        # Generic Join ran in the wcoj-pinned threads, and only there.
-        assert set(callers) == {"wcoj-0", "wcoj-2"}
+        # Generic Join joined and counted in the wcoj-pinned threads, and
+        # only there.
+        assert callers == {
+            (kernel, thread)
+            for kernel in ("generic_join", "generic_count")
+            for thread in ("wcoj-0", "wcoj-2")
+        }
 
