@@ -3,8 +3,10 @@
 ``tau(R_E)`` for every connected subset is the quantity C1-C4 and every
 optimizer cost call consume.  ``Database`` can answer it two ways:
 
-* **counting** -- :meth:`Database.tau_of`, which counts acyclic subsets
-  by a Yannakakis weighted sweep without materializing anything;
+* **counting** -- :meth:`Database.tau_of`, which counts every connected
+  acyclic subset with :func:`~repro.yannakakis.join.yannakakis_count`
+  (the reducer's bottom-up sweep with weights, a column at a time)
+  without materializing anything;
 * **materialize, then count** -- ``len(Database.join_of(E))``, which
   builds every subset join on the vector kernel (memoized, so
   overlapping subsets share work) and takes its size.

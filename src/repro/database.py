@@ -15,15 +15,16 @@ The tau-only path (docs/performance.md): ``tau_of`` first consults the
 join memo and a separate bounded tau-cache.  On a miss it routes by
 shape -- a singleton subset is just ``len(state)``; an unconnected subset
 is the product of its components' taus (its join *is* their Cartesian
-product); a connected alpha-acyclic subset is counted by a Yannakakis
-weighted sweep over a join tree (each relation's tuples start with weight
-1; sweeping leaf-to-root, a parent tuple's weight is multiplied by the
-summed weights of the child tuples it joins with, and parents with no
-match drop out -- the running intersection property makes tree-local
-agreement imply global consistency, so the root weights sum to the exact
-join cardinality).  A cyclic connected subset has no join tree.  On the
-``"wcoj"`` and ``"yannakakis"`` engines Generic Join counts every proper
-one (:func:`~repro.wcoj.join.generic_count`: weighted tries over the
+product); a connected alpha-acyclic subset is counted, on every engine,
+by :func:`~repro.yannakakis.join.yannakakis_count`, the reducer's
+bottom-up sweep with weights (each row starts with weight 1; leaf to
+root, a parent row's weight is multiplied by the summed weights of the
+child rows it joins with, and parents with no match drop to 0 -- the
+running intersection property makes tree-local agreement imply global
+consistency, so the root weights sum to the exact join cardinality).
+A cyclic connected subset has no join tree.  On the ``"wcoj"`` and
+``"yannakakis"`` engines Generic Join counts every proper one
+(:func:`~repro.wcoj.join.generic_count`: weighted tries over the
 shared attributes only, nothing materialized), while the whole database
 ``R_D`` is still joined and memoized, because the subset DP asks for its
 tau first and ``Plan.execute`` returns it.  On the ``"vector"`` engine
@@ -51,10 +52,8 @@ from typing import (
     Dict,
     FrozenSet,
     Generic,
-    Hashable,
     Iterable,
     Iterator,
-    List,
     Optional,
     Tuple,
     TypeVar,
@@ -66,11 +65,9 @@ from repro.obs.metrics import get_registry
 from repro.obs.recorder import get_recorder
 from repro.obs.trace import get_tracer
 from repro.relational.attributes import AttributeSet, AttrsLike, attrs, format_attrs
-from repro.relational.columnar import _picker
 from repro.relational.relation import Relation
 from repro.runtime.core import current_runtime
 from repro.schemegraph.acyclicity import is_alpha_acyclic
-from repro.schemegraph.jointree import build_join_tree
 from repro.schemegraph.scheme import DatabaseScheme
 from repro.wcoj.join import (
     GenericJoinExhausted,
@@ -81,6 +78,7 @@ from repro.wcoj.join import (
 from repro.yannakakis.join import (
     YannakakisExhausted,
     record_fallback as record_yannakakis_fallback,
+    yannakakis_count,
     yannakakis_join,
 )
 
@@ -300,9 +298,13 @@ class Database:
         self._tau_cache: _BoundedCache[SubsetKey, int] = _BoundedCache(
             tau_cache_size
         )
+        # The hook closes over the tau-cache, not self: a reference back
+        # to the database would put it in a cycle only the cyclic
+        # collector frees.
+        tau_cache = self._tau_cache
         self._join_cache: _BoundedCache[SubsetKey, Relation] = _BoundedCache(
             join_cache_size,
-            on_evict=lambda key, rel: self._tau_cache.put(key, len(rel)),
+            on_evict=lambda key, rel: tau_cache.put(key, len(rel)),
         )
         # Per-instance cache accounting behind Database.cache_stats().
         # Plain int bumps on paths that already do cache lookups -- cheap
@@ -506,7 +508,8 @@ class Database:
         trie-building overhead).
 
         ``count=True`` asks for the tau of a *cyclic* subset instead of
-        its join (:meth:`_component_tau` counts acyclic ones itself):
+        its join (:meth:`_component_tau` counts acyclic ones with
+        :func:`~repro.yannakakis.join.yannakakis_count`):
         :func:`~repro.wcoj.join.generic_count` counts it without
         materializing anything.
 
@@ -585,10 +588,11 @@ class Database:
 
         Served without materializing the join whenever possible: a cached
         full result or cached count answers immediately; otherwise
-        acyclic subsets are counted by a Yannakakis weighted sweep, and
-        on the multiway engines proper cyclic subsets by Generic Join's
-        counting mode (see the module docstring).  Only ``R_D`` itself,
-        and cyclic subsets on the vector engine, fall back to
+        connected acyclic subsets are counted by
+        :func:`~repro.yannakakis.join.yannakakis_count` on every engine,
+        and on the multiway engines proper cyclic subsets by Generic
+        Join's counting mode (see the module docstring).  Only ``R_D``
+        itself, and cyclic subsets on the vector engine, fall back to
         ``len(join_of(...))``.
         """
         chosen = self._resolve_subset(subset)
@@ -638,10 +642,16 @@ class Database:
     def _component_tau(
         self, chosen: SubsetKey, subscheme: Optional[DatabaseScheme] = None
     ) -> int:
-        """tau of a connected subset: from the caches, the weighted sweep
-        (acyclic), :func:`~repro.wcoj.join.generic_count` (a proper
-        cyclic subset on the ``"wcoj"``/``"yannakakis"`` engines, cached
-        as a count only), or else the memoized join's length."""
+        """tau of a connected subset: from the caches, from
+        :func:`~repro.yannakakis.join.yannakakis_count` (an acyclic
+        subset of two or more relations, on every engine; its tables go
+        in sorted-scheme order), from
+        :func:`~repro.wcoj.join.generic_count` (a proper cyclic subset
+        on the ``"wcoj"``/``"yannakakis"`` engines, cached as a count
+        only), or else the memoized join's length.  The counter's tree
+        set-up raises :class:`~repro.errors.AcyclicityError` on a cyclic
+        subset before it reads a row, which is what routes that subset
+        to the cyclic paths."""
         cached = self._join_cache.get(chosen)
         if cached is not None:
             return len(cached)
@@ -651,8 +661,11 @@ class Database:
         if len(chosen) == 1:
             (only,) = chosen
             return len(self._relations[only])
+        ordered = sorted(chosen, key=lambda s: s.sorted())
         try:
-            tree = build_join_tree(subscheme or DatabaseScheme(chosen))
+            tau = yannakakis_count(
+                [self._relations[s]._table() for s in ordered], subscheme
+            )
         except AcyclicityError:
             # Cyclic connected subset: no join tree.  On the multiway
             # engines Generic Join counts a proper subset.  R_D itself is
@@ -666,60 +679,8 @@ class Database:
                     self._tau_cache.put(chosen, tau)
                     return tau
             return len(self._join_memo(chosen))
-        tau = self._acyclic_count(tree)
         self._tau_cache.put(chosen, tau)
         return tau
-
-    def _acyclic_count(self, tree) -> int:
-        """Yannakakis weighted count over a join tree: exact ``tau`` with
-        no intermediate materialization.
-
-        Every tuple starts with weight 1 (it stands for itself).  Sweeping
-        leaf-to-root, each child relation is aggregated into per-join-key
-        weight sums; a parent tuple's weight is multiplied by its matching
-        sum, and parent tuples with no match are discarded (a semijoin
-        reduction and the count in one pass).  By the running intersection
-        property of a join tree, tuples that agree along tree edges agree
-        globally, so after the sweep each root tuple's weight is exactly
-        the number of full join tuples extending it.
-        """
-        nodes = tree.scheme.sorted_schemes()
-        root = nodes[0]
-        order = tree.rooted_at(root)
-        # weight maps: id row -> number of join tuples it stands for so far.
-        weights: Dict[AttributeSet, Dict[Tuple[int, ...], int]] = {}
-        tables = {}
-        for node, _parent in order:
-            table = self._relations[node]._table()
-            tables[node] = table
-            weights[node] = dict.fromkeys(table.rows, 1)
-        for node, parent in reversed(order):
-            if parent is None:
-                continue
-            shared = sorted(node & parent)
-            child_order = tables[node].order
-            child_key = _picker(
-                tuple(child_order.index(a) for a in shared)
-            )
-            # Aggregate the child's weights by the shared-attribute key.
-            by_key: Dict[Tuple[int, ...], int] = {}
-            by_key_get = by_key.get
-            for idrow, weight in weights[node].items():
-                key = child_key(idrow)
-                by_key[key] = by_key_get(key, 0) + weight
-            parent_order = tables[parent].order
-            parent_key = _picker(
-                tuple(parent_order.index(a) for a in shared)
-            )
-            surviving: Dict[Tuple[int, ...], int] = {}
-            for idrow, weight in weights[parent].items():
-                matched = by_key_get(parent_key(idrow))
-                if matched is not None:
-                    surviving[idrow] = weight * matched
-            weights[parent] = surviving
-            if not surviving:
-                return 0
-        return sum(weights[root].values())
 
     def is_nonnull(self) -> bool:
         """The paper's standing hypothesis ``R_D ≠ ∅``."""

@@ -213,6 +213,11 @@ def optimize_dp(
             return degrade_to_greedy(
                 db, space, stop.trigger, states_solved, runtime, "dp"
             )
+        finally:
+            # best() reaches itself through its closure cell.  Emptying
+            # the cell breaks that cycle, so db, subset_cost and the memo
+            # are freed by reference counting, not by the cyclic collector.
+            del best
         if result is None:
             raise OptimizerError(
                 f"the {space.describe()} subspace is empty for {db.scheme}"

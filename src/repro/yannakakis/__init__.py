@@ -22,16 +22,25 @@ is the worst case: on acyclic schemes with large pairwise intermediates
 but small outputs the reducer pays O(input) semijoins instead of the
 binary plan's blow-up (see benchmarks/bench_yannakakis.py).
 
-Runtime integration mirrors :mod:`repro.wcoj`: the pipeline charges the
-ambient :class:`~repro.runtime.Runtime` and raises
+:func:`yannakakis_count` shares step 1 and counts the join instead: the
+bottom-up sweep of step 3 with weights, run column-at-a-time, where each
+node sends its parent the summed weight of its rows per shared key and
+the root's weights sum to ``tau``.  It is the acyclic analogue of
+:func:`~repro.wcoj.join.generic_count`, and
+:class:`~repro.database.Database` counts every connected acyclic subset
+of two or more relations with it, on every engine.
+
+Runtime integration mirrors :mod:`repro.wcoj`: the join pipeline charges
+the ambient :class:`~repro.runtime.Runtime` and raises
 :class:`YannakakisExhausted` on a deadline/budget trigger;
 :class:`~repro.database.Database` catches it and falls back to the
-binary pipeline with degradation provenance.
+binary pipeline with degradation provenance.  Counting charges nothing.
 """
 
 from repro.yannakakis.join import (
     YannakakisExhausted,
     record_fallback,
+    yannakakis_count,
     yannakakis_join,
 )
 from repro.yannakakis.reducer import full_reduce
@@ -40,6 +49,7 @@ from repro.yannakakis.subjoin import collapse_safe_edges, safe_subjoin_reason
 __all__ = [
     "YannakakisExhausted",
     "record_fallback",
+    "yannakakis_count",
     "yannakakis_join",
     "full_reduce",
     "collapse_safe_edges",

@@ -1,15 +1,21 @@
-"""The Yannakakis pipeline entry point: reduce, then join bottom-up.
+"""The Yannakakis entry points: count, or reduce and join bottom-up.
 
-:func:`yannakakis_join` is the acyclic analogue of
-:func:`repro.wcoj.join.generic_join`: it takes the connected subset's
-tables, builds the GYO join tree, collapses safe subjoins, runs the
-full reducer, and joins along the tree.  The output is a
-:class:`~repro.relational.columnar.ColumnarTable` over the *sorted*
-union order with the exact same id rows the vector kernel's binary
-pipeline produces -- byte identity is the contract every test holds it
-to.
+Both take a connected alpha-acyclic subset's tables and share one tree
+set-up: the GYO join tree over node ids that follow the sorted-scheme
+enumeration, rooted at node 0.
 
-Runtime integration: the pipeline charges the supplied
+* :func:`yannakakis_join` is the acyclic analogue of
+  :func:`repro.wcoj.join.generic_join`: it collapses safe subjoins, runs
+  the full reducer, and joins along the tree.  The output is a
+  :class:`~repro.relational.columnar.ColumnarTable` over the *sorted*
+  union order with the exact same id rows the vector kernel's binary
+  pipeline produces -- byte identity is the contract every test holds
+  it to.
+* :func:`yannakakis_count` is the analogue of
+  :func:`repro.wcoj.join.generic_count`: the reducer's bottom-up sweep
+  with weights, which counts the join without building it.
+
+Runtime integration: the join pipeline charges the supplied
 :class:`~repro.runtime.Runtime` (or the ambient one) once per
 ``_CHARGE_CHUNK`` rows of semijoin/join work and raises
 :class:`YannakakisExhausted` on a deadline/budget trigger;
@@ -18,21 +24,33 @@ binary pipeline with degradation provenance.
 
 Telemetry: ``yannakakis.joins`` / ``yannakakis.semijoins`` /
 ``yannakakis.subjoins`` / ``yannakakis.output_tuples`` count the
-pipeline's work; ``yannakakis.fallback`` counts abandoned runs (bumped
-by the caller that falls back).
+join pipeline's work; ``yannakakis.fallback`` counts abandoned runs
+(bumped by the caller that falls back).  Counting charges no runtime
+and moves no counter.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import repeat
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.relational.columnar import ColumnarTable, join_tables
+from repro.relational.attributes import AttributeSet
+from repro.relational.columnar import ColumnarTable, _keys_of, join_tables
+from repro.schemegraph.jointree import build_join_tree
+from repro.schemegraph.scheme import DatabaseScheme
 from repro.yannakakis.reducer import bfs_order, full_reduce
 from repro.yannakakis.subjoin import collapse_safe_edges
 
-__all__ = ["YannakakisExhausted", "record_fallback", "yannakakis_join"]
+__all__ = [
+    "YannakakisExhausted",
+    "record_fallback",
+    "yannakakis_count",
+    "yannakakis_join",
+]
 
 _TRACER = get_tracer()
 _METRICS = get_registry()
@@ -96,6 +114,31 @@ class _Charger:
             raise YannakakisExhausted(trigger)
 
 
+def _join_tree(
+    tables: Sequence[ColumnarTable],
+    scheme: Optional[DatabaseScheme] = None,
+) -> Tuple[Dict[int, ColumnarTable], Dict[int, Set[int]]]:
+    """The join tree over ``tables``: node ids -> states, plus adjacency.
+
+    Ids follow the sorted-scheme enumeration, so node 0 (the root of
+    every sweep) and every scan over the ids are deterministic.
+    ``scheme`` is the database scheme the tables form, when the caller
+    already holds it (its cached components spare the tree build a
+    second connectivity pass); by default it is derived from the tables.
+    Raises :class:`~repro.errors.AcyclicityError` when the tables'
+    schemes do not form a connected alpha-acyclic scheme.
+    """
+    schemes = [AttributeSet(t.order) for t in tables]
+    tree = build_join_tree(scheme or DatabaseScheme(schemes))
+    node_of = {s: i for i, s in enumerate(sorted(schemes, key=lambda s: s.sorted()))}
+    states = {node_of[s]: table for s, table in zip(schemes, tables)}
+    adjacency: Dict[int, Set[int]] = {i: set() for i in states}
+    for a, b in tree.edges:
+        adjacency[node_of[a]].add(node_of[b])
+        adjacency[node_of[b]].add(node_of[a])
+    return states, adjacency
+
+
 def yannakakis_join(
     tables: Sequence[ColumnarTable],
     runtime=None,
@@ -113,35 +156,20 @@ def yannakakis_join(
     """
     if not tables:
         raise ValueError("yannakakis_join needs at least one table")
-    from repro.relational.attributes import AttributeSet
-    from repro.schemegraph.jointree import build_join_tree
-    from repro.schemegraph.scheme import DatabaseScheme
-
-    schemes = [AttributeSet(t.order) for t in tables]
-    sorted_order = tuple(sorted(set().union(*schemes)))
+    sorted_order = tuple(sorted(set().union(*(t.order for t in tables))))
     if _METRICS.enabled:
         _YK_JOINS.inc()
     if any(len(t) == 0 for t in tables):
         return ColumnarTable(sorted_order, frozenset())
     charger = _Charger(runtime)
-    # The working tree: node ids -> current states, plus adjacency.
-    # Ids follow the sorted-scheme enumeration so every sweep (collapse
-    # scan, BFS, join order) is deterministic.
-    tree = build_join_tree(DatabaseScheme(schemes))
-    node_of = {scheme: i for i, scheme in enumerate(sorted(schemes, key=lambda s: s.sorted()))}
-    states: Dict[int, ColumnarTable] = {
-        node_of[scheme]: table for scheme, table in zip(schemes, tables)
-    }
-    adjacency: Dict[int, Set[int]] = {i: set() for i in states}
-    for a, b in tree.edges:
-        adjacency[node_of[a]].add(node_of[b])
-        adjacency[node_of[b]].add(node_of[a])
+    states, adjacency = _join_tree(tables)
 
     with _TRACER.span("yannakakis.subjoin", nodes=len(states)) as span:
         collapsed = collapse_safe_edges(states, adjacency, charge=charger.spend)
         span.set_attribute("collapsed", collapsed)
 
-    root = min(states)
+    # A collapse merges into the smaller id, so node 0 survives it.
+    root = 0
     order = bfs_order(adjacency, root)
     with _TRACER.span("yannakakis.reduce", nodes=len(states)) as span:
         nonempty = full_reduce(states, order, charge=charger.spend)
@@ -167,3 +195,66 @@ def yannakakis_join(
     if result.order != sorted_order:  # pragma: no cover - kernel emits sorted
         raise AssertionError("yannakakis output order must be the sorted union")
     return result
+
+
+def yannakakis_count(
+    tables: Sequence[ColumnarTable], scheme: Optional[DatabaseScheme] = None
+) -> int:
+    """``tau`` of the natural join of ``tables``, nothing materialized.
+
+    The bottom-up sweep of :func:`~repro.yannakakis.reducer.full_reduce`
+    with weights.  Every row starts with weight 1 (it stands for
+    itself).  Leaf to root, a node sends its parent the summed weight of
+    its rows per key over the attributes they share, and each parent row
+    multiplies its weight by the sum for its own key -- 0 when there is
+    none, which is the semijoin.  By the running intersection property,
+    rows that agree along tree edges agree globally, so a root row's
+    final weight is the number of join tuples extending it, and the
+    count is their sum.  Weights are Python ints, so the count is exact
+    at any size.
+
+    The sweep runs column-at-a-time: keys come from one bulk
+    ``_keys_of`` per side (shared attributes in sorted order on both),
+    a leaf's message is a ``Counter`` of its keys, and a parent looks
+    every key up in one ``map``.  The one Python loop left is an inner
+    node's weighted group-by, which skips rows of weight 0.
+
+    The tables must form a connected alpha-acyclic scheme, as for
+    :func:`yannakakis_join`; otherwise
+    :class:`~repro.errors.AcyclicityError` is raised before any row is
+    read.  A caller that already holds that scheme passes it as
+    ``scheme``, and the tree build reuses its connectivity.  Counting
+    charges no runtime and moves no counter.
+    """
+    if not tables:
+        raise ValueError("yannakakis_count needs at least one table")
+    states, adjacency = _join_tree(tables, scheme)
+    if any(len(t) == 0 for t in tables):
+        return 0
+    # weights[node]: per-row weights aligned with the node's columns,
+    # present once some child has multiplied in (a leaf has none: every
+    # row weighs 1).
+    weights: Dict[int, List[int]] = {}
+    for node, parent in reversed(bfs_order(adjacency, 0)):
+        if parent is None:
+            break
+        child, above = states[node], states[parent]
+        shared = [attr for attr in child.order if attr in above.order]
+        keys = _keys_of(child.columns(), shared)
+        own = weights.pop(node, None)
+        if own is None:
+            message = Counter(keys)
+        else:
+            message = {}
+            get = message.get
+            for key, weight in zip(keys, own):
+                if weight:
+                    message[key] = get(key, 0) + weight
+        looked = map(message.get, _keys_of(above.columns(), shared), repeat(0))
+        prior = weights.get(parent)
+        merged = list(looked) if prior is None else list(map(mul, prior, looked))
+        if not any(merged):
+            return 0
+        weights[parent] = merged
+    root = weights.get(0)
+    return len(states[0]) if root is None else sum(root)

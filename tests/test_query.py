@@ -1,11 +1,23 @@
 """Tests for the high-level JoinQuery/Plan API."""
 
+import gc
+import random
+import weakref
+
 import pytest
 
+from repro.database import Database
 from repro.errors import OptimizerError
 from repro.optimizer.spaces import SearchSpace
 from repro.query import JoinQuery, Plan
 from repro.strategy.cost import tau_cost
+from repro.workloads.generators import (
+    WorkloadSpec,
+    chain_scheme,
+    cycle_scheme,
+    generate_database,
+)
+from repro.workloads.paper import example4
 
 
 class TestPlanning:
@@ -160,3 +172,38 @@ class TestIKKBZPlan:
     def test_plan_executes(self, ex5):
         plan = JoinQuery(ex5).plan_ikkbz()
         assert plan.execute() == ex5.evaluate()
+
+
+def _uniform(scheme):
+    return generate_database(
+        scheme, random.Random(0), WorkloadSpec(size=20, domain=5)
+    )
+
+
+class TestRelease:
+    """A queried database is freed by reference counting alone, so the
+    joins it memoized go the moment the caller drops it."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            example4,
+            lambda: _uniform(chain_scheme(4)),  # routed to yannakakis
+            lambda: _uniform(cycle_scheme(4)),  # routed to wcoj
+        ],
+        ids=["example4", "chain4", "cycle4"],
+    )
+    def test_database_dies_without_the_cyclic_collector(self, make):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            db = Database(make().relations())
+            query = JoinQuery(db)
+            query.execute(query.optimize())
+            # The routed copy when the router re-pinned, else db itself.
+            refs = [weakref.ref(db), weakref.ref(query.database)]
+            del db, query
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
