@@ -13,9 +13,13 @@ every other subsystem needs:
 
 The tau-only path (docs/performance.md): ``tau_of`` first consults the
 join memo and a separate bounded tau-cache.  On a miss it routes by
-shape -- a singleton subset is just ``len(state)``; an unconnected subset
-is the product of its components' taus (its join *is* their Cartesian
-product); a connected alpha-acyclic subset is counted, on every engine,
+shape, reading the scheme's
+:class:`~repro.schemegraph.index.SubsetIndex` (the subset as an int
+mask; no :class:`DatabaseScheme` is built per counted subset) -- a
+singleton subset is just ``len(state)``; an unconnected subset is the
+product of its components' taus (its join *is* their Cartesian
+product); a connected subset with a join tree (the index's Kruskal
+pass says alpha-acyclic) is counted on that tree, on every engine,
 by :func:`~repro.yannakakis.join.yannakakis_count`, the reducer's
 bottom-up sweep with weights (each row starts with weight 1; leaf to
 root, a parent row's weight is multiplied by the summed weights of the
@@ -47,6 +51,7 @@ relations for readable strategies.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from typing import (
     Callable,
     Dict,
@@ -60,14 +65,14 @@ from typing import (
     Union,
 )
 
-from repro.errors import AcyclicityError, SchemaError
+from repro.errors import SchemaError
 from repro.obs.metrics import get_registry
 from repro.obs.recorder import get_recorder
 from repro.obs.trace import get_tracer
 from repro.relational.attributes import AttributeSet, AttrsLike, attrs, format_attrs
 from repro.relational.relation import Relation
 from repro.runtime.core import current_runtime
-from repro.schemegraph.acyclicity import is_alpha_acyclic
+from repro.schemegraph.index import SubsetIndex
 from repro.schemegraph.scheme import DatabaseScheme
 from repro.wcoj.join import (
     GenericJoinExhausted,
@@ -498,10 +503,12 @@ class Database:
         multiway kernel, or return ``None`` for the binary pipeline.
 
         The dispatch mirrors :class:`~repro.optimizer.route.EngineRouter`
-        at the per-subset level.  ``"yannakakis"`` sends acyclic subsets
-        to the semijoin-reduction pipeline and cyclic ones to Generic
-        Join, so a mixed database (a cyclic connected subset inside an
-        acyclic query) routes every subset to its best kernel.
+        at the per-subset level; the subset index's join tree decides
+        acyclicity and is handed to the pipeline.  ``"yannakakis"``
+        sends acyclic subsets to the semijoin-reduction pipeline and
+        cyclic ones to Generic Join, so a mixed database (a cyclic
+        connected subset inside an acyclic query) routes every subset to
+        its best kernel.
         ``"wcoj"`` sends only cyclic subsets to Generic Join and keeps
         acyclic ones on the binary pipeline (a join tree already gives
         an optimal binary order there, and Generic Join would only add
@@ -523,22 +530,24 @@ class Database:
         engine = self._engine
         if engine not in ("wcoj", "yannakakis") or len(chosen) < 3:
             return None
+        index = self._scheme.subset_index()
+        mask = index.mask_of(chosen)
+        tree = None if count else index.join_tree(mask)
         if count:
             join, exhausted = generic_count, GenericJoinExhausted
             count_fallback = record_wcoj_fallback
             kernel, site = "wcoj", "wcoj.generic_join"
-        elif is_alpha_acyclic(DatabaseScheme(chosen)):
+        elif tree is not None:
             if engine == "wcoj":
                 return None
-            join, exhausted = yannakakis_join, YannakakisExhausted
+            join, exhausted = partial(yannakakis_join, tree=tree), YannakakisExhausted
             count_fallback = record_yannakakis_fallback
             kernel, site = "yannakakis", "yannakakis.pipeline"
         else:
             join, exhausted = generic_join, GenericJoinExhausted
             count_fallback = record_wcoj_fallback
             kernel, site = "wcoj", "wcoj.generic_join"
-        ordered = sorted(chosen, key=lambda s: s.sorted())
-        tables = [self._relations[s]._table() for s in ordered]
+        tables = [self._relations[s]._table() for s in index.members(mask)]
         runtime = current_runtime()
         try:
             result = join(tables, runtime=runtime)
@@ -589,7 +598,8 @@ class Database:
         Served without materializing the join whenever possible: a cached
         full result or cached count answers immediately; otherwise
         connected acyclic subsets are counted by
-        :func:`~repro.yannakakis.join.yannakakis_count` on every engine,
+        :func:`~repro.yannakakis.join.yannakakis_count` on the subset
+        index's join tree, on every engine,
         and on the multiway engines proper cyclic subsets by Generic
         Join's counting mode (see the module docstring).  Only ``R_D``
         itself, and cyclic subsets on the vector engine, fall back to
@@ -626,59 +636,60 @@ class Database:
         if len(chosen) == 1:
             (only,) = chosen
             return len(self._relations[only])
-        subscheme = DatabaseScheme(chosen)
-        components = subscheme.components()
+        index = self._scheme.subset_index()
+        mask = index.mask_of(chosen)
+        components = index.components(mask)
         if len(components) > 1:
             # The join of an unconnected subset is the Cartesian product of
             # its components' joins, so tau multiplies.
             tau = 1
             for component in components:
-                tau *= self._component_tau(frozenset(component.schemes))
+                tau *= self._component_tau(index, component)
                 if tau == 0:
                     return 0
             return tau
-        return self._component_tau(chosen, subscheme)
+        return self._component_tau(index, mask, chosen)
 
     def _component_tau(
-        self, chosen: SubsetKey, subscheme: Optional[DatabaseScheme] = None
+        self, index: SubsetIndex, mask: int, chosen: Optional[SubsetKey] = None
     ) -> int:
-        """tau of a connected subset: from the caches, from
-        :func:`~repro.yannakakis.join.yannakakis_count` (an acyclic
-        subset of two or more relations, on every engine; its tables go
-        in sorted-scheme order), from
+        """tau of the connected subset ``mask``: from the caches, from
+        :func:`~repro.yannakakis.join.yannakakis_count` on the index's
+        join tree (an acyclic subset of two or more relations, on every
+        engine; its tables go in sorted-scheme order), from
         :func:`~repro.wcoj.join.generic_count` (a proper cyclic subset
         on the ``"wcoj"``/``"yannakakis"`` engines, cached as a count
-        only), or else the memoized join's length.  The counter's tree
-        set-up raises :class:`~repro.errors.AcyclicityError` on a cyclic
-        subset before it reads a row, which is what routes that subset
-        to the cyclic paths."""
-        cached = self._join_cache.get(chosen)
-        if cached is not None:
-            return len(cached)
-        tau = self._tau_cache.get(chosen)
-        if tau is not None:
-            return tau
-        if len(chosen) == 1:
-            (only,) = chosen
-            return len(self._relations[only])
-        ordered = sorted(chosen, key=lambda s: s.sorted())
-        try:
+        only), or else the memoized join's length.  ``chosen`` is the
+        subset's cache key when :meth:`tau_of` has just missed on it; a
+        component of an unconnected subset consults the caches first."""
+        members = index.members(mask)
+        if chosen is None:
+            chosen = frozenset(members)
+            cached = self._join_cache.get(chosen)
+            if cached is not None:
+                return len(cached)
+            tau = self._tau_cache.get(chosen)
+            if tau is not None:
+                return tau
+        if len(members) == 1:
+            return len(self._relations[members[0]])
+        tree = index.join_tree(mask)
+        if tree is not None:
             tau = yannakakis_count(
-                [self._relations[s]._table() for s in ordered], subscheme
+                [self._relations[s]._table() for s in members], tree=tree
             )
-        except AcyclicityError:
+        else:
             # Cyclic connected subset: no join tree.  On the multiway
             # engines Generic Join counts a proper subset.  R_D itself is
             # materialized and memoized, because the DP asks for tau(R_D)
             # first and Plan.execute returns R_D; so is every cyclic
             # subset on the vector engine, whose binary pipeline reuses
             # the memoized joins of the smaller subsets.
-            if len(chosen) < len(self._relations):
+            tau = None
+            if mask != index.full:
                 tau = self._multiway_join(chosen, count=True)
-                if tau is not None:
-                    self._tau_cache.put(chosen, tau)
-                    return tau
-            return len(self._join_memo(chosen))
+            if tau is None:
+                return len(self._join_memo(chosen))
         self._tau_cache.put(chosen, tau)
         return tau
 

@@ -21,19 +21,26 @@ each subspace.  Per-space *feasibility of a split* encodes the subspace:
 The number of DP states is at most ``2^n`` (much less for the restricted
 spaces), versus ``(2n-3)!!`` enumerated strategies -- the tractability
 gap the paper's introduction describes.
+
+States are int masks over the scheme's
+:class:`~repro.schemegraph.index.SubsetIndex` (relation ``i`` in
+sorted-scheme order is bit ``1 << i``), which also supplies the
+components the CP-avoiding filters read.  The memo keeps a cost and the
+winning split per state; :class:`~repro.strategy.tree.Strategy` nodes
+are built for the winning plan only, once the search is over.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterator, Optional, Tuple
+from itertools import combinations
+from typing import Callable, Dict, List, Optional
 
 from repro.database import Database
 from repro.errors import OptimizerError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.optimizer.spaces import OptimizationResult, SearchSpace
-from repro.relational.attributes import AttributeSet
-from repro.schemegraph.scheme import DatabaseScheme
+from repro.schemegraph.index import SubsetIndex, bits_of
 from repro.strategy.tree import Strategy
 
 __all__ = ["optimize_dp"]
@@ -50,75 +57,57 @@ _PRUNED = _METRICS.counter(
     "optimizer.dp.plans_pruned", "split candidates beaten by a cheaper plan"
 )
 
-SchemeKey = FrozenSet[AttributeSet]
-Entry = Tuple[int, Strategy]  # (cost, strategy)
+def _splits(
+    index: SubsetIndex,
+    space: SearchSpace,
+    mask: int,
+    connected: Callable[[int], bool],
+) -> List[int]:
+    """Part 1 of each split of ``mask`` (two or more relations) that
+    ``space`` allows, in the order the DP tries them; part 2 is the rest.
 
-
-def _ordered(key: SchemeKey) -> Tuple[AttributeSet, ...]:
-    return tuple(sorted(key, key=lambda s: s.sorted()))
-
-
-def _all_splits(key: SchemeKey) -> Iterator[Tuple[SchemeKey, SchemeKey]]:
-    from itertools import combinations
-
-    ordered = _ordered(key)
-    fixed, rest = ordered[0], ordered[1:]
-    for size in range(len(rest)):
-        for chosen in combinations(rest, size):
-            part1 = frozenset((fixed,) + chosen)
-            part2 = key - part1
-            if part2:
-                yield part1, part2
-
-
-def _linear_splits(key: SchemeKey) -> Iterator[Tuple[SchemeKey, SchemeKey]]:
-    for scheme in _ordered(key):
-        rest = key - {scheme}
-        if rest:
-            yield rest, frozenset((scheme,))
-
-
-def _connectivity_memo() -> Callable[[SchemeKey], bool]:
-    """A per-run connectivity oracle memoized by frozenset of schemes.
-
-    The DP's candidate splits revisit the same parts many times (a part of
-    one subset is a whole subset elsewhere); without the memo every visit
-    rebuilds a :class:`DatabaseScheme` and re-runs the component DFS.
+    ``ALL`` keeps the lowest relation in part 1 and draws the rest of
+    part 1 from the others by ``combinations``, smallest first;
+    ``LINEAR`` peels one relation per split, in sorted order.  The
+    CP-avoiding spaces then filter: a connected ``mask`` needs both parts
+    connected, and an unconnected one needs every component inside one
+    part (components are evaluated individually, and the cross-part
+    steps are exactly the unavoidable Cartesian products).
     """
-    cache: Dict[SchemeKey, bool] = {}
-
-    def connected(part: SchemeKey) -> bool:
-        known = cache.get(part)
-        if known is None:
-            known = cache[part] = DatabaseScheme(part).is_connected()
-        return known
-
-    return connected
-
-
-def _nocp_filter(
-    key: SchemeKey,
-    base: Iterator[Tuple[SchemeKey, SchemeKey]],
-    connected: Callable[[SchemeKey], bool],
-) -> Iterator[Tuple[SchemeKey, SchemeKey]]:
-    """Keep only the splits allowed in a CP-avoiding strategy.
-
-    Connected ``key``: both parts connected.  Unconnected ``key``: every
-    component entirely inside one part (the scheme/component analysis is
-    done once per ``key``, not per split; part connectivity is memoized
-    across the whole run via ``connected``).
-    """
-    scheme = DatabaseScheme(key)
-    components = scheme.components()
+    members = bits_of(mask)
+    if space.linear_only:
+        parts = [mask ^ bit for bit in members]
+    else:
+        low, rest = members[0], members[1:]
+        parts = [
+            low + sum(chosen)
+            for size in range(len(rest))
+            for chosen in combinations(rest, size)
+        ]
+    if not space.avoids_cartesian_products:
+        return parts
+    components = index.components(mask)
     if len(components) == 1:
-        for part1, part2 in base:
-            if connected(part1) and connected(part2):
-                yield part1, part2
-        return
-    component_keys = [frozenset(c.schemes) for c in components]
-    for part1, part2 in base:
-        if all(c <= part1 or c <= part2 for c in component_keys):
-            yield part1, part2
+        return [part for part in parts if connected(part) and connected(mask ^ part)]
+    return [
+        part
+        for part in parts
+        if all(c & part == c or not c & part for c in components)
+    ]
+
+
+def _strategy(
+    db: Database, index: SubsetIndex, chosen: Dict[int, int], mask: int
+) -> Strategy:
+    """The winning plan of ``mask``: ``chosen`` maps every solved
+    multi-relation state to the part 1 of its cheapest split."""
+    part1 = chosen.get(mask)
+    if part1 is None:
+        return Strategy.leaf(db, index.schemes[mask.bit_length() - 1])
+    return Strategy.join(
+        _strategy(db, index, chosen, part1),
+        _strategy(db, index, chosen, mask ^ part1),
+    )
 
 
 class _Exhausted(Exception):
@@ -139,7 +128,8 @@ def optimize_dp(
     Returns an actual :class:`~repro.strategy.tree.Strategy` (so membership
     in the space can be re-validated) together with its cost under the
     optimizer's cost source.  ``subset_cost`` maps a frozenset of relation
-    schemes to the cost charged for producing that subset's join; it
+    schemes to the cost charged for producing that subset's join, and is
+    called once per multi-relation state; it
     defaults to the *true* tau (``db.tau_of``).  Passing an estimator here
     turns this into a classical estimate-driven optimizer (see
     :mod:`repro.optimizer.estimate`).  Raises
@@ -153,57 +143,59 @@ def optimize_dp(
     """
     if subset_cost is None:
         subset_cost = db.tau_of
-    memo: Dict[SchemeKey, Optional[Entry]] = {}
+    index = db.scheme.subset_index()
+    # memo: mask -> the cheapest cost (None: no plan in the space);
+    # chosen: mask -> part 1 of that cost's split.
+    memo: Dict[int, Optional[int]] = {}
+    chosen: Dict[int, int] = {}
+    connectivity: Dict[int, bool] = {}
     states_solved = 0
     memo_hits = 0
     splits_considered = 0
     plans_pruned = 0
 
-    connected = _connectivity_memo()
+    def connected(part: int) -> bool:
+        known = connectivity.get(part)
+        if known is None:
+            known = connectivity[part] = len(index.components(part)) == 1
+        return known
 
-    def splits(key: SchemeKey) -> Iterator[Tuple[SchemeKey, SchemeKey]]:
-        base = _linear_splits(key) if space.linear_only else _all_splits(key)
-        if space.avoids_cartesian_products:
-            return _nocp_filter(key, base, connected)
-        return base
-
-    def best(key: SchemeKey) -> Optional[Entry]:
+    def best(mask: int) -> Optional[int]:
         nonlocal states_solved, memo_hits, splits_considered, plans_pruned
-        if key in memo:
+        if mask in memo:
             memo_hits += 1
-            return memo[key]
+            return memo[mask]
         if runtime is not None:
             trigger = runtime.charge()
             if trigger is not None:
                 raise _Exhausted(trigger)
         states_solved += 1
-        if len(key) == 1:
-            (scheme,) = key
-            entry: Optional[Entry] = (0, Strategy.leaf(db, scheme))
-        else:
-            tau_here = subset_cost(key)
-            entry = None
-            for part1, part2 in splits(key):
+        cost: Optional[int] = 0
+        if mask & (mask - 1):
+            tau_here = subset_cost(frozenset(index.members(mask)))
+            cost = None
+            for part1 in _splits(index, space, mask, connected):
                 splits_considered += 1
                 left = best(part1)
                 if left is None:
                     continue
-                right = best(part2)
+                right = best(mask ^ part1)
                 if right is None:
                     continue
-                cost = left[0] + right[0] + tau_here
-                if entry is None or cost < entry[0]:
-                    entry = (cost, Strategy.join(left[1], right[1]))
+                total = left + right + tau_here
+                if cost is None or total < cost:
+                    cost = total
+                    chosen[mask] = part1
                 else:
                     plans_pruned += 1
-        memo[key] = entry
-        return entry
+        memo[mask] = cost
+        return cost
 
     with _TRACER.span(
         "optimize.dp", space=space.value, relations=len(db.scheme)
     ) as span:
         try:
-            result = best(frozenset(db.scheme.schemes))
+            cost = best(index.full)
         except _Exhausted as stop:
             span.set_attribute("degraded", True)
             span.set_attribute("trigger", stop.trigger)
@@ -218,11 +210,11 @@ def optimize_dp(
             # the cell breaks that cycle, so db, subset_cost and the memo
             # are freed by reference counting, not by the cyclic collector.
             del best
-        if result is None:
+        if cost is None:
             raise OptimizerError(
                 f"the {space.describe()} subspace is empty for {db.scheme}"
             )
-        cost, strategy = result
+        strategy = _strategy(db, index, chosen, index.full)
         span.set_attribute("states", states_solved)
         span.set_attribute("memo_hits", memo_hits)
         span.set_attribute("splits", splits_considered)

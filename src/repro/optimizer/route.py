@@ -25,7 +25,7 @@ connected subset runs on its best one (see
 The :class:`EngineRouting` record the router returns is the one
 provenance shape for every engine decision: it travels on plan and
 profile provenance so ``explain`` can say which engine ran and why,
-with the AGM bound, the GYO join tree (acyclic) or the Generic-Join
+with the AGM bound, the join tree (acyclic) or the Generic-Join
 expansion order (cyclic) alongside.
 """
 
@@ -55,7 +55,7 @@ class EngineRouting:
     (the AGM output bound), attached whenever the scheme is connected;
     ``components`` the per-connected-component verdicts
     ``(relations, cyclic, engine)`` the decision aggregates; ``tree``
-    the GYO join tree the Yannakakis pipeline sweeps (connected acyclic
+    the join tree the Yannakakis pipeline sweeps (connected acyclic
     schemes); and ``expansion`` the Generic-Join attribute order
     (connected cyclic schemes) -- the last two feed the ``explain``
     rendering of the multiway structure.
@@ -113,7 +113,7 @@ class EngineRouting:
     def structure_lines(self) -> List[str]:
         """Explain lines for the multiway structure, if any.
 
-        Connected acyclic schemes render the GYO join tree the
+        Connected acyclic schemes render the join tree the
         Yannakakis sweeps run over (root first, children indented);
         connected cyclic schemes render the Generic-Join expansion
         order.  Binary-only routings render nothing.

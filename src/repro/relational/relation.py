@@ -348,7 +348,9 @@ class Relation:
         rows = self._rows
         if rows is not None:
             return len(rows)
-        return len(self._columnar.rows)
+        # Every kernel output is duplicate-free by contract, so the
+        # table's row count is the tuple count: no row set is built.
+        return len(self._columnar)
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)

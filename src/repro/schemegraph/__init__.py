@@ -5,7 +5,9 @@ relation schemes, with an edge between two nodes when they share an
 attribute.  This subpackage implements that view (:mod:`scheme`), the
 degrees of acyclicity from Fagin that Section 5 builds on
 (:mod:`acyclicity`), join trees and the Section 5 redefinition of
-connectedness for alpha-acyclic schemes (:mod:`jointree`), and pairwise
+connectedness for alpha-acyclic schemes (:mod:`jointree`), the subset
+index that numbers a scheme's relations as bits for the subset DP, the
+tau counter and the join-tree builds (:mod:`index`), and pairwise
 consistency / semijoin reduction / Yannakakis evaluation
 (:mod:`consistency`).
 """

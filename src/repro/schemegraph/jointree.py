@@ -180,36 +180,25 @@ def _candidate_edges(db: DatabaseScheme) -> List[Tuple[int, Edge]]:
 def build_join_tree(scheme) -> JoinTree:
     """Build one join tree for an alpha-acyclic connected database scheme.
 
-    Uses Maier's maximum-weight spanning tree construction (Kruskal on
-    shared-attribute counts); raises
+    Maier's maximum-weight spanning tree, from the scheme's
+    :class:`~repro.schemegraph.index.SubsetIndex`: one Kruskal pass over
+    the pairs sharing attributes, heaviest first, whose weight also
+    decides acyclicity.  The same pass gives the tau counter and the
+    Yannakakis pipeline their trees, so the router, the consistency
+    code, the counter and the pipeline build every tree one way.  The
+    edges are validated again by :class:`JoinTree`.  Raises
     :class:`~repro.errors.AcyclicityError` when the scheme is not
     alpha-acyclic or not connected.
     """
     db = scheme_of(scheme)
     if not db.is_connected():
         raise AcyclicityError("join trees are defined for connected schemes")
-    if not is_alpha_acyclic(db):
+    index = db.subset_index()
+    edges = index.join_tree(index.full)
+    if edges is None:
         raise AcyclicityError(f"{db} is not alpha-acyclic; it has no join tree")
-    if len(db) == 1:
-        return JoinTree(db, [])
-    parent: Dict[AttributeSet, AttributeSet] = {s: s for s in db.schemes}
-
-    def find(x: AttributeSet) -> AttributeSet:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen: List[Edge] = []
-    for weight, edge in sorted(
-        _candidate_edges(db),
-        key=lambda we: (-we[0], we[1][0].sorted(), we[1][1].sorted()),
-    ):
-        ra, rb = find(edge[0]), find(edge[1])
-        if ra != rb:
-            parent[ra] = rb
-            chosen.append(edge)
-    return JoinTree(db, chosen)
+    nodes = index.schemes
+    return JoinTree(db, [(nodes[a], nodes[b]) for a, b in edges])
 
 
 def all_join_trees(scheme) -> Iterator[JoinTree]:

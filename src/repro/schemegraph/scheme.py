@@ -23,6 +23,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tup
 
 from repro.errors import SchemaError
 from repro.relational.attributes import AttributeSet, AttrsLike, attrs, format_attrs
+from repro.schemegraph.index import SubsetIndex
 
 __all__ = ["DatabaseScheme", "are_linked", "scheme_of", "SchemeLike"]
 
@@ -46,7 +47,7 @@ def scheme_of(spec) -> "DatabaseScheme":
 class DatabaseScheme:
     """An immutable set of relation schemes, viewed as a hypergraph."""
 
-    __slots__ = ("_schemes", "_hash", "_components")
+    __slots__ = ("_schemes", "_hash", "_components", "_index")
 
     def __init__(self, schemes: Iterable[AttrsLike]):
         scheme_set = frozenset(attrs(s) for s in schemes)
@@ -55,6 +56,7 @@ class DatabaseScheme:
         self._schemes: FrozenSet[AttributeSet] = scheme_set
         self._hash = hash(scheme_set)
         self._components: Optional[Tuple["DatabaseScheme", ...]] = None
+        self._index: Optional[SubsetIndex] = None
 
     # -- container interface --------------------------------------------------
 
@@ -183,6 +185,16 @@ class DatabaseScheme:
             components.append(DatabaseScheme(group))
         self._components = tuple(components)
         return components
+
+    def subset_index(self) -> SubsetIndex:
+        """The :class:`~repro.schemegraph.index.SubsetIndex` of this
+        scheme: its relations as bits, for the subset DP, the tau-only
+        path and the join-tree builds.  Built on first use and cached
+        (schemes are immutable)."""
+        index = self._index
+        if index is None:
+            index = self._index = SubsetIndex(self._schemes)
+        return index
 
     def component_count(self) -> int:
         """The paper's ``comp(D)``."""

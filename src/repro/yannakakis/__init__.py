@@ -4,8 +4,11 @@ Section 5 of the paper ties condition C4 to acyclicity; this package
 turns that connection into an executor.  Given the relation states of a
 connected alpha-acyclic subset, :func:`yannakakis_join`:
 
-1. builds a join tree with the existing GYO machinery
-   (:func:`~repro.schemegraph.jointree.build_join_tree`),
+1. takes the join tree :class:`~repro.database.Database` hands it as
+   ``tree=`` (its subset index's), or builds one with the same
+   :class:`~repro.schemegraph.index.SubsetIndex` code: a
+   maximum-weight spanning tree by Kruskal, whose weight also decides
+   acyclicity,
 2. collapses tree edges licensed by the *safe subjoin* criterion
    (:mod:`repro.yannakakis.subjoin`) -- subjoins that provably cannot
    exceed an input's size are taken eagerly,
@@ -22,10 +25,10 @@ is the worst case: on acyclic schemes with large pairwise intermediates
 but small outputs the reducer pays O(input) semijoins instead of the
 binary plan's blow-up (see benchmarks/bench_yannakakis.py).
 
-:func:`yannakakis_count` shares step 1 and counts the join instead: the
-bottom-up sweep of step 3 with weights, run column-at-a-time, where each
-node sends its parent the summed weight of its rows per shared key and
-the root's weights sum to ``tau``.  It is the acyclic analogue of
+:func:`yannakakis_count` shares step 1, ``tree=`` included, and counts
+the join instead: the bottom-up sweep of step 3 with weights, run
+column-at-a-time, where each node sends its parent the summed weight of
+its rows per shared key and the root's weights sum to ``tau``.  It is the acyclic analogue of
 :func:`~repro.wcoj.join.generic_count`, and
 :class:`~repro.database.Database` counts every connected acyclic subset
 of two or more relations with it, on every engine.

@@ -1,8 +1,12 @@
 """The Yannakakis entry points: count, or reduce and join bottom-up.
 
 Both take a connected alpha-acyclic subset's tables and share one tree
-set-up: the GYO join tree over node ids that follow the sorted-scheme
-enumeration, rooted at node 0.
+set-up: a join tree over the tables' positions, rooted at position 0.
+A caller that holds the tree passes it as ``tree=`` (edges between
+table positions, as :meth:`~repro.schemegraph.index.SubsetIndex.join_tree`
+returns them); otherwise the set-up sorts the tables by scheme and
+builds the tree with the same index code, one Kruskal pass that also
+decides acyclicity.
 
 * :func:`yannakakis_join` is the acyclic analogue of
   :func:`repro.wcoj.join.generic_join`: it collapses safe subjoins, runs
@@ -36,12 +40,12 @@ from itertools import repeat
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.errors import AcyclicityError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.relational.attributes import AttributeSet
 from repro.relational.columnar import ColumnarTable, _keys_of, join_tables
-from repro.schemegraph.jointree import build_join_tree
-from repro.schemegraph.scheme import DatabaseScheme
+from repro.schemegraph.index import SubsetIndex, TreeEdges
 from repro.yannakakis.reducer import bfs_order, full_reduce
 from repro.yannakakis.subjoin import collapse_safe_edges
 
@@ -116,39 +120,48 @@ class _Charger:
 
 def _join_tree(
     tables: Sequence[ColumnarTable],
-    scheme: Optional[DatabaseScheme] = None,
+    tree: Optional[TreeEdges] = None,
 ) -> Tuple[Dict[int, ColumnarTable], Dict[int, Set[int]]]:
     """The join tree over ``tables``: node ids -> states, plus adjacency.
 
-    Ids follow the sorted-scheme enumeration, so node 0 (the root of
-    every sweep) and every scan over the ids are deterministic.
-    ``scheme`` is the database scheme the tables form, when the caller
-    already holds it (its cached components spare the tree build a
-    second connectivity pass); by default it is derived from the tables.
-    Raises :class:`~repro.errors.AcyclicityError` when the tables'
-    schemes do not form a connected alpha-acyclic scheme.
+    With ``tree`` given, node ``i`` is ``tables[i]`` and the edges are
+    taken as they are.  Without it, the tables are numbered in
+    sorted-scheme order, so node 0 (the root of every sweep) and every
+    scan over the ids are deterministic, and the tree comes from a
+    :class:`~repro.schemegraph.index.SubsetIndex` over their schemes;
+    :class:`~repro.errors.AcyclicityError` is raised when they do not
+    form a connected alpha-acyclic scheme.
     """
-    schemes = [AttributeSet(t.order) for t in tables]
-    tree = build_join_tree(scheme or DatabaseScheme(schemes))
-    node_of = {s: i for i, s in enumerate(sorted(schemes, key=lambda s: s.sorted()))}
-    states = {node_of[s]: table for s, table in zip(schemes, tables)}
+    if tree is None:
+        index = SubsetIndex(AttributeSet(t.order) for t in tables)
+        tree = index.join_tree(index.full)
+        if tree is None:
+            raise AcyclicityError(
+                "the tables do not form a connected alpha-acyclic scheme"
+            )
+        by_scheme = {AttributeSet(t.order): t for t in tables}
+        tables = [by_scheme[s] for s in index.schemes]
+    states = dict(enumerate(tables))
     adjacency: Dict[int, Set[int]] = {i: set() for i in states}
-    for a, b in tree.edges:
-        adjacency[node_of[a]].add(node_of[b])
-        adjacency[node_of[b]].add(node_of[a])
+    for a, b in tree:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
     return states, adjacency
 
 
 def yannakakis_join(
     tables: Sequence[ColumnarTable],
     runtime=None,
+    tree: Optional[TreeEdges] = None,
 ) -> ColumnarTable:
     """The natural join of ``tables`` by semijoin reduction.
 
     The tables must form a connected alpha-acyclic scheme with distinct
     attribute orders (exactly what :class:`~repro.database.Database`
-    routes here).  The result is a :class:`ColumnarTable` over the
-    sorted union order -- the same layout (and therefore the same
+    routes here).  ``tree`` is a join tree of that scheme as edges
+    between table positions, rooted at position 0; by default it is
+    built from the tables.  The result is a :class:`ColumnarTable` over
+    the sorted union order -- the same layout (and therefore the same
     bytes) the vector kernel produces for the same join.
 
     Raises :class:`YannakakisExhausted` when ``runtime`` trips
@@ -162,7 +175,7 @@ def yannakakis_join(
     if any(len(t) == 0 for t in tables):
         return ColumnarTable(sorted_order, frozenset())
     charger = _Charger(runtime)
-    states, adjacency = _join_tree(tables)
+    states, adjacency = _join_tree(tables, tree)
 
     with _TRACER.span("yannakakis.subjoin", nodes=len(states)) as span:
         collapsed = collapse_safe_edges(states, adjacency, charge=charger.spend)
@@ -198,7 +211,7 @@ def yannakakis_join(
 
 
 def yannakakis_count(
-    tables: Sequence[ColumnarTable], scheme: Optional[DatabaseScheme] = None
+    tables: Sequence[ColumnarTable], tree: Optional[TreeEdges] = None
 ) -> int:
     """``tau`` of the natural join of ``tables``, nothing materialized.
 
@@ -220,15 +233,14 @@ def yannakakis_count(
     node's weighted group-by, which skips rows of weight 0.
 
     The tables must form a connected alpha-acyclic scheme, as for
-    :func:`yannakakis_join`; otherwise
-    :class:`~repro.errors.AcyclicityError` is raised before any row is
-    read.  A caller that already holds that scheme passes it as
-    ``scheme``, and the tree build reuses its connectivity.  Counting
-    charges no runtime and moves no counter.
+    :func:`yannakakis_join`, and ``tree`` is the same optional join tree
+    over their positions.  Without a tree, a cyclic or unconnected
+    input raises :class:`~repro.errors.AcyclicityError` before any row
+    is read.  Counting charges no runtime and moves no counter.
     """
     if not tables:
         raise ValueError("yannakakis_count needs at least one table")
-    states, adjacency = _join_tree(tables, scheme)
+    states, adjacency = _join_tree(tables, tree)
     if any(len(t) == 0 for t in tables):
         return 0
     # weights[node]: per-row weights aligned with the node's columns,

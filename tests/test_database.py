@@ -246,3 +246,45 @@ class TestJoinMemoConnectivity:
         from repro.schemegraph.scheme import DatabaseScheme
 
         assert DatabaseScheme(chosen - {leaf}).is_connected()
+
+
+class TestResultLength:
+    """``len`` of a join result reads the kernel table's row count: it
+    builds no row set.  Vector and Yannakakis results are born as columns
+    and stay so; Generic Join's result is born as a frozenset, which
+    ``len`` reuses."""
+
+    @staticmethod
+    def _database(schemes, engine):
+        import random
+
+        rng = random.Random(11)
+        relations, operands = [], []
+        for scheme in schemes:
+            names = sorted(scheme)
+            rows = [{a: rng.randint(1, 3) for a in names} for _ in range(9)]
+            relations.append(relation(scheme, [tuple(r[a] for a in names) for r in rows]))
+            operands.append((names, rows))
+        return Database(relations, engine=engine), operands
+
+    @pytest.mark.parametrize(
+        "engine,schemes",
+        [
+            ("vector", ["AB", "BC", "CD", "DE"]),
+            ("vector", ["AB", "BC", "CD", "AD"]),
+            ("wcoj", ["AB", "BC", "CD", "AD"]),
+            ("yannakakis", ["AB", "BC", "CD", "DE"]),
+        ],
+    )
+    def test_len_builds_no_row_set(self, engine, schemes):
+        from tests import oracle
+
+        db, operands = self._database(schemes, engine)
+        result = db.evaluate()
+        table = result._columnar
+        born = table._rows
+        assert (born is None) == (engine != "wcoj")
+        expected = len(oracle.join_all(operands)[1])
+        assert expected > 0
+        assert len(result) == expected
+        assert table._rows is born
