@@ -122,8 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             metavar="N",
-            help="fan the search across N worker processes (0 = all "
-            "cores; default sequential; see docs/performance.md)",
+            help="fan the exhaustive search (optimize --space exhaustive, "
+            "explain) or the sampled costing (sample) across N worker "
+            "processes (0 = all cores; default sequential; see "
+            "docs/performance.md); optimize rejects it without "
+            "--space exhaustive, since the subset DP runs in one process",
         )
 
     def add_runtime_flags(command: argparse.ArgumentParser) -> None:
@@ -208,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         "conditions", help="condition verdicts for a paper example"
     )
     conditions.add_argument("--example", choices=sorted(_EXAMPLES), required=True)
-    add_jobs_flag(conditions)
     add_runtime_flags(conditions)
 
     sample = sub.add_parser(
@@ -365,7 +367,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     )
     spec = WorkloadSpec.from_args(args)
     db = _with_engine(spec.build(), args)
-    query = JoinQuery(db, jobs=args.jobs, runtime=_runtime_from(args))
+    query = JoinQuery(db, runtime=_runtime_from(args))
     if not tracing:
         plan = _plan(args, query)
         print(plan.explain())
@@ -459,7 +461,7 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
     runtime = _runtime_from(args)
     pairs = []
     for name in ("C1", "C1'", "C2", "C3", "C4"):
-        report = check_condition(db, name, jobs=args.jobs, runtime=runtime)
+        report = check_condition(db, name, runtime=runtime)
         # Decided verdicts render yes/no; an exhausted sweep renders its
         # three-valued verdict instead of raising on truth-testing.
         pairs.append((name, report.holds if report.decided else report.verdict()))
@@ -524,12 +526,18 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "examples":
         return _cmd_examples(args)
     if args.command == "census":
         return _cmd_census(args.max_n)
     if args.command == "optimize":
+        if args.jobs is not None and args.space != "exhaustive":
+            parser.error(
+                "optimize --jobs needs --space exhaustive: the subset DP "
+                "runs in one process"
+            )
         return _cmd_optimize(args)
     if args.command == "explain":
         return _cmd_explain(args)

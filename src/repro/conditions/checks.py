@@ -2,26 +2,34 @@
 
 Each condition quantifies over disjoint *connected* subsets of the
 database scheme; the checkers enumerate exactly those subsets and compare
-the tuple counts the condition compares.  Because the subsets quantified
-over are disjoint, every count the conditions mention is the size of a
-single subset join::
+the tuple counts the condition compares.  They sweep on the scheme's
+:class:`~repro.schemegraph.index.SubsetIndex`: a subset is an int mask,
+the connected ones come from
+:meth:`~repro.schemegraph.index.SubsetIndex.connected` (enumerated once
+per scheme), *disjoint* is ``not a & b`` and *linked* is
+``index.linked(a) & b``.
 
-    tau(R_E |><| R_E1)  ==  tau(R_{E ∪ E1})
+Every count a condition compares is the size of one subset join.  A
+linked pair of disjoint subsets joins into a connected subset::
 
-so all the arithmetic routes through :meth:`Database.tau_of` -- the
-tau-only path that counts subset joins without materializing them and
-caches the counts (docs/performance.md) -- and repeated checks are cheap.
-The subset enumeration itself comes from
-:meth:`Database.connected_subsets`, which memoizes it per database, so
-checking all five conditions enumerates connected subsets once.
+    tau(R_E1 |><| R_E2)  ==  tau(R_{E1 ∪ E2})
 
-The quantifier space is decomposed into **units** -- one ``(E, E1)``
-pair for the C1-style triple conditions, one ``E1`` for the pairwise
-ones -- each owning a contiguous run of instances in the canonical
-nested-loop order.  The sequential checker walks the units in order;
-:mod:`repro.parallel.conditions` fans the same units out across worker
-processes (``jobs=``) and replays the results in canonical order, which
-is what makes the two paths return byte-identical reports.
+while C1's unlinked pair joins into a Cartesian product, whose size is
+the product of two counts the sweep already holds::
+
+    tau(R_E |><| R_E2)  ==  tau(R_E) * tau(R_E2)
+
+Counts come from :meth:`Database.tau_of` -- the tau-only path that
+counts subset joins without materializing them and caches the counts
+(docs/performance.md) -- through a dict local to one check, keyed by
+mask.
+
+Instances are visited in a fixed nested-loop order over
+:meth:`Database.connected_subsets`: ``E``, then ``E1``, then ``E2`` for
+C1 and C1'; ``E1``, then each later ``E2`` for C2-C4.  The instance
+count, the witnesses and their order, where a stop-at-first check
+stops, and the one runtime charge per instance are therefore the same
+on every run.
 
 The checkers return a :class:`ConditionReport` carrying the verdict, the
 number of instances checked, and -- when the condition fails -- concrete
@@ -31,13 +39,12 @@ number of instances checked, and -- when the condition fails -- concrete
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.database import Database
 from repro.errors import ReproError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.schemegraph.scheme import DatabaseScheme
 
 __all__ = [
     "TimedOut",
@@ -174,410 +181,198 @@ _PAIRS_TESTED = _METRICS.counter(
 )
 
 
-def _published(report: "ConditionReport", jobs: int = 1) -> "ConditionReport":
+def _published(report: ConditionReport) -> ConditionReport:
     """Record a finished check as an event + counter when observability
-    is on; always returns the report unchanged.  Fanned-out checks
-    (``jobs > 1``) record the worker count and pool start method so
-    Chrome-trace exports show the fan-out."""
+    is on; always returns the report unchanged."""
     if _TRACER.enabled:
-        attributes = {
-            "condition": report.condition,
-            "instances": report.instances_checked,
-            "holds": report.holds if report.decided else "timed-out",
-        }
-        if jobs > 1:
-            from repro.parallel import START_METHOD
-
-            attributes["jobs"] = jobs
-            attributes["start_method"] = START_METHOD
-        _TRACER.event("conditions.check", **attributes)
+        _TRACER.event(
+            "conditions.check",
+            condition=report.condition,
+            instances=report.instances_checked,
+            holds=report.holds if report.decided else "timed-out",
+        )
         _PAIRS_TESTED.inc(report.instances_checked, condition=report.condition)
     return report
 
 
-def _connected_subsets(db: Database) -> Sequence[DatabaseScheme]:
-    return db.connected_subsets()
+# -- the sweeps ------------------------------------------------------------------
+# A sweep yields the positions of each quantifier instance in canonical
+# order, and None at the start of every outer subset: a row can scan many
+# candidates without finding an instance, so the caller polls its
+# runtime there.
+
+#: Positions ``(E, E1, E2)`` into the connected subsets (``E2`` is
+#: ``None`` for the pairwise conditions), or a poll point.
+Positions = Optional[Tuple[int, int, Optional[int]]]
 
 
-def _disjoint(*subsets: DatabaseScheme) -> bool:
-    seen: set = set()
-    for subset in subsets:
-        if seen & subset.schemes:
-            return False
-        seen |= subset.schemes
-    return True
+def _triples(masks: Sequence[int], linked: Sequence[int]) -> Iterator[Positions]:
+    """C1 and C1': ``E1`` disjoint from ``E`` and linked to it, ``E2``
+    disjoint from both and not linked to ``E``."""
+    for i, e in enumerate(masks):
+        yield None
+        reach = linked[i]
+        # The E2 that avoid E and its neighbours, whatever E1 is.
+        apart = [(k, e2) for k, e2 in enumerate(masks) if not e2 & (e | reach)]
+        if not apart:
+            continue
+        for j, e1 in enumerate(masks):
+            if reach & e1 and not e & e1:
+                for k, e2 in apart:
+                    if not e2 & e1:
+                        yield i, j, k
 
 
-def _tau_join(db: Database, *subsets: DatabaseScheme) -> int:
-    combined = subsets[0]
-    for subset in subsets[1:]:
-        combined = combined.union(subset)
-    return db.tau_of(combined)
+def _pairs(masks: Sequence[int], linked: Sequence[int]) -> Iterator[Positions]:
+    """C2-C4: ``E2`` disjoint from ``E1`` and linked to it.  The
+    conditions are symmetric, so each unordered pair is visited once
+    (``E2`` after ``E1``)."""
+    for i, e1 in enumerate(masks):
+        yield None
+        reach = linked[i]
+        for j in range(i + 1, len(masks)):
+            e2 = masks[j]
+            if reach & e2 and not e1 & e2:
+                yield i, j, None
 
 
-# -- predicates ----------------------------------------------------------------
-# Named module-level functions (not lambdas) so the parallel drivers can
-# ship them to forked workers by reference.
+def _triple_counts(masks: Sequence[int], tau: Callable[[int], int], positions):
+    """``(tau(R_E ⋈ R_E1), tau(R_E ⋈ R_E2))``; ``E`` is not linked to
+    ``E2``, so their join is a Cartesian product."""
+    i, j, k = positions
+    e = masks[i]
+    return tau(e | masks[j]), tau(e) * tau(masks[k])
 
 
-def _c1_ok(lhs: int, rhs: int) -> bool:
-    return lhs <= rhs
+def _pair_counts(masks: Sequence[int], tau: Callable[[int], int], positions):
+    """``(tau(R_E1 ⋈ R_E2), (tau(R_E1), tau(R_E2)))``."""
+    e1, e2 = masks[positions[0]], masks[positions[1]]
+    return tau(e1 | e2), (tau(e1), tau(e2))
 
 
-def _c1_strict_ok(lhs: int, rhs: int) -> bool:
-    return lhs < rhs
-
-
-def _c2_ok(joined: int, tau1: int, tau2: int) -> bool:
-    return joined <= tau1 or joined <= tau2
-
-
-def _c3_ok(joined: int, tau1: int, tau2: int) -> bool:
-    return joined <= tau1 and joined <= tau2
-
-
-def _c4_ok(joined: int, tau1: int, tau2: int) -> bool:
-    return joined >= tau1 and joined >= tau2
-
-
-#: condition name -> (quantifier shape, predicate).  ``"triple"`` is the
-#: C1-style (E, E1, E2) quantifier; ``"pair"`` the symmetric (E1, E2).
+#: condition name -> (sweep, counts, predicate on the counts).
 _SPECS = {
-    "C1": ("triple", _c1_ok),
-    "C1'": ("triple", _c1_strict_ok),
-    "C2": ("pair", _c2_ok),
-    "C3": ("pair", _c3_ok),
-    "C4": ("pair", _c4_ok),
+    "C1": (_triples, _triple_counts, lambda lhs, rhs: lhs <= rhs),
+    "C1'": (_triples, _triple_counts, lambda lhs, rhs: lhs < rhs),
+    "C2": (_pairs, _pair_counts, lambda joined, sides: joined <= max(sides)),
+    "C3": (_pairs, _pair_counts, lambda joined, sides: joined <= min(sides)),
+    "C4": (_pairs, _pair_counts, lambda joined, sides: joined >= max(sides)),
 }
-
-
-# -- the unit decomposition ----------------------------------------------------
-
-
-class _SweepStopped(Exception):
-    """Internal control flow: the runtime stopped a check before the
-    unit list was even built (zero instances examined)."""
-
-    def __init__(self, trigger: str):
-        self.trigger = trigger
-
-
-def _triple_units(
-    connected: Sequence[DatabaseScheme], runtime=None
-) -> List[Tuple[int, int]]:
-    """The (E, E1) outer pairs of the C1-style quantifier, in canonical
-    order: disjoint connected subsets with ``E`` linked to ``E1``.
-
-    Building this list is itself an O(subsets^2) sweep -- on dense
-    schemes it dwarfs small deadlines -- so a ``runtime`` is polled once
-    per outer row (cheap inner iterations amortize the poll).
-    """
-    units = []
-    for i, e in enumerate(connected):
-        if runtime is not None:
-            trigger = runtime.exhausted()
-            if trigger is not None:
-                raise _SweepStopped(trigger)
-        for j, e1 in enumerate(connected):
-            if _disjoint(e, e1) and e.is_linked_to(e1):
-                units.append((i, j))
-    return units
-
-
-def _pair_units(connected: Sequence[DatabaseScheme]) -> List[int]:
-    """The E1 positions of the pairwise quantifier (every subset opens a
-    unit; empty units simply check zero instances)."""
-    return list(range(len(connected)))
-
-
-def _eval_triple_unit(
-    db: Database,
-    connected: Sequence[DatabaseScheme],
-    unit: Tuple[int, int],
-    ok: Callable[[int, int], bool],
-    stop_at_first: bool,
-    runtime=None,
-) -> Tuple[int, List[Tuple[int, int, int]], Optional[str]]:
-    """All E2 instances of one (E, E1) unit:
-    ``(checked, violations, trigger)`` with violations as
-    ``(k, lhs, rhs)`` rows and ``trigger`` non-``None`` when the runtime
-    stopped the unit mid-sweep.
-
-    ``lhs = tau(R_E ⋈ R_E1)`` is independent of ``E2``, so it is computed
-    lazily once per unit rather than inside the loop.  With
-    ``stop_at_first`` the unit stops *counting and evaluating* at its
-    first violation, matching the sequential early return.  One budget
-    unit is charged per instance (each costs subset-join taus).
-    """
-    i, j = unit
-    e, e1 = connected[i], connected[j]
-    checked = 0
-    violations: List[Tuple[int, int, int]] = []
-    lhs = None
-    for k, e2 in enumerate(connected):
-        if not _disjoint(e, e1, e2) or e.is_linked_to(e2):
-            continue
-        if runtime is not None:
-            trigger = runtime.charge()
-            if trigger is not None:
-                return checked, violations, trigger
-        checked += 1
-        if lhs is None:
-            lhs = _tau_join(db, e, e1)
-        rhs = _tau_join(db, e, e2)
-        if not ok(lhs, rhs):
-            violations.append((k, lhs, rhs))
-            if stop_at_first:
-                break
-    return checked, violations, None
-
-
-def _eval_pair_unit(
-    db: Database,
-    connected: Sequence[DatabaseScheme],
-    i: int,
-    ok: Callable[[int, int, int], bool],
-    stop_at_first: bool,
-    runtime=None,
-) -> Tuple[int, List[Tuple[int, int, int, int]], Optional[str]]:
-    """All E2 instances of one E1 unit: ``(checked, violations, trigger)``
-    with violations as ``(j, joined, tau1, tau2)`` rows (``trigger`` as
-    in :func:`_eval_triple_unit`).
-
-    The conditions are symmetric in ``E1, E2``, so unordered pairs are
-    checked once (``j > i``).  ``tau(R_E1)`` is hoisted (lazily) out of
-    the loop.
-    """
-    e1 = connected[i]
-    checked = 0
-    violations: List[Tuple[int, int, int, int]] = []
-    tau1 = None
-    for j in range(i + 1, len(connected)):
-        e2 = connected[j]
-        if not _disjoint(e1, e2) or not e1.is_linked_to(e2):
-            continue
-        if runtime is not None:
-            trigger = runtime.charge()
-            if trigger is not None:
-                return checked, violations, trigger
-        checked += 1
-        if tau1 is None:
-            tau1 = db.tau_of(e1)
-        joined = _tau_join(db, e1, e2)
-        tau2 = db.tau_of(e2)
-        if not ok(joined, tau1, tau2):
-            violations.append((j, joined, tau1, tau2))
-            if stop_at_first:
-                break
-    return checked, violations, None
-
-
-def _triple_witness(
-    connected: Sequence[DatabaseScheme], unit: Tuple[int, int], violation
-) -> Witness:
-    i, j = unit
-    k, lhs, rhs = violation
-    return Witness((connected[i], connected[j], connected[k]), lhs, rhs)
-
-
-def _pair_witness(connected: Sequence[DatabaseScheme], i: int, violation) -> Witness:
-    j, joined, tau1, tau2 = violation
-    return Witness((connected[i], connected[j], None), joined, (tau1, tau2))
-
-
-def _units_for(
-    kind: str, connected: Sequence[DatabaseScheme], runtime=None
-) -> List:
-    if kind == "triple":
-        return _triple_units(connected, runtime)
-    return _pair_units(connected)
-
-
-def _eval_unit(
-    db: Database,
-    kind: str,
-    connected: Sequence[DatabaseScheme],
-    unit,
-    ok: Callable,
-    stop_at_first: bool,
-    runtime=None,
-) -> Tuple[int, List, Optional[str]]:
-    if kind == "triple":
-        return _eval_triple_unit(db, connected, unit, ok, stop_at_first, runtime)
-    return _eval_pair_unit(db, connected, unit, ok, stop_at_first, runtime)
-
-
-def _witness_for(kind: str, connected: Sequence[DatabaseScheme], unit, violation) -> Witness:
-    if kind == "triple":
-        return _triple_witness(connected, unit, violation)
-    return _pair_witness(connected, unit, violation)
 
 
 # -- checking ------------------------------------------------------------------
 
 
 def _timed_out_report(
-    condition: str,
-    trigger: str,
-    checked: int,
-    violations: List[Witness],
-    runtime,
-    jobs: int = 1,
+    condition: str, trigger: str, checked: int, runtime
 ) -> ConditionReport:
     """The undecided report an exhausted check returns (and its
     telemetry).  A violation found *before* exhaustion is definitive, so
-    callers only land here with an empty (or incomplete-but-clean)
-    sweep."""
+    only a clean, incomplete sweep lands here."""
     from repro.obs.recorder import get_recorder
 
     if runtime is not None:
         runtime.record_exhaustion(trigger, "conditions")
     get_recorder().anomaly(
         "conditions.timed_out",
-        provenance={
-            "condition": condition,
-            "trigger": trigger,
-            "checked": checked,
-            "violations": len(violations),
-        },
-        jobs=jobs,
+        provenance={"condition": condition, "trigger": trigger, "checked": checked},
     )
     return _published(
-        ConditionReport(condition, TimedOut(trigger, checked), checked, violations),
-        jobs=jobs,
+        ConditionReport(condition, TimedOut(trigger, checked), checked, [])
     )
-
-
-def _check_sequential(
-    db: Database,
-    condition: str,
-    kind: str,
-    ok: Callable,
-    stop_at_first: bool,
-    runtime=None,
-) -> ConditionReport:
-    """Walk the units in canonical order on this process.
-
-    Under a ``runtime``, one budget unit is charged per quantifier
-    instance.  Exhaustion mid-sweep yields a :class:`TimedOut` verdict
-    -- unless a violation was already found, which decides ``False``
-    regardless of how much of the sweep remains.
-    """
-    if runtime is not None:
-        trigger = runtime.exhausted()
-        if trigger is not None:
-            return _timed_out_report(condition, trigger, 0, [], runtime)
-    connected = _connected_subsets(db)
-    checked = 0
-    violations: List[Witness] = []
-    try:
-        units = _units_for(kind, connected, runtime)
-    except _SweepStopped as stop:
-        return _timed_out_report(condition, stop.trigger, 0, [], runtime)
-    for unit in units:
-        unit_checked, unit_violations, trigger = _eval_unit(
-            db, kind, connected, unit, ok, stop_at_first, runtime
-        )
-        checked += unit_checked
-        violations.extend(
-            _witness_for(kind, connected, unit, v) for v in unit_violations
-        )
-        if violations and stop_at_first:
-            return _published(ConditionReport(condition, False, checked, violations))
-        if trigger is not None:
-            if violations:
-                # A witness decides the condition even though the sweep
-                # is incomplete (the witness list may be partial).
-                return _published(
-                    ConditionReport(condition, False, checked, violations)
-                )
-            return _timed_out_report(condition, trigger, checked, [], runtime)
-    return _published(ConditionReport(condition, not violations, checked, violations))
 
 
 def _check(
-    db: Database,
-    condition: str,
-    all_witnesses: bool,
-    jobs: Optional[int],
-    runtime=None,
+    db: Database, condition: str, all_witnesses: bool, runtime=None
 ) -> ConditionReport:
-    kind, ok = _SPECS[condition]
-    if jobs is not None:
-        from repro.parallel import resolve_jobs
+    """Visit the condition's instances in canonical order.
 
-        workers = resolve_jobs(jobs)
-        if workers > 1:
-            from repro.parallel.conditions import check_condition_parallel
+    Under a ``runtime``, one budget unit is charged per quantifier
+    instance, and the runtime is polled at every outer subset.
+    Exhaustion mid-sweep yields a :class:`TimedOut` verdict -- unless a
+    violation was already found, which decides ``False`` regardless of
+    how much of the sweep remains.
+    """
+    sweep, counts, ok = _SPECS[condition]
+    trigger = None if runtime is None else runtime.exhausted()
+    checked = 0
+    violations: List[Witness] = []
+    if trigger is None:
+        index = db.scheme.subset_index()
+        masks = index.connected()
+        taus: Dict[int, int] = {}
 
-            return check_condition_parallel(
-                db, condition, all_witnesses, workers, runtime
-            )
-    return _check_sequential(db, condition, kind, ok, not all_witnesses, runtime)
+        def tau(mask: int) -> int:
+            value = taus.get(mask)
+            if value is None:
+                value = taus[mask] = db.tau_of(index.members(mask))
+            return value
+
+        for positions in sweep(masks, [index.linked(mask) for mask in masks]):
+            if runtime is not None:
+                trigger = runtime.exhausted() if positions is None else runtime.charge()
+                if trigger is not None:
+                    break
+            if positions is None:
+                continue
+            checked += 1
+            lhs, rhs = counts(masks, tau, positions)
+            if not ok(lhs, rhs):
+                schemes = db.connected_subsets()
+                subsets = tuple(None if p is None else schemes[p] for p in positions)
+                violations.append(Witness(subsets, lhs, rhs))
+                if not all_witnesses:
+                    break
+    if trigger is not None and not violations:
+        return _timed_out_report(condition, trigger, checked, runtime)
+    # A witness decides the condition even when the runtime stopped the
+    # sweep (the witness list may then be partial).
+    return _published(ConditionReport(condition, not violations, checked, violations))
 
 
 def check_c1(
-    db: Database,
-    all_witnesses: bool = False,
-    jobs: Optional[int] = None,
-    runtime=None,
+    db: Database, all_witnesses: bool = False, runtime=None
 ) -> ConditionReport:
     """Condition C1: joining with a linked subset never produces more
     tuples than the Cartesian product with an unlinked one
     (``tau(R_E ⋈ R_E1) <= tau(R_E ⋈ R_E2)``)."""
-    return _check(db, "C1", all_witnesses, jobs, runtime)
+    return _check(db, "C1", all_witnesses, runtime)
 
 
 def check_c1_strict(
-    db: Database,
-    all_witnesses: bool = False,
-    jobs: Optional[int] = None,
-    runtime=None,
+    db: Database, all_witnesses: bool = False, runtime=None
 ) -> ConditionReport:
     """Condition C1': the strict version required by Theorem 1
     (``tau(R_E ⋈ R_E1) < tau(R_E ⋈ R_E2)``)."""
-    return _check(db, "C1'", all_witnesses, jobs, runtime)
+    return _check(db, "C1'", all_witnesses, runtime)
 
 
 def check_c2(
-    db: Database,
-    all_witnesses: bool = False,
-    jobs: Optional[int] = None,
-    runtime=None,
+    db: Database, all_witnesses: bool = False, runtime=None
 ) -> ConditionReport:
     """Condition C2: a linked join shrinks at least one side
     (``tau(R_E1 ⋈ R_E2) <= tau(R_E1)`` **or** ``<= tau(R_E2)``)."""
-    return _check(db, "C2", all_witnesses, jobs, runtime)
+    return _check(db, "C2", all_witnesses, runtime)
 
 
 def check_c3(
-    db: Database,
-    all_witnesses: bool = False,
-    jobs: Optional[int] = None,
-    runtime=None,
+    db: Database, all_witnesses: bool = False, runtime=None
 ) -> ConditionReport:
     """Condition C3: a linked join shrinks *both* sides
     (``tau(R_E1 ⋈ R_E2) <= tau(R_E1)`` **and** ``<= tau(R_E2)``)."""
-    return _check(db, "C3", all_witnesses, jobs, runtime)
+    return _check(db, "C3", all_witnesses, runtime)
 
 
 def check_c4(
-    db: Database,
-    all_witnesses: bool = False,
-    jobs: Optional[int] = None,
-    runtime=None,
+    db: Database, all_witnesses: bool = False, runtime=None
 ) -> ConditionReport:
     """Condition C4 (Section 5): a linked join *grows* both sides
     (``tau(R_E1 ⋈ R_E2) >= tau(R_E1)`` **and** ``>= tau(R_E2)``)."""
-    return _check(db, "C4", all_witnesses, jobs, runtime)
+    return _check(db, "C4", all_witnesses, runtime)
 
 
 def check_condition(
-    db: Database,
-    name: str,
-    all_witnesses: bool = False,
-    jobs: Optional[int] = None,
-    runtime=None,
+    db: Database, name: str, all_witnesses: bool = False, runtime=None
 ) -> ConditionReport:
     """Check a condition by name (``"C1"``, ``"C1'"``, ``"C2"``, ``"C3"``,
     ``"C4"``).  ``runtime`` bounds the sweep; an exhausted check returns
@@ -587,4 +382,4 @@ def check_condition(
         raise ReproError(
             f"unknown condition {name!r}; expected one of {sorted(_SPECS)}"
         )
-    return _check(db, condition, all_witnesses, jobs, runtime)
+    return _check(db, condition, all_witnesses, runtime)

@@ -20,24 +20,17 @@ A found counterexample would settle the paper's conjecture positively;
 "none found after N samples" is the honest negative report (the E-C2NEC
 benchmark records it).
 
-Each sampled seed is independent -- the database, its condition checks,
-and its two optimizations share nothing with other seeds -- so both
-campaigns accept ``jobs=`` and fan seeds out across forked workers
-(:mod:`repro.parallel.campaign`): worker ``w`` of ``n`` owns seeds
-``w, w + n, w + 2n, ...``, each seeding its own ``random.Random``, so
-the sampled stream per seed is identical to the sequential run and the
-outcome (eligible count, found seed, even the Theorem 2 tripwire) is
-byte-identical for any worker count.
+Each sampled seed seeds its own ``random.Random``, so a seed's database,
+condition checks and optimizations do not depend on the other seeds.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.conditions.checks import check_c1, check_c2
 from repro.database import Database
-from repro.errors import ReproError
 from repro.optimizer.dp import optimize_dp
 from repro.optimizer.spaces import SearchSpace
 from repro.workloads.generators import (
@@ -98,92 +91,27 @@ def _default_generator(seed: int) -> Database:
     return generate_database(shape, rng, WorkloadSpec(size=6, domain=3))
 
 
-def _theorem2_contradiction(seed: int) -> AssertionError:
-    return AssertionError(
-        "CP-free subspace missed the optimum under C1 and C2 -- "
-        "this contradicts Theorem 2 and indicates a library bug "
-        f"(seed {seed})"
-    )
-
-
-# -- per-seed evaluation -------------------------------------------------------
-# One seed's verdict, shared verbatim by the sequential loops and the
-# parallel campaign workers.  Statuses: "ineligible" (filtered out),
-# "negative" (eligible, no miss), "found" (counterexample), and
-# "contradiction" (a miss under C2 -- the Theorem 2 tripwire).
-
-
-def _evaluate_c2_seed(
-    seed: int,
-    generator: Callable[[int], Database] = _default_generator,
-    require_c2_failure: bool = True,
-) -> Tuple[bool, str]:
-    db = generator(seed)
-    if not db.scheme.is_connected() or not db.is_nonnull():
-        return False, "ineligible"
-    if not check_c1(db).holds:
-        return False, "ineligible"
-    c2 = check_c2(db).holds
-    if require_c2_failure and c2:
-        return False, "ineligible"
-    best = optimize_dp(db, SearchSpace.ALL).cost
-    nocp = optimize_dp(db, SearchSpace.NOCP).cost
-    if nocp > best:
-        return True, "contradiction" if c2 else "found"
-    return True, "negative"
-
-
 def _small_db(seed: int, relations: int) -> Database:
     rng = random.Random(10_000 + seed)
     shape = chain_scheme(relations) if seed % 2 == 0 else star_scheme(relations)
     return generate_database(shape, rng, WorkloadSpec(size=6, domain=3))
 
 
-def _evaluate_small_seed(seed: int, relations: int = 4) -> Tuple[bool, str]:
-    db = _small_db(seed, relations)
-    if not db.scheme.is_connected() or not db.is_nonnull():
-        return False, "ineligible"
-    if not check_c1(db).holds:
-        return False, "ineligible"
+def _eligible(db: Database) -> bool:
+    """Connected, ``R_D`` nonempty, and C1 holds."""
+    return db.scheme.is_connected() and db.is_nonnull() and bool(check_c1(db).holds)
+
+
+def _nocp_misses(db: Database) -> bool:
+    """True when no CP-free strategy reaches the tau-optimum."""
     best = optimize_dp(db, SearchSpace.ALL).cost
-    nocp = optimize_dp(db, SearchSpace.NOCP).cost
-    if nocp > best:
-        return True, "found"
-    return True, "negative"
-
-
-def _replay(results, samples: int, regenerate, contradiction=None) -> SearchOutcome:
-    """Fold per-seed verdicts back into the sequential outcome.
-
-    ``results`` maps seed -> ``(eligible, status)``; seeds are walked in
-    order, so the outcome stops at the same seed the sequential loop
-    would have.  Seeds missing from the map were cancelled in flight --
-    legitimate only strictly after a terminal seed, so reaching a gap
-    first is a library bug.
-    """
-    eligible = 0
-    for seed in range(samples):
-        entry = results.get(seed)
-        if entry is None:
-            raise ReproError(
-                f"parallel campaign lost seed {seed} before any terminal "
-                "result (library bug)"
-            )
-        seed_eligible, status = entry
-        if seed_eligible:
-            eligible += 1
-        if status == "contradiction":
-            raise (contradiction or _theorem2_contradiction)(seed)
-        if status == "found":
-            return SearchOutcome(samples, eligible, regenerate(seed), seed)
-    return SearchOutcome(samples, eligible, None, None)
+    return optimize_dp(db, SearchSpace.NOCP).cost > best
 
 
 def search_c2_necessity(
     samples: int = 100,
     generator: Callable[[int], Database] = _default_generator,
     require_c2_failure: bool = True,
-    jobs: Optional[int] = None,
 ) -> SearchOutcome:
     """Hunt for a connected C1 database where the CP-free subspace misses
     the optimum (the paper's conjectured-but-unconstructed witness).
@@ -191,40 +119,30 @@ def search_c2_necessity(
     ``require_c2_failure`` restricts the hunt to databases violating C2
     (where the paper's conjecture lives; with C2 a miss would contradict
     Theorem 2 -- finding one there would mean a library bug, and the
-    harness raises in that case).  ``jobs`` fans the seeds out across
-    worker processes with an identical outcome (module docstring).
+    harness raises in that case).
     """
-    if jobs is not None:
-        from repro.parallel import resolve_jobs
-
-        workers = resolve_jobs(jobs)
-        if workers > 1:
-            from repro.parallel.campaign import run_campaign
-
-            results = run_campaign(
-                _evaluate_c2_seed,
-                samples,
-                workers,
-                generator=generator,
-                require_c2_failure=require_c2_failure,
-            )
-            return _replay(results, samples, regenerate=generator)
     eligible = 0
     for seed in range(samples):
-        seed_eligible, status = _evaluate_c2_seed(seed, generator, require_c2_failure)
-        if seed_eligible:
-            eligible += 1
-        if status == "contradiction":
-            raise _theorem2_contradiction(seed)
-        if status == "found":
-            return SearchOutcome(samples, eligible, generator(seed), seed)
+        db = generator(seed)
+        if not _eligible(db):
+            continue
+        c2 = check_c2(db).holds
+        if require_c2_failure and c2:
+            continue
+        eligible += 1
+        if _nocp_misses(db):
+            if c2:
+                raise AssertionError(
+                    "CP-free subspace missed the optimum under C1 and C2 -- "
+                    "this contradicts Theorem 2 and indicates a library bug "
+                    f"(seed {seed})"
+                )
+            return SearchOutcome(samples, eligible, db, seed)
     return SearchOutcome(samples, eligible, None, None)
 
 
 def verify_small_connected_c1_suffices(
-    samples: int = 100,
-    relations: int = 4,
-    jobs: Optional[int] = None,
+    samples: int = 100, relations: int = 4
 ) -> SearchOutcome:
     """Check the paper's |D| <= 4 claim on sampled connected C1 databases:
     C1 alone ensures a CP-free tau-optimum.  Returns an outcome whose
@@ -232,24 +150,12 @@ def verify_small_connected_c1_suffices(
     theorem the paper states without proof)."""
     if relations > 4:
         raise ValueError("the paper's claim is for at most four relations")
-    if jobs is not None:
-        from repro.parallel import resolve_jobs
-
-        workers = resolve_jobs(jobs)
-        if workers > 1:
-            from repro.parallel.campaign import run_campaign
-
-            results = run_campaign(
-                _evaluate_small_seed, samples, workers, relations=relations
-            )
-            return _replay(
-                results, samples, regenerate=lambda seed: _small_db(seed, relations)
-            )
     eligible = 0
     for seed in range(samples):
-        seed_eligible, status = _evaluate_small_seed(seed, relations)
-        if seed_eligible:
-            eligible += 1
-        if status == "found":
-            return SearchOutcome(samples, eligible, _small_db(seed, relations), seed)
+        db = _small_db(seed, relations)
+        if not _eligible(db):
+            continue
+        eligible += 1
+        if _nocp_misses(db):
+            return SearchOutcome(samples, eligible, db, seed)
     return SearchOutcome(samples, eligible, None, None)

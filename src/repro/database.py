@@ -340,11 +340,10 @@ class Database:
         database.
 
         Every condition checker quantifies over exactly this collection,
-        so checking five conditions on one database (``repro conditions``)
-        enumerates the subsets once, not five times.  The order is the
-        scheme's canonical enumeration order -- deterministic across
-        processes, which the parallel checkers rely on to address units
-        of work by position (see :mod:`repro.parallel`).
+        and its witnesses hold these schemes.  Position ``p`` is the
+        subset ``scheme.subset_index().connected()[p]``: the order is the
+        index's canonical enumeration order, so witnesses come out in the
+        same order in every process.
         """
         if self._connected is None:
             self._connected = tuple(self._scheme.connected_subsets())

@@ -16,12 +16,7 @@ Verdicts per metric:
 * ``missing-fresh`` -- the fresh run lacks the metric or file (treated
   as a regression: silence must not pass);
 * ``missing-baseline`` -- the baseline predates the metric (reported,
-  not failed, so adding benchmarks does not break old baselines);
-* ``skipped`` -- the metric requires a minimum core count
-  (``MetricSpec.min_cpus``) and either side's payload records fewer
-  visible CPUs.  Parallel speedups measured on a starved runner are
-  noise, so they are *reported with an explicit note* rather than
-  silently compared or silently passed.
+  not failed, so adding benchmarks does not break old baselines).
 
 Run it as a module (the CI ``perf-regression`` job does)::
 
@@ -60,20 +55,13 @@ DEFAULT_TOLERANCE = 0.20
 
 class MetricSpec:
     """One guarded metric: a dotted path into a benchmark payload and the
-    direction that counts as better.
+    direction that counts as better."""
 
-    ``min_cpus`` marks a metric meaningless below a core count: when
-    either payload's top-level ``cpu_count`` is lower, the comparison is
-    ``skipped`` with a note instead of judged (an absent ``cpu_count``
-    counts as 1 -- unknown hardware must not silently pass).
-    """
+    __slots__ = ("path", "higher_is_better")
 
-    __slots__ = ("path", "higher_is_better", "min_cpus")
-
-    def __init__(self, path: str, higher_is_better: bool, min_cpus: int = 0):
+    def __init__(self, path: str, higher_is_better: bool):
         self.path = path
         self.higher_is_better = higher_is_better
-        self.min_cpus = min_cpus
 
     def __repr__(self) -> str:
         arrow = "higher" if self.higher_is_better else "lower"
@@ -82,20 +70,15 @@ class MetricSpec:
 
 #: The guarded metrics per benchmark file.  Speedups are ratios of two
 #: paths' times on the same host (materialize-then-count over tau-only
-#: counting, best binary plan over a multiway kernel, jobs=1 over
-#: jobs=4); the dormant-overhead fraction is a ratio of guard cost to run
-#: time -- all host-relative, so committed baselines transfer across
-#: machines.
+#: counting, best binary plan over a multiway kernel); the
+#: dormant-overhead fraction is a ratio of guard cost to run time -- all
+#: host-relative, so committed baselines transfer across machines.
 BASELINE_METRICS: Dict[str, Tuple[MetricSpec, ...]] = {
     "BENCH_perf.json": (
         MetricSpec("tau_only.speedup", higher_is_better=True),
     ),
     "BENCH_obs.json": (
         MetricSpec("dormant_overhead_fraction", higher_is_better=False),
-    ),
-    "BENCH_parallel.json": (
-        MetricSpec("condition_sweep.speedup_jobs4", higher_is_better=True, min_cpus=4),
-        MetricSpec("campaign.speedup_jobs4", higher_is_better=True, min_cpus=4),
     ),
     "BENCH_wcoj.json": (
         MetricSpec("triangle.speedup", higher_is_better=True),
@@ -112,7 +95,7 @@ BASELINE_METRICS: Dict[str, Tuple[MetricSpec, ...]] = {
 class Comparison:
     """The verdict for one metric of one benchmark file."""
 
-    __slots__ = ("file", "path", "baseline", "fresh", "status", "tolerance", "note")
+    __slots__ = ("file", "path", "baseline", "fresh", "status", "tolerance")
 
     def __init__(
         self,
@@ -122,7 +105,6 @@ class Comparison:
         fresh: Optional[float],
         status: str,
         tolerance: float,
-        note: Optional[str] = None,
     ):
         self.file = file
         self.path = path
@@ -130,7 +112,6 @@ class Comparison:
         self.fresh = fresh
         self.status = status
         self.tolerance = tolerance
-        self.note = note
 
     @property
     def ratio(self) -> Optional[float]:
@@ -149,7 +130,6 @@ class Comparison:
             "ratio": self.ratio,
             "status": self.status,
             "tolerance": self.tolerance,
-            "note": self.note,
         }
 
     def __repr__(self) -> str:
@@ -213,28 +193,14 @@ def compare_payloads(
     for spec in specs:
         base_value = lookup(baseline, spec.path) if baseline is not None else None
         fresh_value = lookup(fresh, spec.path) if fresh is not None else None
-        status = _classify(spec, base_value, fresh_value, tolerance)
-        note = None
-        if spec.min_cpus and status not in ("missing-fresh", "missing-baseline"):
-            # Speedups measured on a starved runner are noise on either
-            # side of the comparison; say so instead of judging them.
-            fresh_cpus = int(lookup(fresh, "cpu_count") or 1)
-            base_cpus = int(lookup(baseline, "cpu_count") or 1)
-            if fresh_cpus < spec.min_cpus:
-                status = "skipped"
-                note = f"fresh run saw {fresh_cpus} CPUs (< {spec.min_cpus})"
-            elif base_cpus < spec.min_cpus:
-                status = "skipped"
-                note = f"baseline recorded {base_cpus} CPUs (< {spec.min_cpus})"
         comparisons.append(
             Comparison(
                 file=file,
                 path=spec.path,
                 baseline=base_value,
                 fresh=fresh_value,
-                status=status,
+                status=_classify(spec, base_value, fresh_value, tolerance),
                 tolerance=tolerance,
-                note=note,
             )
         )
     return comparisons
@@ -256,8 +222,8 @@ def compare_files(
     its committed twin under ``baseline_dir``.
 
     ``files`` restricts the comparison to a subset of the guarded files
-    (the CI ``parallel-smoke`` step regenerates only
-    ``BENCH_parallel.json`` and checks just that)."""
+    (the CI ``wcoj-smoke`` step regenerates only ``BENCH_wcoj.json`` and
+    checks just that)."""
     baseline_dir = pathlib.Path(baseline_dir)
     fresh_dir = pathlib.Path(fresh_dir)
     comparisons: List[Comparison] = []
@@ -294,7 +260,7 @@ def render_report(comparisons: Sequence[Comparison]) -> str:
             "-" if c.baseline is None else f"{c.baseline:.4g}",
             "-" if c.fresh is None else f"{c.fresh:.4g}",
             "-" if c.ratio is None else f"{c.ratio:.3f}",
-            c.status if c.note is None else f"{c.status}: {c.note}",
+            c.status,
         )
     return table.render()
 

@@ -1,11 +1,14 @@
-"""Process-pool fan-out for the library's embarrassingly parallel sweeps.
+"""Process-pool fan-out for exhaustive optimization and sampled costing.
 
-The paper's decision procedures quantify over connected-subset pairs,
-its counterexample campaigns over independently sampled databases, and
-exhaustive optimization over independently costed strategy trees.  All
-three decompose into independent tasks; this package runs those tasks
-across a pool of forked workers while guaranteeing **byte-identical
-results** with the sequential code paths.
+Exhaustive optimization costs every strategy tree of a search space,
+and :func:`~repro.strategy.sampling.cost_distribution` costs a batch of
+sampled ones; both decompose into independent tasks.  This package runs
+those tasks across a pool of forked workers while guaranteeing
+**byte-identical results** with the sequential code paths (``jobs=``).
+
+The condition checkers and the counterexample campaigns have no
+``jobs=``: on the subset index a condition sweep takes milliseconds,
+less than forking a pool costs (docs/performance.md has the readings).
 
 The layering is deliberate:
 
@@ -13,18 +16,15 @@ The layering is deliberate:
   :class:`DatabaseSnapshot`, the worker lifecycle, and the merge of
   per-worker tau-cache entries, metrics, and trace spans back into the
   parent (:class:`ParallelContext`).
-* :mod:`repro.parallel.conditions`, :mod:`~repro.parallel.campaign`,
-  and :mod:`~repro.parallel.exhaustive` -- one driver per sweep shape.
+* :mod:`repro.parallel.exhaustive` -- the two fan-outs.
 
-Only the context helpers are re-exported here.  The driver modules
-import their sequential counterparts (``conditions/checks.py`` and
-friends), which in turn lazily import :mod:`repro.parallel` to resolve
-a ``jobs=`` argument -- keeping the drivers out of this namespace
-avoids the cycle.
+Only the context helpers are re-exported here.  The fan-out module
+imports its sequential counterparts (``optimizer/exhaustive.py`` and
+friends), which in turn lazily import :mod:`repro.parallel` to resolve a
+``jobs=`` argument -- keeping it out of this namespace avoids the cycle.
 """
 
 from repro.parallel.context import (
-    NO_CANCEL,
     SEGMENT_PREFIX,
     START_METHOD,
     DatabaseSnapshot,
@@ -40,7 +40,6 @@ from repro.parallel.context import (
 )
 
 __all__ = [
-    "NO_CANCEL",
     "SEGMENT_PREFIX",
     "START_METHOD",
     "DatabaseSnapshot",

@@ -26,7 +26,7 @@ here, and this module solves each once so the sweep drivers stay small:
    segment's lifecycle is explicit: created in
    :meth:`ParallelContext.__enter__`, unlinked in ``__exit__`` (even on
    exceptions), with a module-level registry plus ``atexit`` guard so a
-   crashed campaign cannot leave ``/dev/shm`` residue behind
+   crashed fan-out cannot leave ``/dev/shm`` residue behind
    (:func:`live_segments` is the test hook).
 
 3. **Telemetry lives in per-process singletons.**  Work done in a
@@ -38,13 +38,12 @@ here, and this module solves each once so the sweep drivers stay small:
    ``Database.tau_cache_import``), so ``jobs=4`` runs are observable
    through the same `obs` surface as sequential ones.
 
-4. **Short-circuiting must cross process boundaries.**  When a driver
-   only needs the *first* witness (``all_witnesses=False``) the workers
-   share a :data:`NO_CANCEL`-initialised ``multiprocessing.Value``;
-   whoever finds a violation lowers it to the violation's canonical
-   position and everyone else stops evaluating later positions.  The
-   drivers then replay results in canonical order, which is what makes
-   the short-circuited parallel answer byte-identical to sequential.
+4. **Cancellation must cross process boundaries.**  A runtime's
+   :class:`~repro.runtime.CancelToken` is backed by a shared cell
+   (:meth:`~repro.runtime.CancelToken.share`) before the fork, and each
+   worker runs under a :meth:`~repro.runtime.Runtime.worker_clone` of
+   the runtime, so a cancel on either side reaches every worker's next
+   ``charge()``.
 
 Workers are **forked** by default: fork inherits the interning tables,
 the kernel switch, ``PYTHONHASHSEED``, and the already-attached
@@ -82,7 +81,6 @@ except ImportError:  # pragma: no cover
     _shared_memory = None
 
 __all__ = [
-    "NO_CANCEL",
     "SEGMENT_PREFIX",
     "START_METHOD",
     "DatabaseSnapshot",
@@ -102,10 +100,6 @@ __all__ = [
 
 #: The only start method this layer uses (see the module docstring).
 START_METHOD = "fork"
-
-#: The cancellation signal's idle value: larger than any canonical task
-#: position, so ``pos > signal.value`` is False until a worker cancels.
-NO_CANCEL = 2**62
 
 _TRACER = get_tracer()
 _METRICS = get_registry()
@@ -134,7 +128,7 @@ def oversubscription_allowed() -> bool:
     """Whether ``REPRO_OVERSUBSCRIBE`` authorizes more workers than
     visible CPUs (empty/``0``/``false``/``no`` mean **no**, the
     default).  Oversubscribing a CPU-bound fork pool is a pure loss --
-    the BENCH_parallel grid measured jobs=8 at 0.62x of sequential on a
+    a condition sweep once measured jobs=8 at 0.62x of sequential on a
     one-CPU box -- so it has to be asked for explicitly."""
     value = os.environ.get("REPRO_OVERSUBSCRIBE", "").strip().lower()
     return value not in ("", "0", "false", "no")
@@ -200,7 +194,7 @@ SEGMENT_PREFIX = "repro_shm_"
 
 #: Segments created by *this* process that have not been unlinked yet:
 #: name -> SharedMemory.  The atexit guard below is the backstop for a
-#: crashed campaign; the normal path is ParallelContext.__exit__ ->
+#: crashed fan-out; the normal path is ParallelContext.__exit__ ->
 #: DatabaseSnapshot.close().
 _LIVE_SEGMENTS: Dict[str, Any] = {}
 
@@ -499,7 +493,6 @@ _STATE: Dict[str, Any] = {}
 def _init_worker(
     snapshot,
     extra,
-    signal,
     tracer_on: bool,
     metrics_on: bool,
     runtime=None,
@@ -527,12 +520,11 @@ def _init_worker(
     registry = get_registry()
     registry.enabled = metrics_on
     registry.reset()
-    _STATE["db"] = snapshot.restore() if snapshot is not None else None
+    _STATE["db"] = snapshot.restore()
     _STATE["extra"] = extra
-    _STATE["signal"] = signal
     _STATE["runtime"] = runtime.worker_clone() if runtime is not None else None
     # Entries inherited through the snapshot must not be shipped back.
-    _STATE["tau_sent"] = set(snapshot.taus) if snapshot is not None else set()
+    _STATE["tau_sent"] = set(snapshot.taus)
 
 
 def worker_runtime():
@@ -558,13 +550,11 @@ def _drain_envelope(payload) -> WorkerEnvelope:
     registry = get_registry()
     metrics = registry.drain() if registry.enabled else []
     tau_entries: List[Tuple[Any, int]] = []
-    db = _STATE.get("db")
-    if db is not None:
-        sent = _STATE["tau_sent"]
-        for key, tau in db.tau_cache_export().items():
-            if key not in sent:
-                sent.add(key)
-                tau_entries.append((key, tau))
+    sent = _STATE["tau_sent"]
+    for key, tau in _STATE["db"].tau_cache_export().items():
+        if key not in sent:
+            sent.add(key)
+            tau_entries.append((key, tau))
     return WorkerEnvelope(
         payload,
         spans,
@@ -577,13 +567,13 @@ def _drain_envelope(payload) -> WorkerEnvelope:
 
 
 def _invoke(task):
-    """Run one task: ``fn(db, extra, signal, *args)`` -> indexed envelope."""
+    """Run one task: ``fn(db, extra, *args)`` -> indexed envelope."""
     fn, index, args = task
-    payload = fn(_STATE["db"], _STATE["extra"], _STATE["signal"], *args)
+    payload = fn(_STATE["db"], _STATE["extra"], *args)
     return index, _drain_envelope(payload)
 
 
-def _tau_chunk(db, extra, signal, positions):
+def _tau_chunk(db, extra, positions):
     """Worker body for :func:`warm_connected_taus`: count the assigned
     connected subsets (the envelope ships the fresh cache entries)."""
     connected = db.connected_subsets()
@@ -596,7 +586,7 @@ def _tau_chunk(db, extra, signal, positions):
 
 
 class ParallelContext:
-    """A forked worker pool over one (optional) shared database.
+    """A forked worker pool over one shared database.
 
     Usage::
 
@@ -605,16 +595,13 @@ class ParallelContext:
 
     ``extra`` is delivered to workers through the fork-inherited pool
     initializer, so it may hold anything (closures, cost functions) --
-    it is never pickled.  ``ctx.signal`` is the shared cancellation
-    value (:data:`NO_CANCEL` until a worker lowers it).
+    it is never pickled.
 
     ``runtime`` extends the request's resilience bounds into the pool:
     the token's shared cell is created *before* the fork (so a
-    parent-side ``cancel()`` is visible in every worker) and the token
-    is bound to ``ctx.signal``, so cancelling also trips the
-    short-circuit position signal; each worker then runs under a
-    :meth:`~repro.runtime.Runtime.worker_clone` (see
-    :func:`worker_runtime`).
+    parent-side ``cancel()`` is visible in every worker), and each
+    worker runs under a :meth:`~repro.runtime.Runtime.worker_clone`
+    (see :func:`worker_runtime`).
     """
 
     __slots__ = (
@@ -622,7 +609,6 @@ class ParallelContext:
         "jobs",
         "extra",
         "runtime",
-        "signal",
         "_ctx",
         "_pool",
         "_snapshot",
@@ -631,7 +617,7 @@ class ParallelContext:
 
     def __init__(
         self,
-        db: Optional[Database],
+        db: Database,
         jobs: int,
         extra: Optional[Dict[str, Any]] = None,
         runtime=None,
@@ -645,17 +631,14 @@ class ParallelContext:
         self.extra = extra
         self.runtime = runtime
         self._ctx = multiprocessing.get_context(START_METHOD)
-        # 'q' = signed long long: positions are Python ints well below 2**62.
-        self.signal = self._ctx.Value("q", NO_CANCEL)
         if runtime is not None and runtime.token is not None:
             runtime.token.share(self._ctx)
-            runtime.token.bind_cell(self.signal)
         self._pool = None
         self._snapshot = None
         self._trace_ctx = None
 
     def __enter__(self) -> "ParallelContext":
-        snapshot = DatabaseSnapshot(self.db) if self.db is not None else None
+        snapshot = DatabaseSnapshot(self.db)
         self._snapshot = snapshot
         # Captured inside whatever span the driver has open, so worker
         # spans re-parent under the driver's span by default and record
@@ -668,7 +651,6 @@ class ParallelContext:
                 initargs=(
                     snapshot,
                     self.extra,
-                    self.signal,
                     _TRACER.enabled,
                     _METRICS.enabled,
                     self.runtime,
@@ -677,8 +659,7 @@ class ParallelContext:
             )
         except BaseException:
             self._snapshot = None
-            if snapshot is not None:
-                snapshot.close()
+            snapshot.close()
             raise
         return self
 
@@ -707,7 +688,7 @@ class ParallelContext:
         arglists: Sequence[Tuple[Any, ...]],
         parent_span_id: Optional[int] = None,
     ) -> List[Any]:
-        """Fan ``fn(db, extra, signal, *args)`` out over ``arglists``.
+        """Fan ``fn(db, extra, *args)`` out over ``arglists``.
 
         Envelopes are merged as they arrive (unordered, so a fast
         worker's tau entries and spans land without waiting for a slow
@@ -739,7 +720,7 @@ class ParallelContext:
                     _TRACER.adopt(envelope.spans, parent_span_id, skew_ns=skew)
                 if envelope.metrics:
                     _METRICS.absorb(envelope.metrics)
-                if envelope.tau_entries and self.db is not None:
+                if envelope.tau_entries:
                     self.db.tau_cache_import(envelope.tau_entries)
                 payloads[index] = envelope.payload
                 _OUTSTANDING -= 1
@@ -765,13 +746,12 @@ def warm_connected_taus(db: Database, workers: int) -> None:
     fanning the computations across ``workers`` forked processes.
 
     The connected-subset taus are the *shared table* behind every sweep:
-    condition units and strategy costings all reduce to them (an
-    unconnected subset's tau is the product of its connected components'
-    taus), so a cold worker re-derives nearly the whole table no matter
-    how few units it owns.  Sweep drivers call this before building
-    their main pool; the warmed cache rides into the workers through the
-    database snapshot and per-worker redundancy collapses to chunk-local
-    products.
+    strategy costings reduce to them (an unconnected subset's tau is the
+    product of its connected components' taus), so a cold worker
+    re-derives nearly the whole table no matter how few strategies it
+    owns.  The fan-outs call this before building their main pool; the
+    warmed cache rides into the workers through the database snapshot
+    and per-worker redundancy collapses to chunk-local products.
 
     Subsets are strided across one chunk per worker (sizes -- and hence
     costs -- interleave, so stripes balance); tables smaller than the

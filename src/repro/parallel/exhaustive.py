@@ -76,7 +76,7 @@ class _ChunkWinner:
         return self._label
 
 
-def _cost_chunk(db, extra, signal, worker_index):
+def _cost_chunk(db, extra, worker_index):
     """Worker body: cost this worker's stripe of the strategy stream.
 
     Returns ``(winner, considered, trigger)``.  Under a runtime, one
@@ -197,7 +197,7 @@ def optimize_exhaustive_parallel(
 # -- parallel strategy costing (repro.strategy.sampling) -----------------------
 
 
-def _tau_cost_chunk(db, extra, signal, specs):
+def _tau_cost_chunk(db, extra, specs):
     """Worker body: tau-cost each strategy spec in the chunk."""
     return tuple(tau_cost(_strategy_from_spec(db, spec)) for spec in specs)
 

@@ -25,7 +25,7 @@ checks may report a three-valued timed-out verdict
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.conditions.checks import check_c1, check_c2, check_c3
 from repro.database import Database
@@ -101,6 +101,24 @@ class PlanProvenance:
             f"<PlanProvenance {self.optimizer}/{self.space.value} "
             f"tau={self.cost}{suffix}>"
         )
+
+
+def _render(node: Strategy, depth: int) -> Tuple[str, List[str]]:
+    """``node.describe()`` and the explain lines of its subtree, children
+    in ``describe()`` order.  Each subtree is described once, where
+    calling ``describe()`` per node would re-render it at every
+    ancestor."""
+    indent = "  " * depth
+    if node.is_leaf:
+        (scheme,) = node.scheme_set.schemes
+        name = node.database.name_of(scheme)
+        return name, [f"{indent}scan {name} [tau={node.tau}]"]
+    children = sorted(_render(child, depth + 1) for child in node.children())
+    label = "(" + " ⋈ ".join(text for text, _ in children) + ")"
+    lines = [f"{indent}join {label} [tau={node.tau}]"]
+    for _, subtree in children:
+        lines.extend(subtree)
+    return label, lines
 
 
 class Plan:
@@ -183,8 +201,9 @@ class Plan:
               ⋈ [tau=3]   MS ⋈ SC
               ...
         """
+        label, tree = _render(self.strategy, 1)
         lines = [
-            f"plan: {self.strategy.describe()}",
+            f"plan: {label}",
             f"space: {self.space.describe()}  optimizer: {self.optimizer}  "
             f"tau: {self.cost}",
         ]
@@ -204,19 +223,7 @@ class Plan:
                 f"{record.fallback} over {record.fallback_space.describe()} "
                 f"({record.covered} candidates covered before exhaustion)"
             )
-
-        def walk(node: Strategy, depth: int) -> None:
-            indent = "  " * depth
-            if node.is_leaf:
-                (scheme,) = node.scheme_set.schemes
-                name = node.database.name_of(scheme)
-                lines.append(f"{indent}scan {name} [tau={node.tau}]")
-                return
-            lines.append(f"{indent}join {node.describe()} [tau={node.tau}]")
-            for child in sorted(node.children(), key=lambda c: c.describe()):
-                walk(child, depth + 1)
-
-        walk(self.strategy, 1)
+        lines.extend(tree)
         return "\n".join(lines)
 
     def pipeline(self):
@@ -250,12 +257,7 @@ class JoinQuery:
     theorem-licensed fallback subspace.
     """
 
-    def __init__(
-        self,
-        db: Database,
-        jobs: Optional[int] = None,
-        runtime: Optional[Runtime] = None,
-    ):
+    def __init__(self, db: Database, runtime: Optional[Runtime] = None):
         from repro.optimizer.route import EngineRouter
 
         self._routing = EngineRouter(db).route()
@@ -265,7 +267,6 @@ class JoinQuery:
             # shared memo) runs on it.
             db = db.with_engine(self._routing.effective)
         self._db = db
-        self._jobs = jobs
         self._runtime = runtime
         self._condition_cache: Dict[str, bool] = {}
 
@@ -390,7 +391,7 @@ class JoinQuery:
             checker = {"C1": check_c1, "C2": check_c2, "C3": check_c3}.get(key)
             if checker is None:
                 raise OptimizerError(f"unknown condition {name!r}")
-            report = checker(self._db, jobs=self._jobs, runtime=self._runtime)
+            report = checker(self._db, runtime=self._runtime)
             if not report.decided:
                 return report.holds
             self._condition_cache[key] = report.holds
@@ -412,10 +413,18 @@ class JoinQuery:
         comes back when the deciding check could not finish -- unless a
         decided ``False`` already settles the question.
         """
-        if not self._db.scheme.is_connected() or not self._db.is_nonnull():
-            return space is SearchSpace.ALL
         if space is SearchSpace.ALL:
             return True
+        return self._theorems_apply() and self._guarantee(space)
+
+    def _theorems_apply(self) -> bool:
+        """Theorems 2 and 3 assume a connected scheme (which the router
+        already decided, on the same schemes) and ``R_D ≠ ∅``."""
+        return self._routing.connected and self._db.is_nonnull()
+
+    def _guarantee(self, space: SearchSpace):
+        """The theorem's verdict for a restricted ``space``, given that
+        the theorems apply."""
         if space is SearchSpace.NOCP:
             c1 = self.condition("C1")
             c2 = self.condition("C2")
@@ -434,8 +443,11 @@ class JoinQuery:
         """Conditions and per-space safety in one dictionary.  Values
         are three-valued under a runtime (see :meth:`condition`)."""
         report = {name: self.condition(name) for name in ("C1", "C2", "C3")}
+        applies = self._theorems_apply()
         for space in SearchSpace:
-            report[f"safe[{space.value}]"] = self.subspace_is_safe(space)
+            report[f"safe[{space.value}]"] = space is SearchSpace.ALL or (
+                applies and self._guarantee(space)
+            )
         return report
 
     def __repr__(self) -> str:

@@ -15,10 +15,7 @@ combinatorially; a serving system therefore needs every search to be
 * :class:`CancelToken` -- a cooperative cancellation flag.  Locally it
   is one bool; :meth:`CancelToken.share` backs it with a
   ``multiprocessing.Value`` cell so a parent-side :meth:`cancel` is
-  visible inside forked workers, and :meth:`CancelToken.bind_cell`
-  composes it with the PR 4 cross-worker short-circuit cell: cancelling
-  also trips the driver's position signal, so sweep workers skip every
-  remaining unit immediately.
+  visible inside forked workers (and a worker-side one in the parent).
 
 Exhaustion is **not** an error: :meth:`Runtime.charge` returns a trigger
 string (``"deadline"`` or ``"budget"``) and the searches degrade
@@ -159,24 +156,17 @@ class CancelToken:
 
     ``cancel()`` flips the token; running work notices at its next
     :meth:`Runtime.charge` and raises
-    :class:`~repro.errors.OperationCancelled`.  Two optional backings
-    extend the reach of a cancel across process boundaries:
-
-    * :meth:`share` attaches a ``multiprocessing.Value`` so forked
-      workers observe a parent-side cancel (and vice versa);
-    * :meth:`bind_cell` additionally trips a PR 4 short-circuit cell
-      (the canonical-position signal of :mod:`repro.parallel`) to a
-      sentinel below every position, so sweep workers that only poll
-      the signal skip all remaining units too.
+    :class:`~repro.errors.OperationCancelled`.  :meth:`share` extends
+    the reach of a cancel across process boundaries: it attaches a
+    ``multiprocessing.Value`` so forked workers observe a parent-side
+    cancel (and vice versa).
     """
 
-    __slots__ = ("_flag", "_cell", "_signal", "_signal_trip")
+    __slots__ = ("_flag", "_cell")
 
     def __init__(self) -> None:
         self._flag = False
         self._cell: Optional[Any] = None
-        self._signal: Optional[Any] = None
-        self._signal_trip = -1
 
     def share(self, mp_context) -> Any:
         """Back the token with a shared cell from ``mp_context`` (built
@@ -186,29 +176,12 @@ class CancelToken:
             self._cell = mp_context.Value("b", 1 if self._flag else 0)
         return self._cell
 
-    def bind_cell(self, signal, trip_value: int = -1) -> None:
-        """Compose with a short-circuit position signal: cancelling also
-        lowers ``signal`` to ``trip_value`` (below every canonical
-        position, so ``pos > signal.value`` skips everything)."""
-        self._signal = signal
-        self._signal_trip = trip_value
-        if self._flag:
-            self._trip_signal()
-
-    def _trip_signal(self) -> None:
-        signal = self._signal
-        if signal is not None:
-            with signal.get_lock():
-                if signal.value > self._signal_trip:
-                    signal.value = self._signal_trip
-
     def cancel(self) -> None:
         """Request cancellation (idempotent, thread- and fork-safe)."""
         self._flag = True
         if self._cell is not None:
             with self._cell.get_lock():
                 self._cell.value = 1
-        self._trip_signal()
 
     @property
     def cancelled(self) -> bool:

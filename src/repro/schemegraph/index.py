@@ -12,7 +12,9 @@ The index is built once per scheme
 holds four things: each relation's neighbour mask in the intersection
 graph, the relation pairs that share attributes in Kruskal order, a
 holder mask for every attribute held by two or more relations, and the
-relation <-> bit map.
+relation <-> bit map.  It also enumerates the connected subsets once,
+on first use, for the condition checkers: on masks the paper's
+*disjoint* is ``not a & b`` and *linked* is ``linked(a) & b``.
 
 Join trees come from Maier's characterization of alpha-acyclicity: a
 connected scheme is alpha-acyclic iff a maximum-weight spanning tree of
@@ -58,7 +60,10 @@ class SubsetIndex:
     subset, always follow the same order.
     """
 
-    __slots__ = ("schemes", "bit_of", "full", "_neighbours", "_pairs", "_holders", "_shared")
+    __slots__ = (
+        "schemes", "bit_of", "full", "_neighbours", "_pairs", "_holders", "_shared",
+        "_connected",
+    )
 
     def __init__(self, schemes: Iterable[AttributeSet]):
         ordered = tuple(sorted(schemes, key=lambda s: s.sorted()))
@@ -89,6 +94,7 @@ class SubsetIndex:
         self._holders = tuple(shared)
         # Per relation: how many of its attributes some other relation holds.
         self._shared = {bit: sum(1 for m in shared if m & bit) for bit in bits}
+        self._connected: Optional[Tuple[int, ...]] = None
 
     def mask_of(self, schemes: Iterable[AttributeSet]) -> int:
         """The mask of the given relation schemes."""
@@ -102,6 +108,44 @@ class SubsetIndex:
         """The relation schemes in ``mask``, in sorted-scheme order."""
         schemes = self.schemes
         return tuple(schemes[bit.bit_length() - 1] for bit in bits_of(mask))
+
+    def linked(self, mask: int) -> int:
+        """The relations outside ``mask`` that share an attribute with it:
+        a subset disjoint from ``mask`` is linked to it iff it meets this
+        mask."""
+        neighbours = self._neighbours
+        reach = 0
+        for bit in bits_of(mask):
+            reach |= neighbours[bit]
+        return reach & ~mask
+
+    def connected(self) -> Tuple[int, ...]:
+        """Every connected subset, as masks, in canonical order.
+
+        Subsets are grown from each relation in turn, lowest bit first,
+        never adding a relation below the start; each one extends by its
+        frontier lowest bit first, and a relation already tried at a
+        level is blocked in the later branches, so every connected subset
+        comes out exactly once, before its extensions.  Enumerated on
+        first use and cached (the index is immutable).
+        """
+        if self._connected is not None:
+            return self._connected
+        neighbours = self._neighbours
+        out: List[int] = []
+
+        def grow(current: int, frontier: int, blocked: int) -> None:
+            out.append(current)
+            for bit in bits_of(frontier):
+                taken = blocked | bit
+                grow(current | bit, (frontier | neighbours[bit]) & ~taken, taken)
+                blocked = taken
+
+        for bit in bits_of(self.full):
+            below = (bit << 1) - 1
+            grow(bit, neighbours[bit] & ~below, below)
+        self._connected = tuple(out)
+        return self._connected
 
     def components(self, mask: int) -> List[int]:
         """The components of the subset ``mask``, ordered by their lowest

@@ -222,47 +222,18 @@ class DatabaseScheme:
             for combo in combinations(ordered, size):
                 yield DatabaseScheme(combo)
 
-    def connected_subsets(
-        self, min_size: int = 1, max_size: Optional[int] = None
-    ) -> Iterator["DatabaseScheme"]:
-        """All *connected* sub-schemes within the size bounds.
-
-        Enumerated by growing connected subgraphs of the intersection graph
-        (each connected subset produced exactly once), so the cost is
+    def connected_subsets(self, min_size: int = 1) -> Iterator["DatabaseScheme"]:
+        """All *connected* sub-schemes of at least ``min_size`` relations,
+        in the canonical order of
+        :meth:`~repro.schemegraph.index.SubsetIndex.connected` (each
+        connected subset produced exactly once, so the cost is
         proportional to the number of connected subsets rather than to
-        ``2^|D|``.
+        ``2^|D|``).
         """
-        ordered = self.sorted_schemes()
-        index = {scheme: i for i, scheme in enumerate(ordered)}
-        adjacency = self._adjacency()
-        upper = len(ordered) if max_size is None else min(max_size, len(ordered))
-        lower = max(1, min_size)
-
-        def grow(
-            current: Tuple[AttributeSet, ...],
-            frontier: Set[AttributeSet],
-            forbidden: Set[AttributeSet],
-        ) -> Iterator[Tuple[AttributeSet, ...]]:
-            if lower <= len(current):
-                yield current
-            if len(current) == upper:
-                return
-            frontier_sorted = sorted(frontier, key=lambda s: index[s])
-            blocked = set(forbidden)
-            for node in frontier_sorted:
-                new_frontier = (frontier | set(adjacency[node])) - blocked
-                new_frontier.discard(node)
-                new_frontier -= set(current)
-                yield from grow(current + (node,), new_frontier, blocked | {node})
-                blocked.add(node)
-
-        for start in ordered:
-            start_forbidden = {s for s in ordered if index[s] < index[start]}
-            frontier = {n for n in adjacency[start] if n not in start_forbidden}
-            yield from (
-                DatabaseScheme(subset)
-                for subset in grow((start,), frontier, start_forbidden | {start})
-            )
+        index = self.subset_index()
+        for mask in index.connected():
+            if bin(mask).count("1") >= min_size:
+                yield DatabaseScheme(index.members(mask))
 
     # -- presentation ----------------------------------------------------------------
 

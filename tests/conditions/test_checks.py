@@ -1,5 +1,18 @@
 """Tests for the C1/C1'/C2/C3/C4 decision procedures, pinned to the
-paper's own example databases."""
+paper's own example databases.
+
+``condition_pins.json`` holds every report of the five conditions on
+Examples 1-5 and on the ``WorkloadSpec(size=20, domain=6)`` databases
+(seed 0) of the shapes the ``safety_report`` benchmark pool uses, as
+2.3.0's frozenset-based checkers returned them: verdict, instance count
+and witnesses in order, with all witnesses and stopping at the first,
+plus the verdict, ``TimedOut.units_examined`` and ``units_spent`` under
+budgets of 1, 2, 5 and 17 units.  They catch drift in the sweep order,
+which would reorder witnesses and move where a check stops.
+"""
+
+import json
+import pathlib
 
 import pytest
 
@@ -13,6 +26,57 @@ from repro.conditions.checks import (
     check_condition,
 )
 from repro.errors import ReproError
+from repro.runtime import Runtime
+from repro.workloads import paper
+from repro.workloads.generators import WorkloadSpec
+
+_PINS = json.loads(
+    (pathlib.Path(__file__).parent / "condition_pins.json").read_text(encoding="utf-8")
+)
+
+#: The CLI shapes of the safety_report pool, as (shape, relations).
+_POOL_SHAPES = (
+    ("star", 3), ("cycle", 4), ("chain", 5), ("star", 5),
+    ("clique", 4), ("chain", 6), ("clique", 5),
+)
+
+
+def _pinned_database(name):
+    for shape, n in _POOL_SHAPES:
+        if name == f"{shape}{n}":
+            return WorkloadSpec(
+                size=20, domain=6, shape=shape, relations=n, seed=0
+            ).build()
+    return getattr(paper, name)()
+
+
+def _rendered(report):
+    return [
+        report.holds,
+        report.instances_checked,
+        [
+            [[str(s) for s in w.subsets if s is not None], w.lhs, w.rhs]
+            for w in report.violations
+        ],
+    ]
+
+
+@pytest.mark.parametrize(
+    "pin", _PINS, ids=[f"{p['database']}-{p['condition']}" for p in _PINS]
+)
+def test_reports_match_the_pins(pin):
+    # json renders the pairwise witnesses' (tau1, tau2) as a list.
+    database, condition = pin["database"], pin["condition"]
+    full = check_condition(_pinned_database(database), condition, all_witnesses=True)
+    assert json.loads(json.dumps(_rendered(full))) == pin["all"]
+    first = check_condition(_pinned_database(database), condition)
+    assert json.loads(json.dumps(_rendered(first))) == pin["first"]
+    for budget, expected in pin["budgets"].items():
+        runtime = Runtime.with_limits(budget=int(budget))
+        report = check_condition(_pinned_database(database), condition, runtime=runtime)
+        timed_out = report.timed_out
+        examined = None if timed_out is None else timed_out.units_examined
+        assert [report.verdict(), examined, runtime.units_spent] == expected
 
 
 class TestOnPaperExamples:

@@ -1,4 +1,5 @@
-"""A nested-loop reference for the relational algebra.
+"""A nested-loop reference for the relational algebra and the paper's
+conditions.
 
 Each operator is the textbook definition, evaluated pair by pair:
 quadratic, but obviously correct.  An operand is a ``(scheme, rows)``
@@ -8,7 +9,17 @@ of attribute names and ``rows`` an iterable of attribute->value mappings
 operator returns a ``(frozenset scheme, set of Row)`` pair.  Nothing
 here touches ``ColumnarTable`` or the value interner, so a kernel bug
 that lives there cannot hide by showing up on both sides of a check.
+
+The conditions C1, C1', C2, C3 and C4 are read the same way
+(:func:`condition_instances`): a relation scheme is a frozenset of
+attribute names and a subset a frozenset of schemes; subsets come from
+``itertools.combinations``, connectivity from a breadth-first search
+over schemes that share an attribute, *linked* from attribute unions,
+and every count from a caller-supplied ``tau`` (normally the length of
+:func:`join_all`).
 """
+
+from itertools import combinations, product
 
 from repro.relational.relation import Row
 
@@ -83,3 +94,74 @@ def assert_matches(result, expected):
     assert set(result.scheme) == set(scheme)
     assert len(result) == len(rows)
     assert result.rows == rows
+
+
+# -- the paper's conditions -------------------------------------------------------
+
+
+def linked(first, second):
+    """The paper's *linked*: the attribute unions of two subsets meet."""
+    return bool(set().union(*first) & set().union(*second))
+
+
+def is_connected(subset):
+    """True when a breadth-first search over schemes sharing an attribute
+    reaches every scheme of the (nonempty) subset."""
+    schemes = list(subset)
+    reached = {schemes[0]}
+    frontier = [schemes[0]]
+    while frontier:
+        scheme = frontier.pop(0)
+        for other in schemes:
+            if other not in reached and scheme & other:
+                reached.add(other)
+                frontier.append(other)
+    return len(reached) == len(schemes)
+
+
+def connected_subsets(schemes):
+    """Every connected nonempty subset of ``schemes``, as frozensets."""
+    schemes = list(schemes)
+    return [
+        frozenset(combo)
+        for size in range(1, len(schemes) + 1)
+        for combo in combinations(schemes, size)
+        if is_connected(combo)
+    ]
+
+
+_PREDICATES = {
+    "C1": lambda lhs, rhs: lhs <= rhs,
+    "C1'": lambda lhs, rhs: lhs < rhs,
+    "C2": lambda joined, sides: joined <= sides[0] or joined <= sides[1],
+    "C3": lambda joined, sides: joined <= sides[0] and joined <= sides[1],
+    "C4": lambda joined, sides: joined >= sides[0] and joined >= sides[1],
+}
+
+
+def condition_instances(condition, schemes, tau):
+    """Every quantifier instance of ``condition`` over the connected
+    subsets of ``schemes``, as ``(subsets, lhs, rhs, holds)``.
+
+    C1 and C1' range over disjoint ``(E, E1, E2)`` with ``E`` linked to
+    ``E1`` and not to ``E2``, comparing ``lhs = tau(E ∪ E1)`` with
+    ``rhs = tau(E ∪ E2)``.  C2, C3 and C4 range over unordered disjoint
+    linked pairs ``(E1, E2)``, comparing ``lhs = tau(E1 ∪ E2)`` with
+    ``rhs = (tau(E1), tau(E2))``.
+    """
+    subsets = connected_subsets(schemes)
+    holds = _PREDICATES[condition]
+    out = []
+    if condition in ("C1", "C1'"):
+        for e, e1, e2 in product(subsets, repeat=3):
+            if e & e1 or e & e2 or e1 & e2:
+                continue
+            if linked(e, e1) and not linked(e, e2):
+                lhs, rhs = tau(e | e1), tau(e | e2)
+                out.append(((e, e1, e2), lhs, rhs, holds(lhs, rhs)))
+        return out
+    for e1, e2 in combinations(subsets, 2):
+        if not e1 & e2 and linked(e1, e2):
+            joined, sides = tau(e1 | e2), (tau(e1), tau(e2))
+            out.append(((e1, e2), joined, sides, holds(joined, sides)))
+    return out

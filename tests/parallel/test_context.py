@@ -15,7 +15,6 @@ from repro.errors import ReproError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.parallel import (
-    NO_CANCEL,
     SEGMENT_PREFIX,
     DatabaseSnapshot,
     ParallelContext,
@@ -211,7 +210,7 @@ class TestSharedMemoryLifecycle:
         assert live_segments() == ()
 
 
-def _tau_probe(db, extra, signal, _args):
+def _tau_probe(db, extra, _args):
     return db.tau_of(None)
 
 

@@ -1,32 +1,23 @@
 """The parallel layer's contract: ``jobs=N`` returns byte-identical
 results to the sequential path, for every driver.
 
-These are the enforcement tests for the guarantee the benchmark also
-asserts per leg (benchmarks/bench_parallel.py) -- reports, optimization
-results, campaign outcomes, and sampled cost summaries must not depend
-on the worker count, and the merged telemetry must surface the fan-out.
+Optimization results and sampled cost summaries must not depend on the
+worker count, and the merged telemetry must match the sequential run's.
 """
 
 import random
 
 import pytest
 
-from repro.conditions.checks import check_condition
-from repro.conditions.search import (
-    search_c2_necessity,
-    verify_small_connected_c1_suffices,
-)
 from repro.obs.metrics import get_registry
-from repro.obs.trace import get_tracer
 from repro.optimizer.exhaustive import optimize_exhaustive
 from repro.optimizer.spaces import SearchSpace
-from repro.parallel import START_METHOD, parallel_available
+from repro.parallel import parallel_available
 from repro.strategy.sampling import cost_distribution
 from repro.workloads.generators import (
     WorkloadSpec,
     chain_scheme,
     generate_database,
-    random_tree_scheme,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -34,51 +25,6 @@ pytestmark = pytest.mark.skipif(
 )
 
 JOBS = 4
-
-CONDITIONS = ("C1", "C1'", "C2", "C3", "C4")
-
-
-def _report_key(report):
-    return (
-        report.condition,
-        report.holds,
-        report.instances_checked,
-        tuple((w.subsets, w.lhs, w.rhs) for w in report.violations),
-    )
-
-
-def _tree_db():
-    """A 7-relation tree with violations in several conditions, so the
-    witness lists (and their order) actually exercise the replay."""
-    return generate_database(
-        random_tree_scheme(7, random.Random(3)),
-        random.Random(11),
-        WorkloadSpec(size=25, domain=6),
-    )
-
-
-@pytest.fixture
-def tree_db():
-    return _tree_db()
-
-
-class TestConditionReports:
-    @pytest.mark.parametrize("condition", CONDITIONS)
-    def test_full_sweep_identical(self, tree_db, condition):
-        sequential = check_condition(_tree_db(), condition, all_witnesses=True)
-        parallel = check_condition(tree_db, condition, all_witnesses=True, jobs=JOBS)
-        assert _report_key(parallel) == _report_key(sequential)
-
-    @pytest.mark.parametrize("condition", CONDITIONS)
-    def test_short_circuit_identical(self, tree_db, condition):
-        sequential = check_condition(_tree_db(), condition, all_witnesses=False)
-        parallel = check_condition(tree_db, condition, all_witnesses=False, jobs=JOBS)
-        assert _report_key(parallel) == _report_key(sequential)
-
-    def test_holding_condition_on_paper_example(self, ex1):
-        sequential = check_condition(ex1, "C1", all_witnesses=True)
-        parallel = check_condition(ex1, "C1", all_witnesses=True, jobs=2)
-        assert sequential.holds and _report_key(parallel) == _report_key(sequential)
 
 
 class TestExhaustiveOptimization:
@@ -105,28 +51,6 @@ class TestExhaustiveOptimization:
         assert parallel.cost == sequential.cost
 
 
-class TestCampaigns:
-    def test_c2_necessity_identical(self):
-        sequential = search_c2_necessity(samples=24)
-        parallel = search_c2_necessity(samples=24, jobs=JOBS)
-        assert (parallel.samples, parallel.eligible, parallel.seed) == (
-            sequential.samples,
-            sequential.eligible,
-            sequential.seed,
-        )
-        assert (parallel.found is None) == (sequential.found is None)
-
-    def test_small_connected_identical(self):
-        sequential = verify_small_connected_c1_suffices(samples=16)
-        parallel = verify_small_connected_c1_suffices(samples=16, jobs=JOBS)
-        assert (parallel.samples, parallel.eligible, parallel.seed) == (
-            sequential.samples,
-            sequential.eligible,
-            sequential.seed,
-        )
-        assert (parallel.found is None) == (sequential.found is None)
-
-
 class TestCostDistribution:
     def test_summary_identical(self):
         db = generate_database(
@@ -147,19 +71,6 @@ class TestMergedTelemetry:
         yield
         obs.disable()
         obs.reset()
-
-    def test_parallel_check_publishes_worker_attrs(self, tree_db):
-        tracer = get_tracer()
-        tracer.enabled = True
-        report = check_condition(tree_db, "C2", all_witnesses=True, jobs=2)
-        events = [
-            span for span in tracer.finished_spans() if span.name == "conditions.check"
-        ]
-        assert events, "the parallel check must still publish its event"
-        attrs = events[-1].attributes
-        assert attrs["jobs"] == 2
-        assert attrs["start_method"] == START_METHOD
-        assert attrs["condition"] == report.condition
 
     def test_exhaustive_strategy_counter_matches_sequential(self):
         db = generate_database(

@@ -53,7 +53,7 @@ def _chain_db() -> Database:
     )
 
 
-def _traced_tau(db, extra, signal, index):
+def _traced_tau(db, extra, index):
     """Task body: one span, one counter increment, one tau computation
     (so the envelope carries all three merge channels)."""
     tracer = get_tracer()
@@ -82,7 +82,7 @@ class TestSpawnEnvelopes:
                 with ctx.Pool(
                     2,
                     initializer=_init_worker,
-                    initargs=(snapshot, None, None, True, True, None, trace_ctx),
+                    initargs=(snapshot, None, True, True, None, trace_ctx),
                 ) as pool:
                     results = pool.map(_invoke, tasks)
                 envelopes = [envelope for _, envelope in sorted(results)]

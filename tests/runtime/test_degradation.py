@@ -131,13 +131,6 @@ class TestConditionTimeout:
         assert report.timed_out.trigger == "budget"
         assert report.instances_checked <= 2
 
-    def test_parallel_bounded_check_times_out(self):
-        db = WorkloadSpec(
-            size=12, domain=5, shape="chain", relations=6, seed=0
-        ).build()
-        report = check_c1(db, jobs=2, runtime=Runtime.with_limits(budget=2))
-        assert not report.decided
-
     def test_query_safety_three_valued(self):
         db = WorkloadSpec(
             size=12, domain=5, shape="chain", relations=5, seed=3

@@ -17,7 +17,9 @@ The pinned plans and trees were recorded before the DP and the join-tree
 build moved onto the index: the plans ``optimize_dp`` picks on the
 paper's examples and on databases where every split of a subset costs
 the same, in all four spaces, and the join trees of the connected
-acyclic examples.  They catch drift in split order and tie-breaks.
+acyclic examples.  They catch drift in split order and tie-breaks.  The
+order of :meth:`SubsetIndex.connected` is pinned the same way, from the
+set-based enumeration it replaced.
 """
 
 import random
@@ -245,3 +247,54 @@ _TREES = {
 def test_join_trees_are_pinned(name):
     tree = build_join_tree(_DATABASES[name]().scheme)
     assert sorted((a.sorted(), b.sorted()) for a, b in tree.edges) == _TREES[name]
+
+
+#: ``connected()`` as member lists, recorded from 2.3.0's set-based
+#: ``DatabaseScheme.connected_subsets()``.  The condition checkers visit
+#: subsets in this order, so drift here reorders their witnesses.
+_CONNECTED = {
+    "chain4": (
+        chain_scheme(4),
+        ["AB", "AB BC", "AB BC CD", "AB BC CD DE", "BC", "BC CD", "BC CD DE",
+         "CD", "CD DE", "DE"],
+    ),
+    "star4": (
+        star_scheme(4),
+        ["ABC", "ABC AE", "ABC AE BF", "ABC AE BF CG", "ABC AE CG", "ABC BF",
+         "ABC BF CG", "ABC CG", "AE", "BF", "CG"],
+    ),
+    "cycle4": (
+        cycle_scheme(4),
+        ["AB", "AB AD", "AB AD BC", "AB AD BC CD", "AB AD CD", "AB BC",
+         "AB BC CD", "AD", "AD CD", "AD BC CD", "BC", "BC CD", "CD"],
+    ),
+    "clique4": (
+        clique_scheme(4),
+        ["ABC", "ABC ADE", "ABC ADE BDF", "ABC ADE BDF CEF", "ABC ADE CEF",
+         "ABC BDF", "ABC BDF CEF", "ABC CEF", "ADE", "ADE BDF", "ADE BDF CEF",
+         "ADE CEF", "BDF", "BDF CEF", "CEF"],
+    ),
+    "covered_triangle": (
+        [attrs(s) for s in ("AB", "BC", "AC", "ABC")],
+        ["AB", "AB ABC", "AB ABC AC", "AB ABC AC BC", "AB ABC BC", "AB AC",
+         "AB AC BC", "AB BC", "ABC", "ABC AC", "ABC AC BC", "ABC BC", "AC",
+         "AC BC", "BC"],
+    ),
+    "two_chains": (
+        [attrs(s) for s in ("AB", "BC", "CD", "XY", "YZ")],
+        ["AB", "AB BC", "AB BC CD", "BC", "BC CD", "CD", "XY", "XY YZ", "YZ"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_CONNECTED))
+def test_connected_subsets_are_pinned(name):
+    drawn, expected = _CONNECTED[name]
+    scheme = DatabaseScheme(drawn)
+    index = scheme.subset_index()
+
+    def names(schemes):
+        return " ".join("".join(s.sorted()) for s in schemes)
+
+    assert [names(index.members(m)) for m in index.connected()] == expected
+    assert [names(subset) for subset in scheme.connected_subsets()] == expected

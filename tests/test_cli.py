@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -138,6 +140,19 @@ class TestOptimizeCommand:
         )
         out = capsys.readouterr().out
         assert "space: linear" in out
+
+    def test_jobs_needs_the_exhaustive_space(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--relations", "3", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--space exhaustive" in capsys.readouterr().err
+
+    def test_jobs_with_the_exhaustive_space(self, capsys):
+        code = main(
+            ["optimize", "--relations", "3", "--space", "exhaustive", "--jobs", "1"]
+        )
+        assert code == 0
+        assert "optimizer: exhaustive" in capsys.readouterr().out
 
 
 class TestTracedOptimize:
@@ -354,3 +369,46 @@ class TestObsCommand:
     def test_obs_requires_a_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["obs"])
+
+
+_REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _documented_commands():
+    """``(file, arguments)`` for every ``python -m repro …`` line in the
+    fenced blocks of README.md, EXPERIMENTS.md and docs/*.md, with
+    backslash continuations joined, ``{…}`` synopses skipped and
+    trailing ``# …`` comments dropped."""
+    marker = "python -m repro "
+    found = []
+    paths = [_REPO / "README.md", _REPO / "EXPERIMENTS.md"]
+    for path in paths + sorted(_REPO.glob("docs/*.md")):
+        fenced, block = False, []
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if line.lstrip().startswith("```"):
+                fenced = not fenced
+            elif fenced:
+                block.append(line)
+        for line in "\n".join(block).replace("\\\n", " ").splitlines():
+            if marker not in line:
+                continue
+            arguments = line.split(marker, 1)[1].split(" #", 1)[0].strip()
+            if "{" not in arguments:
+                found.append((path.name, arguments))
+    return found
+
+
+class TestDocumentedCommands:
+    def test_every_documented_command_parses(self, capsys):
+        commands = _documented_commands()
+        assert len(commands) >= 10
+        rejected = []
+        for where, arguments in commands:
+            try:
+                build_parser().parse_args(shlex.split(arguments))
+            except SystemExit as exit:
+                # --version prints and exits 0 after a successful parse.
+                if exit.code != 0:
+                    rejected.append((where, arguments))
+        capsys.readouterr()
+        assert rejected == []

@@ -10,6 +10,7 @@ from repro.database import Database
 from repro.errors import OptimizerError
 from repro.optimizer.spaces import SearchSpace
 from repro.query import JoinQuery, Plan
+from repro.relational.relation import relation
 from repro.strategy.cost import tau_cost
 from repro.workloads.generators import (
     WorkloadSpec,
@@ -75,6 +76,18 @@ class TestExplain:
         assert "join" in text
         assert "tau: 11" in text
 
+    def test_children_render_in_describe_order(self, ex4):
+        plan = JoinQuery(ex4).plan_from_text("(SC (GS CL))")
+        lines = plan.explain().splitlines()
+        assert lines[0] == "plan: ((CL ⋈ GS) ⋈ SC)"
+        assert lines[-5:] == [
+            "  join ((CL ⋈ GS) ⋈ SC) [tau=5]",
+            "    join (CL ⋈ GS) [tau=6]",
+            "      scan CL [tau=2]",
+            "      scan GS [tau=3]",
+            "    scan SC [tau=12]",
+        ]
+
     def test_pipeline_trace(self, ex4):
         plan = JoinQuery(ex4).plan_from_text("((GS SC) CL)")
         trace = plan.pipeline()
@@ -135,6 +148,15 @@ class TestSafety:
         query = JoinQuery(ex1)
         assert query.subspace_is_safe(SearchSpace.ALL)
         assert not query.subspace_is_safe(SearchSpace.NOCP)
+
+    def test_empty_join_only_all_is_safe(self):
+        # C1-C3 hold here, but Theorems 2 and 3 assume R_D is nonempty.
+        query = JoinQuery(Database([relation("AB", [(1, 1)]), relation("BC", [(2, 2)])]))
+        report = query.safety_report()
+        assert (report["C1"], report["C2"], report["C3"]) == (True, True, True)
+        only_all = [space is SearchSpace.ALL for space in SearchSpace]
+        assert [report[f"safe[{space.value}]"] for space in SearchSpace] == only_all
+        assert [query.subspace_is_safe(space) for space in SearchSpace] == only_all
 
 
 class TestPlanFromResult:

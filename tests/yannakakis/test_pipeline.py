@@ -8,7 +8,6 @@ import pytest
 
 import repro.obs as obs
 from repro.database import Database
-from repro.conditions.checks import check_condition
 from repro.obs.metrics import get_registry
 from repro.parallel import parallel_available
 from repro.workloads.generators import (
@@ -32,7 +31,7 @@ from repro.yannakakis import yannakakis_join
 PAPER_WORKLOADS = [example1, example2_c2_only, example3, example4, example5]
 
 
-def _evaluate_probe(db, extra, signal, _args):
+def _evaluate_probe(db, extra, _args):
     table = db.evaluate()._table()
     return table.order, sorted(table.rows)
 
@@ -201,21 +200,6 @@ class TestKernelDirect:
     not parallel_available(), reason="requires the fork start method"
 )
 class TestWorkerIndependence:
-    def test_condition_checks_are_jobs_independent(self):
-        db = generate_database(
-            chain_scheme(4),
-            random.Random(5),
-            WorkloadSpec(size=20, domain=4),
-        )
-        pinned = Database(db.relations(), engine="yannakakis")
-        sequential = check_condition(pinned, "C2", jobs=1)
-        parallel = check_condition(pinned, "C2", jobs=2)
-        assert sequential.holds == parallel.holds
-        assert sequential.instances_checked == parallel.instances_checked
-        assert [
-            (w.subsets, w.lhs, w.rhs) for w in sequential.violations
-        ] == [(w.subsets, w.lhs, w.rhs) for w in parallel.violations]
-
     def test_evaluation_is_byte_identical_across_jobs(self):
         db = generate_selective_star(3, 31)
         pinned = Database(db.relations(), engine="yannakakis")
