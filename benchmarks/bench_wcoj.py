@@ -32,11 +32,12 @@ linear.  This benchmark measures exactly that gap:
   so its ratio stays comparable to the committed baseline.
 
 On every workload and every round the Generic-Join result is asserted
-**byte-identical** to the binary pipeline's (same frozenset of interned
-id rows, same column order).  The *best* binary strategy is found by the
+**byte-identical** to the binary plan's (same frozenset of interned id
+rows, same column order).  The *best* binary strategy is found by the
 subset DP over the full space on true sizes -- the strongest opponent
-the binary engine has -- and its wall time is the sum of its steps
-executed on a cold-cache database, mirroring ``repro explain``.
+the binary engine has -- and its wall time is one ``Plan.execute()`` on
+a cold vector-engine database: each step joins its children's states,
+so the plan makes exactly its tau in tuples.
 
 Results go to ``BENCH_wcoj.json`` at the repository root and
 ``benchmarks/results/E-WCOJ_wcoj.txt``.  CI's ``wcoj-smoke`` job runs
@@ -61,6 +62,8 @@ from repro.database import Database  # noqa: E402
 from repro.optimizer.dp import optimize_dp  # noqa: E402
 from repro.optimizer.spaces import SearchSpace  # noqa: E402
 from repro.parallel import visible_cpus  # noqa: E402
+from repro.query import Plan  # noqa: E402
+from repro.strategy.tree import parse_strategy  # noqa: E402
 from repro.report import Table  # noqa: E402
 from repro.wcoj import fractional_edge_cover  # noqa: E402
 from repro.workloads.generators import (  # noqa: E402
@@ -91,22 +94,26 @@ def _clique5(spec: dict) -> Database:
 def _best_binary_plan(relations):
     """The cheapest binary strategy over the full space, on true sizes."""
     planner = Database(relations, engine="vector")
-    return optimize_dp(planner, SearchSpace.ALL).strategy
+    return optimize_dp(planner, SearchSpace.ALL)
 
 
-def _time_binary(relations, strategy) -> float:
-    """Execute the strategy's steps on a cold vector-engine database."""
+def _time_binary(relations, best) -> float:
+    """Execute the plan on a cold vector-engine database."""
     executor = Database(relations, engine="vector")
+    plan = Plan(
+        parse_strategy(executor, best.strategy.describe()), best.cost,
+        SearchSpace.ALL, best.optimizer,
+    )
+    executor.scheme.subset_index()  # planning builds it on a user's path
     start = time.perf_counter()
-    for node in strategy.steps():
-        state = executor.join_of(node.scheme_set.schemes)
-    elapsed = time.perf_counter() - start
-    return elapsed, state
+    state = plan.execute()
+    return time.perf_counter() - start, state
 
 
 def _time_wcoj(relations) -> float:
     """One cold generic-join evaluation (trie build included)."""
     executor = Database(relations, engine="wcoj")
+    executor.scheme.subset_index()  # planning builds it on a user's path
     start = time.perf_counter()
     state = executor.evaluate()
     return time.perf_counter() - start, state
@@ -144,17 +151,17 @@ def _bench_count(db: Database, rounds: int) -> dict:
 
 def _bench_workload(name: str, db: Database, rounds: int) -> dict:
     relations = db.relations()
-    strategy = _best_binary_plan(relations)
+    best = _best_binary_plan(relations)
     binary_times, wcoj_times = [], []
     for _ in range(rounds):
-        seconds, binary_state = _time_binary(relations, strategy)
+        seconds, binary_state = _time_binary(relations, best)
         binary_times.append(seconds)
         seconds, wcoj_state = _time_wcoj(relations)
         wcoj_times.append(seconds)
         assert (
             binary_state._table().order == wcoj_state._table().order
             and binary_state._table().rows == wcoj_state._table().rows
-        ), f"{name}: generic join diverged from the binary pipeline"
+        ), f"{name}: generic join diverged from the binary plan"
     cover = fractional_edge_cover(
         [rel.scheme for rel in relations], [len(rel) for rel in relations]
     )
@@ -164,7 +171,8 @@ def _bench_workload(name: str, db: Database, rounds: int) -> dict:
         "relations": len(relations),
         "rows_per_relation": max(len(rel) for rel in relations),
         "tau": len(wcoj_state),
-        "plan": strategy.describe(),
+        "plan": best.strategy.describe(),
+        "plan_tau": best.cost,
         "agm_bound": cover.bound,
         "binary_seconds": binary_s,
         "wcoj_seconds": wcoj_s,
@@ -202,11 +210,11 @@ def _render_table(payload: dict) -> Table:
             "workload",
             "tau",
             "AGM bound",
-            "binary (s)",
+            "plan (s)",
             "wcoj (s)",
             "speedup",
         ],
-        title="E-WCOJ: Generic Join vs. best binary strategy "
+        title="E-WCOJ: Generic Join vs. the executed best binary plan "
         f"(size={payload['size']}, {payload['cpu_count']} CPUs)",
     )
     for key in ("triangle", "cycle4", "clique5"):

@@ -31,7 +31,7 @@ A cyclic connected subset has no join tree.  On the ``"wcoj"`` and
 (:func:`~repro.wcoj.join.generic_count`: weighted tries over the
 shared attributes only, nothing materialized), while the whole database
 ``R_D`` is still joined and memoized, because the subset DP asks for its
-tau first and ``Plan.execute`` returns it.  On the ``"vector"`` engine
+tau first and ``Plan.execute`` reads it back.  On the ``"vector"`` engine
 every cyclic subset is joined (binary joins, memoized) and its length
 taken.  Counts survive join-cache eviction: evicted results leave their
 cardinality behind in the tau-cache.
@@ -389,17 +389,17 @@ class Database:
     def _resolve_subset(
         self, subset: Optional[Iterable[AttrsLike]]
     ) -> SubsetKey:
+        schemes = self._scheme.schemes
         if subset is None:
-            chosen = frozenset(self._scheme.schemes)
-        elif isinstance(subset, DatabaseScheme):
-            chosen = frozenset(subset.schemes)
+            return schemes
+        if isinstance(subset, DatabaseScheme):
+            chosen = subset.schemes
         else:
             chosen = frozenset(attrs(s) for s in subset)
-        unknown = chosen - self._scheme.schemes
-        if unknown:
+        if not chosen <= schemes:
             raise SchemaError(
                 "schemes not in this database: "
-                + ", ".join(format_attrs(s) for s in sorted(unknown, key=tuple))
+                + ", ".join(format_attrs(s) for s in sorted(chosen - schemes, key=tuple))
             )
         if not chosen:
             raise SchemaError("cannot join an empty subset of relations")
@@ -429,7 +429,9 @@ class Database:
         """
         if engine == self._engine:
             return self
-        return Database(self._relations.values(), engine=engine)
+        copy = Database(self._relations.values(), engine=engine)
+        copy._scheme = self._scheme  # immutable: one subset index serves both
+        return copy
 
     def join_of(self, subset: Optional[Iterable[AttrsLike]] = None) -> Relation:
         """``R_E``: the natural join of the states of ``E ⊆ D``.
@@ -440,16 +442,15 @@ class Database:
         """
         return self._join_memo(self._resolve_subset(subset))
 
-    def _join_memo(self, chosen: SubsetKey) -> Relation:
-        """Compute (and memoize) the subset join.
-
-        The recursion peels off a scheme whose removal keeps the subset
-        connected (a spanning-tree leaf of the subset's intersection
-        graph), so intermediate results never become Cartesian products
-        of a connected input -- removing an arbitrary scheme can shatter
-        the subset into many components whose cross product explodes.
-        Genuinely unconnected subsets are joined component by component
-        (their result *is* the cross product of the component joins).
+    def _join_memo(
+        self, chosen: SubsetKey, compute: Optional[Callable[[], Relation]] = None
+    ) -> Relation:
+        """The memoized subset join, computed on a miss by ``compute``
+        (``Plan.execute`` passes a step: its children's states joined) or
+        by :meth:`_compute_join`, which peels off a scheme whose removal
+        keeps the subset connected (a spanning-tree leaf), so no
+        intermediate is a Cartesian product of a connected input, and
+        joins an unconnected subset component by component.
         """
         cached = self._join_cache.get(chosen)
         if cached is not None:
@@ -458,14 +459,15 @@ class Database:
                 _CACHE_HITS.inc()
             return cached
         self._computed += 1
+        if compute is None:
+            compute = partial(self._compute_join, chosen)
         if _TRACER.enabled:
             with _TRACER.span("db.join", relations=len(chosen)) as span:
-                result = self._compute_join(chosen)
+                result = compute()
                 span.set_attribute("tau", len(result))
             _CACHE_MISSES.inc()
-            self._join_cache.put(chosen, result)
-            return result
-        result = self._compute_join(chosen)
+        else:
+            result = compute()
         self._join_cache.put(chosen, result)
         return result
 
@@ -501,17 +503,12 @@ class Database:
         """Run a connected subset of >= 3 relations on this database's
         multiway kernel, or return ``None`` for the binary pipeline.
 
-        The dispatch mirrors :class:`~repro.optimizer.route.EngineRouter`
-        at the per-subset level; the subset index's join tree decides
-        acyclicity and is handed to the pipeline.  ``"yannakakis"``
-        sends acyclic subsets to the semijoin-reduction pipeline and
-        cyclic ones to Generic Join, so a mixed database (a cyclic
-        connected subset inside an acyclic query) routes every subset to
-        its best kernel.
-        ``"wcoj"`` sends only cyclic subsets to Generic Join and keeps
-        acyclic ones on the binary pipeline (a join tree already gives
-        an optimal binary order there, and Generic Join would only add
-        trie-building overhead).
+        The subset index's join tree decides acyclicity and is handed to
+        the pipeline.  ``"yannakakis"`` sends acyclic subsets to the
+        semijoin-reduction pipeline and cyclic ones to Generic Join, so a
+        mixed database runs every subset on its best kernel.  ``"wcoj"``
+        sends only cyclic subsets to Generic Join (a join tree already
+        gives an optimal binary order on acyclic ones).
 
         ``count=True`` asks for the tau of a *cyclic* subset instead of
         its join (:meth:`_component_tau` counts acyclic ones with
@@ -679,11 +676,9 @@ class Database:
             )
         else:
             # Cyclic connected subset: no join tree.  On the multiway
-            # engines Generic Join counts a proper subset.  R_D itself is
-            # materialized and memoized, because the DP asks for tau(R_D)
-            # first and Plan.execute returns R_D; so is every cyclic
-            # subset on the vector engine, whose binary pipeline reuses
-            # the memoized joins of the smaller subsets.
+            # engines Generic Join counts a proper subset; R_D itself is
+            # materialized for Plan.execute to read back, and so is every
+            # cyclic subset on the vector engine.
             tau = None
             if mask != index.full:
                 tau = self._multiway_join(chosen, count=True)

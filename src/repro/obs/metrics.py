@@ -46,6 +46,8 @@ LabelKey = Tuple[Tuple[str, str], ...]
 
 
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
+    if not labels:
+        return ()
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 

@@ -221,6 +221,7 @@ class RunReport:
         "workload",
         "degradation",
         "routing",
+        "execution",
     )
 
     def __init__(
@@ -235,6 +236,7 @@ class RunReport:
         workload: Optional[Dict[str, Any]] = None,
         degradation=None,
         routing=None,
+        execution=(),
     ):
         self.strategy = strategy
         self.space = space
@@ -248,6 +250,7 @@ class RunReport:
         self.workload = dict(workload) if workload else {}
         self.degradation = degradation
         self.routing = routing
+        self.execution = execution
 
     # -- capture -----------------------------------------------------------
 
@@ -365,6 +368,9 @@ class RunReport:
                         )
                         _QERROR.observe(steps[-1].q_error)
                 executor_cache = executor.cache_stats()
+                execution = EngineRouter.execution(
+                    strategy, sum(step.actual for step in steps), routing
+                )
         finally:
             clock.close()
         return cls(
@@ -378,6 +384,7 @@ class RunReport:
             workload=workload,
             degradation=degradation,
             routing=routing,
+            execution=execution,
         )
 
     # -- derived quantities ------------------------------------------------
@@ -448,6 +455,7 @@ class RunReport:
             structure = self.routing.structure_summary()
             if structure is not None:
                 pairs.append(structure)
+        pairs += [("execute", r.describe().split(": ", 1)[1]) for r in self.execution]
         if self.degradation is not None:
             pairs.append(
                 (
@@ -490,6 +498,7 @@ class RunReport:
             "routing": (
                 self.routing.to_dict() if self.routing is not None else None
             ),
+            "execution": [record.to_dict() for record in self.execution],
             "tau": self.tau,
             "workload": dict(self.workload),
             "steps": [step.to_dict() for step in self.steps],

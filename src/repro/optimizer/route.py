@@ -1,99 +1,69 @@
-"""Engine routing: which kernel should execute a query's joins.
+"""Engine routing: which kernel executes each part of a query.
 
-The binary-join machinery this library is built around is provably fine
-on alpha-acyclic schemes *when the output is large* -- a join tree gives
-a binary order whose intermediates never exceed input + output -- but
-two shapes defeat every binary order:
-
-* **cyclic** schemes: the triangle can force every pairwise plan through
-  a Θ(N²) intermediate while the output is O(N^1.5) (the AGM bound,
-  :mod:`repro.wcoj.agm`), and Generic Join runs within the bound;
-* **acyclic** schemes with selective interaction: pairwise joins can be
-  Θ(N²) while the full output is tiny, and the Yannakakis full reducer
-  (:mod:`repro.yannakakis`) bounds every intermediate by input + output.
-
-:class:`EngineRouter` encodes the resulting policy.  It never overrides
-an explicit choice -- a database pinned with ``engine=`` stays put --
-but an unpinned database (which runs as ``"vector"``) has every
-connected component classified: cyclic components of three or more
-relations want ``"wcoj"``, acyclic ones want ``"yannakakis"``, and
-everything else stays on ``"vector"``.  A database mixing both kinds
-routes to ``"yannakakis"``, which runs *both* multiway kernels so each
-connected subset runs on its best one (see
-:meth:`~repro.database.Database._multiway_join`).
-
-The :class:`EngineRouting` record the router returns is the one
-provenance shape for every engine decision: it travels on plan and
-profile provenance so ``explain`` can say which engine ran and why,
-with the AGM bound, the join tree (acyclic) or the Generic-Join
-expansion order (cyclic) alongside.
+Two shapes defeat every binary join order: on **cyclic** schemes a
+pairwise plan can pass through a Θ(N²) intermediate while the output is
+O(N^1.5) (the AGM bound; Generic Join runs within it), and on
+**acyclic** schemes with selective interaction pairwise joins can be
+Θ(N²) while the output is tiny (the Yannakakis reducer bounds every
+intermediate by input + output).  :class:`EngineRouter` makes every
+engine decision: :meth:`~EngineRouter.route` pins an unpinned database
+to the multiway engine its components want (the ``engine:`` line), and
+:meth:`~EngineRouter.execution` decides per plan whether a kernel
+replaces a component's plan subtree (the ``execute:`` lines).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.database import Database
-from repro.relational.attributes import format_attrs
-from repro.schemegraph.acyclicity import is_alpha_acyclic
-from repro.schemegraph.jointree import JoinTree, build_join_tree
+from repro.relational.attributes import AttributeSet, format_attrs
+from repro.schemegraph.jointree import JoinTree
 from repro.schemegraph.scheme import DatabaseScheme
+from repro.strategy.cost import tau_cost
 from repro.wcoj.agm import FractionalEdgeCover, fractional_edge_cover
 from repro.wcoj.order import choose_order
 
-__all__ = ["EngineRouter", "EngineRouting"]
+if TYPE_CHECKING:
+    from repro.strategy.tree import Strategy
+
+__all__ = ["ComponentExecution", "EngineRouter", "EngineRouting", "RHO_STAR"]
+
+#: The :attr:`ComponentExecution.rho` at and above which the Yannakakis
+#: kernel replaces a routed acyclic component's plan subtree.  On the e2e
+#: pools the executed plan won up to rho 1.17 (tree6) and the kernel tied
+#: or won from 1.23 (star4) up (docs/performance.md).
+RHO_STAR = 1.2
 
 
-class EngineRouting:
-    """Why a query runs on the engine it runs on.
+_VERDICTS = {  # an unpinned database's engine and reason, by the kernels wanted
+    frozenset(): ("vector", "no connected subset of three or more relations"),
+    frozenset({"wcoj"}): ("wcoj", "generic join runs within the AGM bound"),
+    frozenset({"yannakakis"}): (
+        "yannakakis", "semijoin reduction bounds intermediates by the output"),
+    frozenset({"wcoj", "yannakakis"}): ("yannakakis", "mixed components: semijoin"
+        " reduction on acyclic subsets, generic join on cyclic ones"),
+}
 
-    ``requested`` is the engine the database would have used on its own
-    (its pin, or ``"vector"`` when unpinned); ``effective`` the engine the
-    router chose; ``cyclic``/``connected`` the scheme-shape facts the
-    decision rests on; ``reason`` a one-line human explanation;
-    ``cover`` the optimal fractional edge cover of the scheme hypergraph
-    (the AGM output bound), attached whenever the scheme is connected;
-    ``components`` the per-connected-component verdicts
-    ``(relations, cyclic, engine)`` the decision aggregates; ``tree``
-    the join tree the Yannakakis pipeline sweeps (connected acyclic
-    schemes); and ``expansion`` the Generic-Join attribute order
-    (connected cyclic schemes) -- the last two feed the ``explain``
-    rendering of the multiway structure.
+
+class EngineRouting(NamedTuple):
+    """Why a query's database carries the engine it carries:
+    ``requested`` (its pin, or ``"vector"``) and ``effective`` (the
+    router's pin) engines, the scheme-shape facts, a one-line ``reason``,
+    the AGM ``cover`` of a connected scheme, the per-component verdicts
+    ``(relations, cyclic, engine)``, and the join ``tree`` or Generic-Join
+    ``expansion`` order of a connected scheme routed to that kernel.
     """
 
-    __slots__ = (
-        "requested",
-        "effective",
-        "cyclic",
-        "connected",
-        "reason",
-        "cover",
-        "components",
-        "tree",
-        "expansion",
-    )
-
-    def __init__(
-        self,
-        requested: str,
-        effective: str,
-        cyclic: bool,
-        connected: bool,
-        reason: str,
-        cover: Optional[FractionalEdgeCover] = None,
-        components: Tuple[Tuple[int, bool, str], ...] = (),
-        tree: Optional[JoinTree] = None,
-        expansion: Optional[Tuple[str, ...]] = None,
-    ):
-        self.requested = requested
-        self.effective = effective
-        self.cyclic = cyclic
-        self.connected = connected
-        self.reason = reason
-        self.cover = cover
-        self.components = components
-        self.tree = tree
-        self.expansion = expansion
+    requested: str
+    effective: str
+    cyclic: bool
+    connected: bool
+    reason: str
+    cover: Optional[FractionalEdgeCover] = None
+    components: Tuple[Tuple[int, bool, str], ...] = ()
+    tree: Optional[JoinTree] = None
+    expansion: Optional[Tuple[str, ...]] = None
 
     @property
     def routed(self) -> bool:
@@ -104,23 +74,15 @@ class EngineRouting:
         """The ``engine:`` explain line."""
         shape = "cyclic" if self.cyclic else "acyclic"
         if self.routed:
-            return (
-                f"engine: {self.effective} (requested {self.requested}; "
-                f"scheme {shape} -> {self.reason})"
-            )
+            shape = f"requested {self.requested}; scheme {shape} ->"
+            return f"engine: {self.effective} ({shape} {self.reason})"
         return f"engine: {self.effective} (scheme {shape}; {self.reason})"
 
     def structure_lines(self) -> List[str]:
-        """Explain lines for the multiway structure, if any.
-
-        Connected acyclic schemes render the join tree the
-        Yannakakis sweeps run over (root first, children indented);
-        connected cyclic schemes render the Generic-Join expansion
-        order.  Binary-only routings render nothing.
-        """
+        """Explain lines for the multiway structure: the join tree
+        (root first, children indented) or the expansion order."""
         if self.tree is not None:
-            nodes = self.tree.scheme.sorted_schemes()
-            order = self.tree.rooted_at(nodes[0])
+            order = self.tree.rooted_at(self.tree.scheme.sorted_schemes()[0])
             depths: Dict[Any, int] = {}
             lines = ["join tree:"]
             for node, parent in order:
@@ -132,136 +94,173 @@ class EngineRouting:
         return []
 
     def structure_summary(self) -> Optional[Tuple[str, str]]:
-        """The multiway structure as one ``(key, value)`` pair for
-        aligned key-value renderings (the profile summary), or ``None``
-        when the routing is binary-only."""
+        """The multiway structure as one ``(key, value)`` pair for the
+        profile summary, or ``None`` when the routing is binary-only."""
         if self.tree is not None:
-            edges = sorted(
-                (format_attrs(a), format_attrs(b)) for a, b in self.tree.edges
-            )
-            return ("join tree", ", ".join(f"{a}-{b}" for a, b in edges))
+            pairs = (f"{format_attrs(a)}-{format_attrs(b)}" for a, b in self.tree.edges)
+            return ("join tree", ", ".join(sorted(pairs)))
         if self.expansion is not None:
             return ("expansion order", " -> ".join(self.expansion))
         return None
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready image (embedded in plan/profile exports)."""
-        return {
-            "requested": self.requested,
-            "effective": self.effective,
-            "routed": self.routed,
-            "cyclic": self.cyclic,
-            "connected": self.connected,
-            "reason": self.reason,
-            "agm": self.cover.to_dict() if self.cover is not None else None,
-            "components": [
+        out = self._asdict()
+        cover, tree = out.pop("cover"), self.tree
+        out.update(
+            routed=self.routed,
+            agm=None if cover is None else cover.to_dict(),
+            components=[
                 {"relations": size, "cyclic": cyc, "engine": engine}
                 for size, cyc, engine in self.components
             ],
-            "tree": (
-                sorted(
-                    sorted([list(a.sorted()), list(b.sorted())])
-                    for a, b in self.tree.edges
-                )
-                if self.tree is not None
-                else None
+            tree=None if tree is None else sorted(
+                sorted([list(a.sorted()), list(b.sorted())]) for a, b in tree.edges
             ),
-            "expansion": (
-                list(self.expansion) if self.expansion is not None else None
-            ),
-        }
+            expansion=None if self.expansion is None else list(self.expansion),
+        )
+        return out
 
     def __repr__(self) -> str:
         arrow = f"{self.requested}->{self.effective}" if self.routed else self.effective
         return f"<EngineRouting {arrow} cyclic={self.cyclic}>"
 
 
+class ComponentExecution(NamedTuple):
+    """How ``Plan.execute`` runs one component ``C`` of >= 3 relations:
+    on the kernel ``engine`` names, or its plan subtree (``"plan"``).
+    ``rho = plan_tau / (inputs + output)``: τ(S*_C), the cost of the
+    strategy's subtree for ``C``, over Σ_{R∈C}|R| + τ(R_C), what the
+    reducer at least reads and emits.  The four are ``None`` when no
+    kernel could run ``C``: it is not a node of the strategy, or the
+    database's engine has no kernel for its shape."""
+
+    subset: FrozenSet[AttributeSet]
+    relations: Tuple[str, ...]
+    cyclic: bool
+    engine: str
+    reason: str
+    rho: Optional[float]
+    plan_tau: Optional[int]
+    inputs: int
+    output: int
+
+    def describe(self) -> str:
+        """The ``execute:`` explain line."""
+        head = f"execute: {{{', '.join(self.relations)}}} -> {self.engine}"
+        if self.rho is None:
+            return f"{head} ({self.reason})"
+        return (
+            f"{head} ({self.reason}; rho {self.rho:.3g} = tau(S*) "
+            f"{self.plan_tau} / (sum|R| {self.inputs} + tau(R_C) {self.output}))"
+        )
+
+    def to_dict(self) -> Dict[str, Any]:
+        """A JSON-ready image (embedded in plan/profile exports)."""
+        return {k: v for k, v in self._asdict().items() if k != "subset"}
+
+
 class EngineRouter:
-    """Classify a database's connected subsets and pick its engine.
+    """Classify a database's components (from its scheme's
+    :class:`~repro.schemegraph.index.SubsetIndex`), pin its engine, and
+    decide how each component of a plan executes.
 
-    The router only ever *upgrades the default*: a database pinned with
-    ``engine=`` keeps its pin.  The decision matrix (also in
-    docs/api.md):
-
-    ========================  ==========================================
-    situation                 effective engine
-    ========================  ==========================================
-    ``Database(engine=...)``  the pin, always
-    some cyclic component     ``wcoj`` (``yannakakis`` when acyclic
-    of >= 3 relations         components of >= 3 relations coexist)
-    some acyclic component    ``yannakakis``
-    of >= 3 relations
-    everything else           ``vector``
-    ========================  ==========================================
+    :meth:`route` keeps a pinned database's pin.  Otherwise a cyclic
+    component of >= 3 relations wants ``wcoj`` and an acyclic one
+    ``yannakakis``; a database with both goes to ``yannakakis``, which
+    runs both kernels, and one with neither stays on ``vector``.
     """
 
     def __init__(self, db: Database):
         self._db = db
 
     @staticmethod
-    def classify(subscheme: DatabaseScheme) -> str:
-        """The engine a single connected subset wants: ``"wcoj"`` for
-        cyclic subsets of three or more relations, ``"yannakakis"`` for
-        acyclic ones, ``"vector"`` below three relations (binary plans
-        are already optimal on one or two relations)."""
-        if len(subscheme) < 3:
+    def _wants(size: int, cyclic: bool) -> str:
+        if size < 3:
             return "vector"
-        return "yannakakis" if is_alpha_acyclic(subscheme) else "wcoj"
+        return "wcoj" if cyclic else "yannakakis"
+
+    @staticmethod
+    def classify(subscheme: DatabaseScheme) -> str:
+        """The engine one connected subset wants: ``"wcoj"`` if cyclic,
+        ``"yannakakis"`` if acyclic, ``"vector"`` below three relations."""
+        index = subscheme.subset_index()
+        return EngineRouter._wants(len(subscheme), index.join_tree(index.full) is None)
 
     def route(self) -> EngineRouting:
         """Decide the execution engine for the database and say why."""
         db = self._db
-        scheme = db.scheme
-        cyclic = not is_alpha_acyclic(scheme)
-        connected = scheme.is_connected()
-        cover = None
+        index = db.scheme.subset_index()
+        parts = [
+            (index.members(m), index.join_tree(m)) for m in index.components(index.full)
+        ]
+        cyclic = any(tree is None for _, tree in parts)
+        connected = len(parts) == 1
+        components = tuple(
+            (len(m), t is None, self._wants(len(m), t is None)) for m, t in parts
+        )
+        effective, reason = _VERDICTS[frozenset(e for _, _, e in components) - {"vector"}]
+        if db.pinned_engine is not None:
+            effective, reason = db.pinned_engine, "pinned on the database"
+        cover = tree = expansion = None
         if connected:
             relations = db.relations()
-            cover = fractional_edge_cover(
-                [rel.scheme for rel in relations],
-                [len(rel) for rel in relations],
-            )
-        components = tuple(
-            (len(component), not is_alpha_acyclic(component), self.classify(component))
-            for component in scheme.components()
-        )
+            schemes = [rel.scheme for rel in relations]
+            cover = fractional_edge_cover(schemes, [len(rel) for rel in relations])
+            (members, edges), = parts
+            if effective == "yannakakis" and not cyclic:
+                tree = JoinTree(db.scheme, [(members[i], members[j]) for i, j in edges])
+            elif cyclic and effective != "vector":
+                expansion = choose_order(schemes)
+        return EngineRouting(db.engine, effective, cyclic, connected, reason,
+                             cover, components, tree, expansion)
 
-        def finish(requested: str, effective: str, reason: str) -> EngineRouting:
-            tree = None
-            expansion = None
-            if connected and effective == "yannakakis" and not cyclic:
-                tree = build_join_tree(scheme)
-            elif connected and cyclic and effective in ("wcoj", "yannakakis"):
-                expansion = choose_order(
-                    [rel.scheme for rel in db.relations()]
-                )
-            return EngineRouting(
-                requested, effective, cyclic, connected, reason,
-                cover, components, tree, expansion,
-            )
+    @staticmethod
+    def execution(
+        strategy: Strategy, cost: int, routing: Optional[EngineRouting]
+    ) -> Tuple[ComponentExecution, ...]:
+        """How ``Plan.execute`` runs each component of >= 3 relations of
+        ``strategy``'s database (of tau ``cost``, planned under
+        ``routing``), from taus costing it left in the caches.  A
+        component runs the strategy's steps unless the database's engine
+        has its kernel and it is a node of the strategy: Generic Join if
+        cyclic, Yannakakis if acyclic and pinned or ``rho`` >= :data:`RHO_STAR`."""
+        db = strategy.database
+        index = db.scheme.subset_index()
+        parts = index.components(index.full)
+        shapes = (  # the routing record holds each component's shape, in order
+            [index.join_tree(m) is None for m in parts] if routing is None
+            else [cyc for _, cyc, _ in routing.components])
+        nodes: Dict[FrozenSet[AttributeSet], Strategy] = {}
+        out = []
+        for mask, cyclic in zip(parts, shapes):
+            members = index.schemes if mask == index.full else index.members(mask)
+            if len(members) < 3:
+                continue
+            subset, node = db.scheme.schemes, strategy
+            if mask != index.full:
+                subset = frozenset(members)
+                nodes = nodes or {n.scheme_set.schemes: n for n in strategy.nodes()}
+                node = nodes.get(subset)
+            states = [db.state_for(s) for s in members]
+            names = tuple(sorted(rel.name or format_attrs(rel.scheme) for rel in states))
+            terms: Tuple[Any, ...] = (None,) * 4
+            if db.engine not in ("yannakakis", "wcoj" if cyclic else "yannakakis"):
+                engine, reason = "plan", f"{db.engine} engine"
+            elif node is None:
+                engine, reason = "plan", "not a node of the strategy"
+            else:
+                plan_tau = cost if node is strategy else tau_cost(node)
+                inputs, output = sum(map(len, states)), db.tau_of(subset)
+                rho = plan_tau / max(inputs + output, 1)
+                terms = (rho, plan_tau, inputs, output)
+                if cyclic:
+                    engine, reason = "wcoj", "cyclic"
+                elif routing is None or not routing.routed:
+                    engine, reason = "yannakakis", "pinned on the database"
+                else:
+                    engine = "yannakakis" if rho >= RHO_STAR else "plan"
+                    reason = f"rho {'<' if engine == 'plan' else '>='} {RHO_STAR}"
+            out.append(ComponentExecution(subset, names, cyclic, engine, reason, *terms))
+        return tuple(out)
 
-        pinned = db.pinned_engine
-        if pinned is not None:
-            return finish(pinned, pinned, "pinned on the database")
-        requested = db.engine
-        wanted = {engine for _, _, engine in components}
-        if "yannakakis" in wanted and "wcoj" in wanted:
-            return finish(
-                requested, "yannakakis",
-                "mixed components: semijoin reduction on acyclic subsets, "
-                "generic join on cyclic ones",
-            )
-        if "yannakakis" in wanted:
-            return finish(
-                requested, "yannakakis",
-                "semijoin reduction bounds intermediates by the output",
-            )
-        if "wcoj" in wanted:
-            return finish(
-                requested, "wcoj",
-                "generic join runs within the AGM bound",
-            )
-        return finish(
-            requested, requested,
-            "no connected subset of three or more relations",
-        )

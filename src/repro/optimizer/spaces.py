@@ -50,12 +50,15 @@ class SearchSpace(enum.Enum):
 
     def describe(self) -> str:
         """Human-readable name used in benchmark tables."""
-        return {
-            SearchSpace.ALL: "all strategies",
-            SearchSpace.LINEAR: "linear",
-            SearchSpace.NOCP: "no Cartesian products",
-            SearchSpace.LINEAR_NOCP: "linear, no Cartesian products",
-        }[self]
+        return _DESCRIPTIONS[self]
+
+
+_DESCRIPTIONS = {
+    SearchSpace.ALL: "all strategies",
+    SearchSpace.LINEAR: "linear",
+    SearchSpace.NOCP: "no Cartesian products",
+    SearchSpace.LINEAR_NOCP: "linear, no Cartesian products",
+}
 
 
 class Degradation:

@@ -67,7 +67,7 @@ from array import array
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.database import Database
-from repro.errors import ReproError
+from repro.errors import OperationCancelled, ReproError
 from repro.obs.metrics import get_registry
 from repro.obs.recorder import get_recorder
 from repro.obs.trace import clock_sample, clock_skew_ns, get_tracer
@@ -670,7 +670,12 @@ class ParallelContext:
         self._snapshot = None
         try:
             if pool is not None:
-                if exc_type is None:
+                # A cancelled fan-out drains instead of being killed: every
+                # worker shares the cancel cell and returns at its next
+                # charge, while terminate() could kill a worker mid-send on
+                # the result queue, holding the queue's write lock, and the
+                # pool's task handler would then block on it forever.
+                if exc_type is None or issubclass(exc_type, OperationCancelled):
                     pool.close()
                 else:
                     pool.terminate()

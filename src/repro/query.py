@@ -33,9 +33,11 @@ from repro.errors import OptimizerError
 from repro.optimizer.dp import optimize_dp
 from repro.optimizer.estimate import CardinalityEstimator
 from repro.optimizer.greedy import greedy_bushy, greedy_linear
+from repro.optimizer.route import ComponentExecution, EngineRouter
 from repro.optimizer.spaces import Degradation, OptimizationResult, SearchSpace
 from contextlib import nullcontext
 
+from repro.relational.attributes import format_attrs
 from repro.relational.relation import Relation
 from repro.runtime.core import Runtime, using_runtime
 from repro.strategy.cost import step_costs, tau_cost
@@ -55,11 +57,14 @@ class PlanProvenance:
     greedy fallback instead; and ``routing`` -- set by
     :class:`JoinQuery` and the CLI -- the
     :class:`~repro.optimizer.route.EngineRouting` record saying which
-    execution engine runs the plan and why (with the AGM bound for
-    connected schemes).
+    engine the database is pinned to and why (with the AGM bound for
+    connected schemes).  ``execution`` holds the plan's
+    :class:`~repro.optimizer.route.ComponentExecution` records once
+    :attr:`Plan.execution` has decided them; setting ``routing`` clears
+    them.
     """
 
-    __slots__ = ("cost", "space", "optimizer", "degradation", "routing")
+    __slots__ = ("cost", "space", "optimizer", "degradation", "_routing", "execution")
 
     def __init__(
         self,
@@ -74,6 +79,16 @@ class PlanProvenance:
         self.optimizer = optimizer
         self.degradation = degradation
         self.routing = routing
+
+    @property
+    def routing(self):
+        """The engine-routing record (``None`` outside :class:`JoinQuery`)."""
+        return self._routing
+
+    @routing.setter
+    def routing(self, routing) -> None:
+        self._routing = routing
+        self.execution = None
 
     @property
     def degraded(self) -> bool:
@@ -93,6 +108,11 @@ class PlanProvenance:
             "routing": (
                 self.routing.to_dict() if self.routing is not None else None
             ),
+            "execution": (
+                [record.to_dict() for record in self.execution]
+                if self.execution is not None
+                else None
+            ),
         }
 
     def __repr__(self) -> str:
@@ -111,21 +131,40 @@ def _render(node: Strategy, depth: int) -> Tuple[str, List[str]]:
     indent = "  " * depth
     if node.is_leaf:
         (scheme,) = node.scheme_set.schemes
-        name = node.database.name_of(scheme)
-        return name, [f"{indent}scan {name} [tau={node.tau}]"]
-    children = sorted(_render(child, depth + 1) for child in node.children())
-    label = "(" + " ⋈ ".join(text for text, _ in children) + ")"
-    lines = [f"{indent}join {label} [tau={node.tau}]"]
-    for _, subtree in children:
-        lines.extend(subtree)
-    return label, lines
+        # A leaf's tau is its state's length: no subset-cache lookup.
+        rel = node.database.state_for(scheme)
+        name = rel.name or format_attrs(scheme)
+        return name, [f"{indent}scan {name} [tau={len(rel)}]"]
+    first, second = sorted(
+        (_render(node.left, depth + 1), _render(node.right, depth + 1))
+    )
+    label = f"({first[0]} ⋈ {second[0]})"
+    return label, [f"{indent}join {label} [tau={node.tau}]", *first[1], *second[1]]
+
+
+def _run(node: Strategy, kernels) -> Relation:
+    """The state of ``node``: a leaf's base state; a step whose subset is
+    in ``kernels`` from the database's kernel entry; any other step the
+    join of its children's states.  Steps go through the join memo, so
+    a memoized subset is reused and a computed one is memoized."""
+    db = node.database
+    if node.is_leaf:
+        (scheme,) = node.scheme_set.schemes
+        return db.state_for(scheme)
+    key = node.scheme_set.schemes
+    if key in kernels:
+        return db._join_memo(key)
+    return db._join_memo(
+        key, lambda: _run(node.left, kernels).join(_run(node.right, kernels))
+    )
 
 
 class Plan:
     """An executable join plan: a strategy plus provenance.
 
-    Plans are produced by :class:`JoinQuery`; ``execute`` returns the
-    final relation, ``explain`` renders the tree with per-step sizes.
+    Plans are produced by :class:`JoinQuery`; ``execute`` runs the
+    strategy and returns the final relation, ``explain`` renders the
+    tree with per-step sizes and how each component executes.
     ``cost``/``space``/``optimizer`` read through to the
     :class:`PlanProvenance` record in ``plan.provenance``.
     """
@@ -179,6 +218,18 @@ class Plan:
         """True when the plan is a runtime-exhaustion fallback."""
         return self.provenance.degraded
 
+    @property
+    def execution(self) -> Tuple[ComponentExecution, ...]:
+        """How :meth:`execute` runs each component of three or more
+        relations (:meth:`EngineRouter.execution`), decided on first
+        use and kept on the provenance record."""
+        provenance = self.provenance
+        if provenance.execution is None:
+            provenance.execution = EngineRouter.execution(
+                self.strategy, self.cost, provenance.routing
+            )
+        return provenance.execution
+
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready image of the plan and its provenance."""
         out = {
@@ -187,12 +238,24 @@ class Plan:
             "cartesian_products": self.uses_cartesian_products,
         }
         out.update(self.provenance.to_dict())
+        out["execution"] = [record.to_dict() for record in self.execution]
         return out
 
     def execute(self) -> Relation:
-        """The final relation (the engine computes each step's join via
-        the database's memoized cache, so re-execution is cheap)."""
-        return self.strategy.state
+        """The final relation, computed by running the strategy.
+
+        Every step joins its children's states with the vector hash
+        join and memoizes the result under its subset in the database's
+        join memo, so ``Strategy.state``, ``tau_of`` and a second
+        ``execute()`` read it back.  A component that :attr:`execution`
+        hands to a kernel runs through the database's kernel entry
+        instead (runtime fallback included).  On a plan executed this
+        way, the steps produce exactly ``cost`` tuples.
+        """
+        kernels = {
+            record.subset for record in self.execution if record.engine != "plan"
+        }
+        return _run(self.strategy, kernels)
 
     def explain(self) -> str:
         """A plan tree rendering with per-node tau, root first::
@@ -216,6 +279,7 @@ class Plan:
                     f"(binary plan tau: {self.cost})"
                 )
             lines.extend(routing.structure_lines())
+        lines.extend(record.describe() for record in self.execution)
         if self.degraded:
             record = self.provenance.degradation
             lines.append(
@@ -258,8 +322,6 @@ class JoinQuery:
     """
 
     def __init__(self, db: Database, runtime: Optional[Runtime] = None):
-        from repro.optimizer.route import EngineRouter
-
         self._routing = EngineRouter(db).route()
         if self._routing.routed:
             # Pin the routed engine so every join launched through this

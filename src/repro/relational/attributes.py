@@ -109,6 +109,6 @@ def format_attrs(attributes: Iterable[str]) -> str:
     """Render attributes compactly: ``ABC`` when all names are single
     characters (the paper's notation), ``{course, student}`` otherwise."""
     names = sorted(attributes)
-    if names and all(len(name) == 1 for name in names):
+    if names and set(map(len, names)) == {1}:
         return "".join(names)
     return "{" + ", ".join(names) + "}"

@@ -66,6 +66,8 @@ class JoinTree:
                 raise AcyclicityError("join-tree edge references an unknown scheme")
             adjacency[a].append(b)
             adjacency[b].append(a)
+        for neighbours in adjacency.values():
+            neighbours.sort(key=AttributeSet.sorted)
         self._scheme = scheme
         self._edges: FrozenSet[Edge] = normalized
         self._adjacency = adjacency
@@ -123,7 +125,7 @@ class JoinTree:
 
     def neighbors(self, node: AttributeSet) -> Tuple[AttributeSet, ...]:
         """The schemes adjacent to ``node`` in the tree."""
-        return tuple(sorted(self._adjacency[node], key=lambda s: s.sorted()))
+        return tuple(self._adjacency[node])
 
     def induces_subtree(self, subset) -> bool:
         """True when the given schemes induce a connected subtree."""
@@ -141,14 +143,11 @@ class JoinTree:
             raise AcyclicityError(f"{format_attrs(root)} is not a node of this tree")
         order: List[Tuple[AttributeSet, Optional[AttributeSet]]] = [(root, None)]
         seen = {root}
-        queue = [root]
-        while queue:
-            node = queue.pop(0)
-            for neighbor in self.neighbors(node):
+        for node, _ in order:  # the listing is the BFS queue
+            for neighbor in self._adjacency[node]:
                 if neighbor not in seen:
                     seen.add(neighbor)
                     order.append((neighbor, node))
-                    queue.append(neighbor)
         return order
 
     def __eq__(self, other: object) -> bool:

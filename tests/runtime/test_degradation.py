@@ -2,8 +2,12 @@
 deterministic greedy plan, condition checks report timed-out, cancelled
 sweeps raise promptly, and the CLI surfaces all of it."""
 
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,41 @@ from repro.optimizer.spaces import SearchSpace
 from repro.query import JoinQuery
 from repro.runtime import CancelToken, Deadline, Runtime
 from repro.workloads.generators import WorkloadSpec
+
+
+_TEARDOWN_RACE = """
+import multiprocessing.queues, os, threading, time
+from multiprocessing.reduction import ForkingPickler
+from repro.errors import OperationCancelled
+from repro.optimizer.exhaustive import optimize_exhaustive
+from repro.optimizer.spaces import SearchSpace
+from repro.runtime import CancelToken, Runtime
+from repro.workloads.generators import WorkloadSpec
+
+PARENT = os.getpid()
+_put = multiprocessing.queues.SimpleQueue.put
+
+def put(self, obj):
+    if os.getpid() == PARENT:
+        if obj is None and threading.current_thread() is not threading.main_thread():
+            time.sleep(1.0)  # the task handler's sentinel
+        return _put(self, obj)
+    if not (isinstance(obj, tuple) and len(obj) == 3 and obj[2][0] is False):
+        return _put(self, obj)
+    with self._wlock:  # a worker's failed task: stay mid-send a while
+        self._writer.send_bytes(ForkingPickler.dumps(obj))
+        time.sleep(0.2)
+
+multiprocessing.queues.SimpleQueue.put = put
+db = WorkloadSpec(size=12, domain=5, shape="clique", relations=8, seed=0).build()
+for _ in range(2):
+    token = CancelToken()
+    threading.Timer(0.3, token.cancel).start()
+    try:
+        optimize_exhaustive(db, SearchSpace.ALL, jobs=4, runtime=Runtime(token=token))
+    except OperationCancelled:
+        print("cancelled")
+"""
 
 
 def _clique(relations=8, size=12, domain=5, seed=0):
@@ -167,6 +206,27 @@ class TestCancellation:
         assert not worker.is_alive(), "cancelled sweep never returned"
         assert "cancelled_at" in outcome, outcome.get("error")
         assert outcome["cancelled_at"] - cancelled < 10
+
+    def test_cancelled_pool_teardown_cannot_deadlock(self):
+        # Forces the teardown race: each worker stays mid-send on the
+        # result queue (holding its write lock) after sending a cancelled
+        # task's exception, and the pool's task handler sends its own
+        # sentinel late.  Terminating the pool would kill a worker that
+        # holds the lock and leave the task handler blocked on it; the
+        # subprocess turns that hang into a timeout.
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", _TEARDOWN_RACE], env=env,
+                capture_output=True, text=True, timeout=60,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("the cancelled sweep's pool teardown hung")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["cancelled", "cancelled"]
 
     def test_greedy_floor_honors_cancellation(self):
         db = _clique(relations=6)
