@@ -48,6 +48,7 @@ sentinel over ``triangle.speedup`` / ``cycle4.speedup`` /
 
 import argparse
 import json
+import os
 import pathlib
 import random
 import statistics
@@ -61,7 +62,6 @@ if str(REPO_ROOT / "src") not in sys.path:  # standalone-script entry
 from repro.database import Database  # noqa: E402
 from repro.optimizer.dp import optimize_dp  # noqa: E402
 from repro.optimizer.spaces import SearchSpace  # noqa: E402
-from repro.parallel import visible_cpus  # noqa: E402
 from repro.query import Plan  # noqa: E402
 from repro.strategy.tree import parse_strategy  # noqa: E402
 from repro.report import Table  # noqa: E402
@@ -80,6 +80,14 @@ ROUNDS_FULL = 5
 ROUNDS_QUICK = 3
 CLIQUE_SPEC_FULL = dict(size=120, domain=4, seed=11)
 CLIQUE_SPEC_QUICK = dict(size=60, domain=4, seed=11)
+
+
+def _visible_cpus() -> int:
+    """CPUs this process may run on: the affinity mask where the
+    platform has one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _clique5(spec: dict) -> Database:
@@ -185,7 +193,7 @@ def run_benchmark(quick: bool = False) -> dict:
     clique_spec = CLIQUE_SPEC_QUICK if quick else CLIQUE_SPEC_FULL
     payload = {
         "quick": quick,
-        "cpu_count": visible_cpus(),
+        "cpu_count": _visible_cpus(),
         "rounds": rounds,
         "size": SIZE,
         "speedup_target_triangle": SPEEDUP_TARGET,
@@ -198,8 +206,8 @@ def run_benchmark(quick: bool = False) -> dict:
         "clique5": _bench_workload("clique5", _clique5(clique_spec), rounds),
         "clique5_count": _bench_count(_clique5(CLIQUE_SPEC_FULL), rounds),
     }
-    # Unlike the parallel curves, this target does not depend on core
-    # count -- both sides are sequential -- so it binds everywhere.
+    # This target does not depend on core count -- both sides are
+    # sequential -- so it binds everywhere.
     payload["speedup_check"] = "enforced"
     return payload
 

@@ -52,6 +52,7 @@ regression sentinel over ``selective_star.speedup`` / ``star4.speedup``.
 
 import argparse
 import json
+import os
 import pathlib
 import random
 import statistics
@@ -65,7 +66,6 @@ if str(REPO_ROOT / "src") not in sys.path:  # standalone-script entry
 from repro.database import Database  # noqa: E402
 from repro.optimizer.dp import optimize_dp  # noqa: E402
 from repro.optimizer.spaces import SearchSpace  # noqa: E402
-from repro.parallel import visible_cpus  # noqa: E402
 from repro.query import JoinQuery, Plan  # noqa: E402
 from repro.strategy.tree import parse_strategy  # noqa: E402
 from repro.report import Table  # noqa: E402
@@ -86,6 +86,14 @@ STAR4_SPEC_FULL = dict(size=120, domain=4, seed=17)
 STAR4_SPEC_QUICK = dict(size=60, domain=4, seed=17)
 FK_CHAIN_SPEC = dict(n=6, size=400, seed=23)
 LEGS = ("selective_star", "star4", "fk_chain")
+
+
+def _visible_cpus() -> int:
+    """CPUs this process may run on: the affinity mask where the
+    platform has one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _star4(spec: dict) -> Database:
@@ -177,7 +185,7 @@ def run_benchmark(quick: bool = False) -> dict:
     star4_spec = STAR4_SPEC_QUICK if quick else STAR4_SPEC_FULL
     payload = {
         "quick": quick,
-        "cpu_count": visible_cpus(),
+        "cpu_count": _visible_cpus(),
         "rounds": rounds,
         "size": SIZE,
         "speedup_target_selective_star": SPEEDUP_TARGET,
@@ -187,8 +195,8 @@ def run_benchmark(quick: bool = False) -> dict:
         "star4": _bench_workload("star4", _star4(star4_spec), rounds),
         "fk_chain": _bench_workload("fk_chain", _fk_chain(FK_CHAIN_SPEC), rounds),
     }
-    # Unlike the parallel curves, this target does not depend on core
-    # count -- both sides are sequential -- so it binds everywhere.
+    # This target does not depend on core count -- both sides are
+    # sequential -- so it binds everywhere.
     payload["speedup_check"] = "enforced"
     return payload
 

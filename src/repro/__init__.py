@@ -89,7 +89,7 @@ from repro.runtime import CancelToken, Deadline, Runtime, WorkBudget
 from repro.errors import OperationCancelled
 from repro.theorems import check_theorem1, check_theorem2, check_theorem3
 
-__version__ = "3.1.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "Database",

@@ -44,6 +44,8 @@ import repro.obs as obs
 from repro import __version__
 from repro.conditions.checks import check_condition
 from repro.database import ENGINES, Database
+from repro.optimizer.dp import optimize_dp
+from repro.optimizer.exhaustive import optimize_exhaustive
 from repro.optimizer.spaces import SearchSpace
 from repro.query import JoinQuery, Plan
 from repro.report import Table, render_kv
@@ -113,21 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="search subspace; 'exhaustive' searches all strategies "
             "by full enumeration instead of the subset DP",
         )
-        add_jobs_flag(command)
         add_runtime_flags(command)
-
-    def add_jobs_flag(command: argparse.ArgumentParser) -> None:
-        command.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            metavar="N",
-            help="fan the exhaustive search (optimize --space exhaustive, "
-            "explain) or the sampled costing (sample) across N worker "
-            "processes (0 = all cores; default sequential; see "
-            "docs/performance.md); optimize rejects it without "
-            "--space exhaustive, since the subset DP runs in one process",
-        )
 
     def add_runtime_flags(command: argparse.ArgumentParser) -> None:
         command.add_argument(
@@ -170,8 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="write the recorded span tree as a Chrome Trace Event file "
-        "(implies --trace); with --jobs, worker spans are re-parented "
-        "under the run's root span, so the file is one causal trace",
+        "(implies --trace)",
     )
 
     explain = sub.add_parser(
@@ -221,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--seed", type=int, default=0)
     sample.add_argument("--samples", type=int, default=200)
     sample.add_argument("--linear", action="store_true")
-    add_jobs_flag(sample)
 
     obs_cmd = sub.add_parser(
         "obs",
@@ -333,16 +319,11 @@ def _space_of(args: argparse.Namespace) -> SearchSpace:
 
 def _plan(args: argparse.Namespace, query: JoinQuery) -> Plan:
     """The requested plan: the subset DP, or -- under ``--space
-    exhaustive`` -- full enumeration (fanned out by ``--jobs``)."""
+    exhaustive`` -- full enumeration."""
     if args.space == "exhaustive":
-        from repro.optimizer.exhaustive import optimize_exhaustive
-
         plan = Plan.from_result(
             optimize_exhaustive(
-                query.database,
-                SearchSpace.ALL,
-                jobs=args.jobs,
-                runtime=query.runtime,
+                query.database, SearchSpace.ALL, runtime=query.runtime
             )
         )
         plan.provenance.routing = query.routing
@@ -382,8 +363,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     obs.enable()
     try:
         # The ledger brackets the run: it mints the trace id, opens the
-        # root span every worker span re-parents under, samples
-        # resources, and stamps the flight-recorder context.
+        # root span, samples resources, and stamps the flight-recorder
+        # context.
         with RunLedger(
             "cli.optimize",
             workload=spec,
@@ -391,7 +372,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 "shape": args.shape,
                 "relations": args.relations,
                 "space": args.space,
-                "jobs": args.jobs,
             },
         ) as ledger:
             ledger.sampler.watch_database(db)
@@ -437,7 +417,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             _space_of(args),
             workload=spec,
             track_memory=not args.no_memory,
-            jobs=args.jobs,
+            planner=(
+                optimize_exhaustive if args.space == "exhaustive" else optimize_dp
+            ),
             runtime=_runtime_from(args),
         )
         print(report.render())
@@ -470,7 +452,6 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    from repro.optimizer.dp import optimize_dp
     from repro.strategy.sampling import (
         cost_distribution,
         sample_linear_strategy,
@@ -491,7 +472,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         random.Random(args.seed + 1),
         samples=args.samples,
         sampler=sampler,
-        jobs=args.jobs,
     )
     summary["true optimum"] = optimize_dp(db).cost
     print(render_kv(sorted(summary.items())))
@@ -533,11 +513,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "census":
         return _cmd_census(args.max_n)
     if args.command == "optimize":
-        if args.jobs is not None and args.space != "exhaustive":
-            parser.error(
-                "optimize --jobs needs --space exhaustive: the subset DP "
-                "runs in one process"
-            )
         return _cmd_optimize(args)
     if args.command == "explain":
         return _cmd_explain(args)

@@ -114,10 +114,6 @@ _V = TypeVar("_V")
 #: Key type of the subset caches.
 SubsetKey = FrozenSet[AttributeSet]
 
-#: A subset-cache key as plain tuples (picklable; see
-#: :meth:`Database.tau_cache_export`).
-PlainSubsetKey = Tuple[Tuple[str, ...], ...]
-
 
 class _BoundedCache(Generic[_K, _V]):
     """A small LRU cache; ``capacity=None`` means unbounded.
@@ -166,9 +162,6 @@ class _BoundedCache(Generic[_K, _V]):
 
     def values(self) -> Iterable[_V]:
         return self._data.values()
-
-    def items(self) -> Iterable[Tuple[_K, _V]]:
-        return self._data.items()
 
 
 class CacheStats:
@@ -343,7 +336,7 @@ class Database:
         and its witnesses hold these schemes.  Position ``p`` is the
         subset ``scheme.subset_index().connected()[p]``: the order is the
         index's canonical enumeration order, so witnesses come out in the
-        same order in every process.
+        same order on every run.
         """
         if self._connected is None:
             self._connected = tuple(self._scheme.connected_subsets())
@@ -715,34 +708,6 @@ class Database:
         self._join_hits = 0
         self._tau_hits = 0
         self._computed = 0
-
-    # -- tau-cache transport ------------------------------------------------------
-
-    def tau_cache_export(self) -> Dict[PlainSubsetKey, int]:
-        """The tau-cache contents under plain, picklable keys.
-
-        Keys are sorted tuples of sorted attribute-name tuples -- no
-        :class:`AttributeSet` or interned state, so the mapping crosses
-        process boundaries.  :mod:`repro.parallel` ships worker-computed
-        counts back to the parent this way.
-        """
-        return {
-            tuple(sorted(s.sorted() for s in key)): tau
-            for key, tau in self._tau_cache.items()
-        }
-
-    def tau_cache_import(self, entries: Iterable[Tuple[PlainSubsetKey, int]]) -> int:
-        """Install externally computed tau counts (as produced by
-        :meth:`tau_cache_export`).  Entries already answered by either
-        cache are skipped; returns the number actually installed."""
-        added = 0
-        for plain, tau in entries:
-            key = frozenset(AttributeSet(names) for names in plain)
-            if key in self._tau_cache or key in self._join_cache:
-                continue
-            self._tau_cache.put(key, tau)
-            added += 1
-        return added
 
     # -- derived databases ----------------------------------------------------------
 

@@ -16,11 +16,10 @@ The subsystem has five small parts:
   per-phase peak memory);
 * :mod:`repro.obs.recorder` -- the always-on anomaly flight recorder: a
   bounded ring of recent events that dumps a self-contained incident
-  bundle when the runtime degrades, times out, is cancelled, or a
-  worker dies (set ``REPRO_OBS_BUNDLE_DIR``);
+  bundle when the runtime degrades, times out, or is cancelled (set
+  ``REPRO_OBS_BUNDLE_DIR``);
 * :mod:`repro.obs.sampler` -- the daemon-thread resource sampler (RSS,
-  CPU, shared-memory bytes, pool queue depth, tau-cache hit rate),
-  published as ``resource.*`` metrics;
+  CPU, tau-cache hit rate), published as ``resource.*`` metrics;
 * :mod:`repro.obs.ledger` -- the unified run ledger: one JSONL stream
   per run (header, spans, metrics, resources, events, outcome) plus the
   aggregation behind the ``repro obs`` CLI family;
@@ -76,11 +75,10 @@ from repro.obs.metrics import (
 )
 from repro.obs.recorder import FlightRecorder, get_recorder, read_bundle
 from repro.obs.sampler import ResourceSampler, active_sampler
-from repro.obs.trace import Span, TraceContext, Tracer, get_tracer
+from repro.obs.trace import Span, Tracer, get_tracer
 
 __all__ = [
     "Span",
-    "TraceContext",
     "Tracer",
     "get_tracer",
     "FlightRecorder",

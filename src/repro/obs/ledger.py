@@ -10,8 +10,7 @@ request tomorrow.  :class:`RunLedger` brackets it::
 and on the way through:
 
 * mints the run's ``trace_id`` and opens its root span
-  (:meth:`~repro.obs.trace.Tracer.begin_run`), under which worker spans
-  re-parent via the shipped :class:`~repro.obs.trace.TraceContext`;
+  (:meth:`~repro.obs.trace.Tracer.begin_run`);
 * starts a :class:`~repro.obs.sampler.ResourceSampler` and stops it at
   exit, so the ledger carries the run's resource time series;
 * stamps the flight recorder's context, so an anomaly mid-run dumps a
@@ -306,8 +305,6 @@ def summarize(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         "anomalies": sum(1 for e in events if e.get("kind") == "anomaly"),
         "rss_peak_bytes": resource_peak("rss_bytes"),
         "cpu_seconds_total": resource_peak("cpu_seconds"),
-        "shm_peak_bytes": resource_peak("shm_bytes"),
-        "pool_queue_depth_peak": resource_peak("pool_queue_depth"),
         "resource_samples": len(resources),
     }
 
@@ -322,8 +319,6 @@ DIFF_KEYS: Tuple[str, ...] = (
     "anomalies",
     "rss_peak_bytes",
     "cpu_seconds_total",
-    "shm_peak_bytes",
-    "pool_queue_depth_peak",
 )
 
 
@@ -366,8 +361,6 @@ def render_summary(summary: Dict[str, Any]) -> str:
         ("anomalies", summary.get("anomalies")),
         ("rss peak (bytes)", _fmt(summary.get("rss_peak_bytes"))),
         ("cpu (s)", _fmt(summary.get("cpu_seconds_total"))),
-        ("shm peak (bytes)", _fmt(summary.get("shm_peak_bytes"))),
-        ("pool queue depth peak", _fmt(summary.get("pool_queue_depth_peak"))),
         ("resource samples", summary.get("resource_samples")),
     ]
     workload = summary.get("workload")
@@ -420,7 +413,7 @@ def _describe_record(record: Dict[str, Any]) -> str:
     if kind == "resource":
         parts = [
             f"{k}={record[k]}"
-            for k in ("rss_bytes", "cpu_seconds", "shm_bytes", "pool_queue_depth")
+            for k in ("rss_bytes", "cpu_seconds")
             if k in record
         ]
         return "resource " + " ".join(parts)

@@ -266,53 +266,6 @@ class MetricsRegistry:
                 )
         return rows
 
-    def drain(self) -> List[Tuple[str, str, str, LabelKey, Any]]:
-        """Remove and return every series as mergeable, picklable rows.
-
-        One row per (instrument, label set):
-        ``(name, kind, description, label_key, payload)`` where the
-        payload is the counter/gauge value or, for histograms, the raw
-        sample list (so percentiles survive a merge).  The counterpart of
-        :meth:`absorb`; :mod:`repro.parallel` drains each worker's
-        registry into the task result and absorbs it in the parent.
-        """
-        rows: List[Tuple[str, str, str, LabelKey, Any]] = []
-        for instrument in self.instruments():
-            for key, value in instrument.series().items():
-                payload = (
-                    list(value._samples)
-                    if isinstance(value, HistogramSummary)
-                    else value
-                )
-                rows.append(
-                    (instrument.name, instrument.kind, instrument.description, key, payload)
-                )
-            instrument.clear()
-        return rows
-
-    def absorb(self, rows: Iterable[Tuple[str, str, str, LabelKey, Any]]) -> None:
-        """Merge rows produced by another registry's :meth:`drain`:
-        counters add, gauges last-write-win, histograms replay their
-        samples.  Instruments are get-or-created by name, so absorbing
-        never conflicts with import-time registrations.  No-op while
-        disabled."""
-        if not self.enabled:
-            return
-        for name, kind, description, key, payload in rows:
-            key = tuple(tuple(pair) for pair in key)
-            if kind == "counter":
-                series = self.counter(name, description)._series
-                series[key] = series.get(key, 0) + payload
-            elif kind == "gauge":
-                self.gauge(name, description)._series[key] = payload
-            else:
-                series = self.histogram(name, description)._series
-                summary = series.get(key)
-                if summary is None:
-                    summary = series[key] = HistogramSummary()
-                for sample in payload:
-                    summary.observe(sample)
-
     def reset(self) -> None:
         """Clear every instrument's series (registrations survive)."""
         for instrument in self._instruments.values():

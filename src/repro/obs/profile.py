@@ -39,14 +39,14 @@ import time
 import tracemalloc
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import repro.obs as obs
 from repro.database import CacheStats, Database
 from repro.obs.metrics import get_registry
 from repro.optimizer.dp import optimize_dp
 from repro.optimizer.estimate import CardinalityEstimator, aggregate_qerror
-from repro.optimizer.spaces import SearchSpace
+from repro.optimizer.spaces import OptimizationResult, SearchSpace
 from repro.report import Table, render_kv
 
 __all__ = ["StepProfile", "RunReport"]
@@ -262,7 +262,7 @@ class RunReport:
         strategy=None,
         workload: Optional[Dict[str, Any]] = None,
         track_memory: bool = True,
-        jobs: Optional[int] = None,
+        planner: Callable[..., OptimizationResult] = optimize_dp,
         runtime=None,
     ) -> "RunReport":
         """Profile one run of ``db``: plan, estimate, and execute per step.
@@ -275,12 +275,12 @@ class RunReport:
         report's ``degradation`` records why.  The execute phase always
         runs the served plan to completion.
 
-        * **plan** -- the subset DP finds the tau-optimal strategy in
-          ``space`` (skipped when ``strategy`` is passed in); with
-          ``jobs`` > 1 the plan comes from the *parallel exhaustive*
-          optimizer instead, so the profiled span tree (and its
-          Chrome-trace export) shows the worker fan-out -- ground-truth
-          enumeration, intended for paper-scale schemes;
+        * **plan** -- ``planner`` finds the tau-optimal strategy in
+          ``space`` (skipped when ``strategy`` is passed in).  It is
+          called as ``planner(db, space, runtime=runtime)``: the subset
+          DP by default, or
+          :func:`~repro.optimizer.exhaustive.optimize_exhaustive` for
+          ground-truth enumeration at paper scale;
         * **statistics** -- the classical estimator collects its
           per-column statistics;
         * **execute** -- every step of the strategy is executed, in the
@@ -315,19 +315,7 @@ class RunReport:
             with obs.observed(), ambient:
                 with clock.phase("plan"):
                     if strategy is None:
-                        workers = 1
-                        if jobs is not None:
-                            from repro.parallel import resolve_jobs
-
-                            workers = resolve_jobs(jobs)
-                        if workers > 1:
-                            from repro.optimizer.exhaustive import optimize_exhaustive
-
-                            result = optimize_exhaustive(
-                                db, space, jobs=workers, runtime=runtime
-                            )
-                        else:
-                            result = optimize_dp(db, space, runtime=runtime)
+                        result = planner(db, space, runtime=runtime)
                         strategy = result.strategy
                         optimizer = result.optimizer
                         degradation = result.degradation

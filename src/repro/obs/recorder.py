@@ -2,8 +2,7 @@
 post-mortem bundles.
 
 Spans and metrics answer "what did this run do" *when someone asked in
-advance*.  Degradations, timeouts, cancellations, and worker deaths do
-not announce themselves in advance -- by the time one happens, the
+advance*.  Degradations, timeouts, and cancellations do not announce themselves in advance -- by the time one happens, the
 evidence is gone unless something was already recording.  The flight
 recorder is that something:
 
@@ -14,10 +13,10 @@ recorder is that something:
   is O(1), so the dormant cost is unmeasurable next to the <5% guard
   budget (``bench_obs_overhead.py`` pins it);
 * an **anomaly hook** (:meth:`FlightRecorder.anomaly`): the runtime
-  layer calls it when a search degrades, times out, or is cancelled, the
-  condition checkers when a sweep exhausts, and the parallel layer when
-  a worker dies.  Each anomaly lands in the ring and -- when a bundle
-  directory is configured -- dumps a bundle;
+  layer calls it when a search degrades, times out, or is cancelled, and
+  the condition checkers when a sweep exhausts.  Each anomaly lands in
+  the ring and -- when a bundle directory is configured -- dumps a
+  bundle;
 * a **self-contained JSON bundle** (:meth:`FlightRecorder.dump`): the
   ring, the recent span tail, a metrics snapshot, the run's context
   (trace id, :class:`~repro.workloads.generators.WorkloadSpec`, argv),
@@ -26,11 +25,10 @@ recorder is that something:
   the incident with no access to the crashed process.
 
 Bundle dumping is opt-in by location: set the ``REPRO_OBS_BUNDLE_DIR``
-environment variable (inherited by forked workers, so a worker-side
-anomaly dumps from the worker) or call
-:meth:`FlightRecorder.set_bundle_dir`.  Without a directory, anomalies
-still land in the ring and an explicit ``dump()`` still returns the
-bundle dict -- nothing is written behind the caller's back.
+environment variable or call :meth:`FlightRecorder.set_bundle_dir`.
+Without a directory, anomalies still land in the ring and an explicit
+``dump()`` still returns the bundle dict -- nothing is written behind
+the caller's back.
 """
 
 from __future__ import annotations
@@ -56,8 +54,7 @@ __all__ = [
 ]
 
 #: Environment variable naming the directory anomaly bundles are dumped
-#: into (created on first dump).  Inherited across fork and spawn, so
-#: one setting covers the whole worker tree.
+#: into (created on first dump).
 BUNDLE_DIR_ENV = "REPRO_OBS_BUNDLE_DIR"
 
 #: Ring capacity: enough to hold every event of a long sweep's tail

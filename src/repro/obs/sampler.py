@@ -9,11 +9,6 @@ on a daemon thread and records one row of:
   mark;
 * ``cpu_seconds`` -- user + system CPU time of this process
   (``os.times()``);
-* ``shm_bytes`` -- live ``/dev/shm`` segment bytes owned by this
-  process (:func:`repro.parallel.context.live_segment_bytes`), the
-  zero-copy snapshot footprint;
-* ``pool_queue_depth`` -- fanned-out tasks still in flight
-  (:func:`repro.parallel.context.outstanding_tasks`);
 * ``tau_cache_hit_rate`` / ``tau_cache_entries`` -- cache behaviour of
   a watched :class:`~repro.database.Database`
   (:meth:`ResourceSampler.watch_database`);
@@ -24,13 +19,9 @@ it back), and -- while the metrics registry is enabled -- each value is
 also published as a ``resource.<name>`` gauge (the current value, what
 the Prometheus exposition scrapes) and a ``resource.<name>.series``
 histogram (the distribution, so JSONL exports carry min/max/p95 without
-shipping every row twice).  The parallel layer's providers are imported
-lazily inside the tick, so this module stays importable before (or
-without) :mod:`repro.parallel`.
+shipping every row twice).
 
-The sampler thread holds no locks shared with the engine, so forking
-workers while it runs is safe -- the child's copy of the thread is dead,
-and workers do not restart it.
+The sampler thread holds no locks shared with the engine.
 """
 
 from __future__ import annotations
@@ -89,22 +80,6 @@ def _cpu_seconds() -> float:
     return times.user + times.system
 
 
-def _shm_bytes() -> int:
-    try:
-        from repro.parallel.context import live_segment_bytes
-    except Exception:  # pragma: no cover - parallel layer unavailable
-        return 0
-    return live_segment_bytes()
-
-
-def _pool_queue_depth() -> int:
-    try:
-        from repro.parallel.context import outstanding_tasks
-    except Exception:  # pragma: no cover
-        return 0
-    return outstanding_tasks()
-
-
 class ResourceSampler:
     """A bounded, daemon-threaded resource time series.
 
@@ -116,9 +91,8 @@ class ResourceSampler:
 
     or drive it by hand in tests with :meth:`sample_once`.  ``start`` is
     idempotent; ``stop`` joins the thread and publishes peak gauges
-    (``resource.rss_peak_bytes``, ``resource.cpu_seconds_total``,
-    ``resource.shm_peak_bytes``) so even a metrics-only consumer sees
-    the run's high-water marks.
+    (``resource.rss_peak_bytes``, ``resource.cpu_seconds_total``) so
+    even a metrics-only consumer sees the run's high-water marks.
     """
 
     __slots__ = (
@@ -141,8 +115,6 @@ class ResourceSampler:
         self._providers: Dict[str, Callable[[], Any]] = {
             "rss_bytes": read_rss_bytes,
             "cpu_seconds": _cpu_seconds,
-            "shm_bytes": _shm_bytes,
-            "pool_queue_depth": _pool_queue_depth,
         }
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -244,9 +216,6 @@ class ResourceSampler:
             registry.gauge(
                 "resource.cpu_seconds_total", "CPU seconds at the last sample"
             ).set(summary["cpu_seconds_total"])
-            registry.gauge(
-                "resource.shm_peak_bytes", "peak live shared-memory bytes"
-            ).set(summary["shm_peak_bytes"])
 
     def __enter__(self) -> "ResourceSampler":
         return self.start()
@@ -272,8 +241,6 @@ class ResourceSampler:
             "cpu_seconds_total": (
                 (rows[-1].get("cpu_seconds", 0) or 0) if rows else 0
             ),
-            "shm_peak_bytes": peak("shm_bytes"),
-            "pool_queue_depth_peak": peak("pool_queue_depth"),
         }
 
     def __repr__(self) -> str:

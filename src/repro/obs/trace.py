@@ -32,13 +32,9 @@ from.  The design goals, in order:
 A zero-duration :meth:`Tracer.event` records point observations (one
 join step's tau, one estimator error) without ``with`` ceremony.
 
-**Cross-process runs** additionally carry a *trace context*: every
-top-level operation mints a ``trace_id`` (:meth:`Tracer.begin_run`), and
-:meth:`Tracer.trace_context` captures a picklable :class:`TraceContext`
--- the trace id, the currently open span, and a monotonic/wall clock
-pair.  :mod:`repro.parallel` ships it to pool workers so their spans
-re-parent under the minting operation on :meth:`Tracer.adopt`, with
-worker clock skew normalized through :func:`clock_skew_ns` (see
+Every top-level operation mints a ``trace_id``
+(:meth:`Tracer.begin_run`) that the spans it opens carry, so one id
+joins a run's spans, ledger records and flight-recorder bundles (see
 docs/observability.md, "The run ledger").
 """
 
@@ -46,14 +42,12 @@ from __future__ import annotations
 
 import secrets
 import time
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Span",
-    "TraceContext",
     "Tracer",
     "clock_sample",
-    "clock_skew_ns",
     "get_tracer",
     "new_trace_id",
     "enable",
@@ -70,76 +64,9 @@ def new_trace_id() -> str:
 
 def clock_sample() -> Tuple[int, int]:
     """A paired ``(perf_counter_ns, time_ns)`` sample, taken as close
-    together as Python allows.  Two processes' samples let
-    :func:`clock_skew_ns` map one monotonic timeline onto the other."""
+    together as Python allows, so a monotonic reading can be placed on
+    the wall clock."""
     return (time.perf_counter_ns(), time.time_ns())
-
-
-#: Skew below this is indistinguishable from sampling jitter between the
-#: two clock reads and is treated as zero -- fork-started workers share
-#: CLOCK_MONOTONIC, so normalizing their ~microsecond jitter would *add*
-#: noise to otherwise exact timelines.
-CLOCK_SKEW_TOLERANCE_NS = 2_000_000
-
-
-def clock_skew_ns(
-    reference: Tuple[int, int],
-    sample: Tuple[int, int],
-    tolerance_ns: int = CLOCK_SKEW_TOLERANCE_NS,
-) -> int:
-    """The monotonic-clock offset of ``sample``'s process relative to
-    ``reference``'s, bridged through the wall clock.
-
-    Each argument is a :func:`clock_sample` pair taken in its own
-    process.  ``perf_counter_ns`` is only promised to be comparable
-    within one process; subtracting each side's wall reading cancels the
-    shared wall timeline and leaves the difference of the two monotonic
-    epochs.  Subtract the result from the sampling process's
-    ``start_ns`` values to land them on the reference timeline
-    (:meth:`Tracer.adopt` does).  Offsets within ``tolerance_ns`` are
-    reported as 0 -- same-boot fork workers share the clock and their
-    residual is read jitter, not skew.
-    """
-    ref_perf, ref_wall = reference
-    sample_perf, sample_wall = sample
-    skew = (sample_perf - sample_wall) - (ref_perf - ref_wall)
-    if abs(skew) <= tolerance_ns:
-        return 0
-    return skew
-
-
-class TraceContext:
-    """The picklable capture of "where am I in the trace": the trace id,
-    the innermost open span, and a :func:`clock_sample` pair.
-
-    Built by :meth:`Tracer.trace_context` in the process that owns the
-    trace; shipped (pickled or fork-inherited) to workers so their
-    telemetry re-joins the same causal tree.  ``span_id`` is ``None``
-    when no span is open (worker roots then stay roots on adopt).
-    """
-
-    __slots__ = ("trace_id", "span_id", "clock")
-
-    def __init__(
-        self,
-        trace_id: Optional[str],
-        span_id: Optional[int],
-        clock: Tuple[int, int],
-    ):
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.clock = clock
-
-    def __getstate__(self):
-        return (self.trace_id, self.span_id, self.clock)
-
-    def __setstate__(self, state):
-        self.trace_id, self.span_id, self.clock = state
-
-    def __repr__(self) -> str:
-        return (
-            f"<TraceContext trace={self.trace_id} span={self.span_id}>"
-        )
 
 
 class Span:
@@ -148,9 +75,8 @@ class Span:
     ``attributes`` are arbitrary JSON-representable key/value pairs;
     ``parent_id`` is ``None`` for root spans.  Times are nanoseconds from
     :func:`time.perf_counter_ns` -- monotonic, comparable only within a
-    process (cross-process spans are re-timed on adopt, see
-    :func:`clock_skew_ns`).  ``trace_id`` is the owning run's id, or
-    ``None`` outside a :meth:`Tracer.begin_run` window.
+    process.  ``trace_id`` is the owning run's id, or ``None`` outside a
+    :meth:`Tracer.begin_run` window.
     """
 
     __slots__ = (
@@ -278,23 +204,13 @@ class Tracer:
 
         Every top-level operation (a CLI command, a profiled capture, a
         future serve request) calls this exactly once; spans opened
-        inside -- including worker spans adopted through
-        :class:`TraceContext` -- share the id.  The id is minted even
-        while tracing is disabled (it is the run's identity for the
-        flight recorder and ledger, not a recording artifact); the span
-        itself is the usual no-op then.
+        inside share the id.  The id is minted even while tracing is
+        disabled (it is the run's identity for the flight recorder and
+        ledger, not a recording artifact); the span itself is the usual
+        no-op then.
         """
         self.trace_id = new_trace_id()
         return self.span(name, **attributes)
-
-    def current_span_id(self) -> Optional[int]:
-        """The innermost open span's id (``None`` outside any span)."""
-        return self._stack[-1].span_id if self._stack else None
-
-    def trace_context(self) -> TraceContext:
-        """Capture this process's position in the trace for shipment to
-        a worker (see :class:`TraceContext`)."""
-        return TraceContext(self.trace_id, self.current_span_id(), clock_sample())
 
     # -- recording ---------------------------------------------------------
 
@@ -329,55 +245,6 @@ class Tracer:
             attributes,
             trace_id=self.trace_id,
         )
-
-    def adopt(
-        self,
-        payloads: Iterable[Dict[str, Any]],
-        parent_id: Optional[int] = None,
-        skew_ns: int = 0,
-    ) -> None:
-        """Graft spans recorded by another tracer -- typically in a worker
-        process (:mod:`repro.parallel`) -- into this one.
-
-        ``payloads`` are ``Span.to_dict()`` dicts.  Span ids are
-        re-allocated from this tracer's sequence so adopted spans never
-        collide with native ones; parent links *within* the batch are
-        remapped, and batch roots are attached under ``parent_id`` (or
-        stay roots when it is ``None``).  The batch is ordered by
-        ``(start_ns, span_id)`` before ids are re-issued, so two workers
-        whose clocks tie still produce the same id assignment -- and
-        hence byte-stable exports -- on every run.
-
-        ``skew_ns`` is the worker clock's offset from this process's
-        (:func:`clock_skew_ns`); it is subtracted from every start time
-        so adopted spans land on this process's monotonic timeline.
-        Under fork the clocks agree and the offset is 0; spawn-started
-        or cross-boot workers are re-timed.  Adopted spans keep their
-        own ``trace_id`` when they carry one (they recorded under the
-        shipped :class:`TraceContext`) and inherit this tracer's
-        otherwise.
-        """
-        if not self.enabled:
-            return
-        payloads = sorted(
-            payloads, key=lambda p: (p["start_ns"], p["span_id"])
-        )
-        id_map: Dict[int, int] = {}
-        for payload in payloads:
-            id_map[payload["span_id"]] = self._next_id
-            self._next_id += 1
-        for payload in payloads:
-            original_parent = payload.get("parent_id")
-            span = Span(
-                payload["name"],
-                id_map[payload["span_id"]],
-                id_map.get(original_parent, parent_id),
-                payload["start_ns"] - skew_ns,
-                dict(payload.get("attributes") or {}),
-                trace_id=payload.get("trace_id") or self.trace_id,
-            )
-            span.end_ns = span.start_ns + payload.get("duration_ns", 0)
-            self._finished.append(span)
 
     # -- inspection --------------------------------------------------------
 

@@ -11,10 +11,7 @@ Candidates compete through a :class:`PlanReducer`, which keeps the
 incumbent minimum under the deterministic order ``(cost, describe())``
 and renders each incumbent's description lazily exactly once.  Because
 ``describe()`` is injective on strategy trees, that order is total, so
-the minimum is unique -- which is why the parallel path
-(:mod:`repro.parallel.exhaustive`, ``jobs=``) can reduce per-chunk
-minima with the *same* reducer and provably pick the same plan as the
-sequential scan.
+the minimum is unique and does not depend on enumeration order.
 """
 
 from __future__ import annotations
@@ -48,10 +45,6 @@ class PlanReducer:
     ties go to the lexicographically smaller description.  The
     incumbent's description is rendered at most once (on the first tie
     it must settle) and cached until the incumbent changes.
-
-    Anything with ``describe()`` can compete, so the parallel driver
-    merges chunk winners -- carried across the process boundary as
-    (cost, label, spec) -- through this same reduction.
     """
 
     __slots__ = ("best", "best_cost", "considered", "_label")
@@ -87,7 +80,6 @@ def optimize_exhaustive(
     db: Database,
     space: SearchSpace = SearchSpace.ALL,
     cost: Callable[[Strategy], int] = tau_cost,
-    jobs: Optional[int] = None,
     runtime=None,
 ) -> OptimizationResult:
     """Find a cheapest strategy in ``space`` by full enumeration.
@@ -99,26 +91,13 @@ def optimize_exhaustive(
     the subspace is empty (e.g. linear-and-CP-avoiding over an unconnected
     scheme with two multi-relation components).
 
-    ``jobs`` stripes the strategy stream across worker processes (see
-    docs/performance.md); the winning plan, cost, and considered count
-    are identical for any worker count.
-
     ``runtime`` bounds the search (docs/api.md): one budget unit is
     charged per strategy costed, and on deadline/budget exhaustion the
     search *does not raise* -- it serves a deterministic greedy fallback
     whose :class:`~repro.optimizer.spaces.Degradation` provenance
-    records the trigger and how many candidates were covered.  The
-    degraded plan is identical for any ``jobs`` value (partial exact
-    results are discarded, never merged).
+    records the trigger and how many candidates were covered (partial
+    exact results are discarded, never served).
     """
-    if jobs is not None:
-        from repro.parallel import resolve_jobs
-
-        workers = resolve_jobs(jobs)
-        if workers > 1:
-            from repro.parallel.exhaustive import optimize_exhaustive_parallel
-
-            return optimize_exhaustive_parallel(db, space, cost, workers, runtime)
     if runtime is not None:
         trigger = runtime.exhausted()
         if trigger is not None:

@@ -16,9 +16,9 @@ they do not hang or raise.  The cheap safe answer is a greedy plan:
 
 The fallback itself runs **unbounded** -- it is the floor; a second
 exhaustion would leave nothing to serve -- and is deterministic for a
-given database, which is what makes degraded plans byte-identical across
-worker counts (the partially-covered exact search is discarded, never
-merged: a partial minimum depends on timing).
+given database, which is what makes degraded plans byte-identical from
+run to run (the partially-covered exact search is discarded, never
+served: a partial minimum depends on timing).
 """
 
 from __future__ import annotations

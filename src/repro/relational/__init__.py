@@ -25,11 +25,7 @@ from repro.relational.attributes import (
     attrs,
     format_attrs,
 )
-from repro.relational.columnar import (
-    ColumnarTable,
-    interner_export,
-    interner_import,
-)
+from repro.relational.columnar import ColumnarTable
 from repro.relational.relation import (
     Relation,
     RelationSchema,
@@ -58,8 +54,6 @@ __all__ = [
     "attrs",
     "format_attrs",
     "ColumnarTable",
-    "interner_export",
-    "interner_import",
     "Relation",
     "RelationSchema",
     "Row",

@@ -13,10 +13,7 @@ evaluating many overlapping natural joins).  The kernel removes that cost:
   exactly when they would collide as dict keys.  Ids are process-wide,
   never recycled, and
   allocation is guarded by a lock so concurrent threads (the planned
-  async server) cannot race an id.  :func:`interner_export` /
-  :func:`interner_import` round-trip the table across process
-  boundaries, which is what makes spawn-started workers viable (fork
-  inherits the table for free).
+  async server) cannot race an id.
 * **Columnar tables** -- a :class:`ColumnarTable` is a relation state
   encoded as positional tuples of value ids over a fixed, sorted
   attribute order.  Internally a table holds whichever of three
@@ -26,9 +23,8 @@ evaluating many overlapping natural joins).  The kernel removes that cost:
   - an ordered, duplicate-free *row list* (what the vector kernel
     emits -- natural-join outputs are provably duplicate-free, so no
     hashing happens until someone actually needs set semantics),
-  - a *packed* flat ``int64`` buffer (``array('q')`` / ``memoryview``),
-    row-major -- the zero-copy exchange format used by the
-    shared-memory :class:`~repro.parallel.context.DatabaseSnapshot`.
+  - position-aligned *columns* (what the vector kernel builds its
+    outputs from, so a chain of joins never transposes to rows).
 
   Because the attribute order is always the sorted scheme, two tables
   over the same scheme are positionally aligned and set operations are
@@ -48,8 +44,7 @@ evaluating many overlapping natural joins).  The kernel removes that cost:
   Per-row ``struct.pack`` byte keys were measured slower than bulk-zip
   tuple keys in pure Python (packing cannot be bulk-vectorized without
   first building the very tuples it would replace), so tuple keys are
-  the packed-key representation of choice; packed ``int64`` buffers
-  are used where they do win -- the shared-memory snapshot format.
+  the packed-key representation of choice.
 
 Every :class:`~repro.database.Database` runs its binary joins here,
 whatever engine it carries (``Database(engine=...)``; the multiway
@@ -69,7 +64,6 @@ merged pair count pre-dedup.
 from __future__ import annotations
 
 import threading
-from array import array
 from functools import partial
 from itertools import chain, compress, count, repeat
 from operator import is_not, itemgetter, not_
@@ -94,8 +88,6 @@ __all__ = [
     "lookup_value",
     "value_of",
     "interned_count",
-    "interner_export",
-    "interner_import",
     "decode_row",
     "join_tables",
     "semijoin_tables",
@@ -171,28 +163,6 @@ def interned_count() -> int:
     return len(_VALUES)
 
 
-def interner_export() -> Tuple[Hashable, ...]:
-    """A snapshot of the interner's value table (position = id).
-
-    Ship this to a spawn-started worker (fork-started workers inherit
-    the live table) and rebuild the mapping there with
-    :func:`interner_import`.
-    """
-    with _INTERN_LOCK:
-        return tuple(_VALUES)
-
-
-def interner_import(values: Iterable[Hashable]) -> List[int]:
-    """Intern an exported value table; returns the translation list
-    mapping the exporting process's ids (list positions) to local ids.
-
-    In a process that inherited the exporter's table (fork) the
-    translation is the identity; in a fresh process it is a dense
-    re-numbering.  Either way ``translation[old_id]`` is the local id.
-    """
-    return [intern_value(value) for value in values]
-
-
 def decode_row(order: Tuple[str, ...], idrow: IdRow) -> Tuple[Tuple[str, Hashable], ...]:
     """The (attribute, value) pairs of an id row, in table order."""
     return tuple(zip(order, map(_VALUES.__getitem__, idrow)))
@@ -217,12 +187,11 @@ class ColumnarTable:
     * :meth:`from_rowlist` -- from an ordered, *already duplicate-free*
       row list (vector-kernel outputs: no hashing until set semantics
       are actually demanded);
-    * :meth:`from_packed` -- zero-copy over a flat row-major ``int64``
-      buffer (a ``memoryview`` into a shared-memory segment, or an
-      ``array('q')``); rows and columns decode lazily on first use.
+    * :meth:`from_columns` -- from position-aligned, duplicate-free id
+      columns (vector-kernel outputs built column-at-a-time).
     """
 
-    __slots__ = ("order", "_rows", "_rowlist", "_packed", "_nrows", "_columns", "_decoded")
+    __slots__ = ("order", "_rows", "_rowlist", "_nrows", "_columns", "_decoded")
 
     def __init__(self, order: Iterable[str], rows: Iterable[IdRow] = ()):
         self.order: Tuple[str, ...] = tuple(order)
@@ -230,7 +199,6 @@ class ColumnarTable:
             rows if isinstance(rows, frozenset) else frozenset(rows)
         )
         self._rowlist: Optional[List[IdRow]] = None
-        self._packed = None
         self._nrows = len(self._rows)
         self._columns: Optional[Dict[str, Sequence[int]]] = None
         self._decoded: Optional[Dict[str, Tuple[Hashable, ...]]] = None
@@ -244,7 +212,6 @@ class ColumnarTable:
         table.order = tuple(order)
         table._rows = None
         table._rowlist = rowlist
-        table._packed = None
         table._nrows = len(rowlist)
         table._columns = None
         table._decoded = None
@@ -262,33 +229,15 @@ class ColumnarTable:
         table.order = tuple(order)
         table._rows = None
         table._rowlist = None
-        table._packed = None
         table._nrows = nrows
         table._columns = cols
         table._decoded = None
         return table
 
-    @classmethod
-    def from_packed(cls, order: Iterable[str], buffer, nrows: int) -> "ColumnarTable":
-        """Wrap a flat row-major ``int64`` buffer of ``nrows`` rows
-        without copying it.  ``buffer`` must support ``len``, step
-        slicing, and integer items -- a ``memoryview(...).cast("q")``
-        over a shared-memory segment, or an ``array('q')``.  Rows in the
-        buffer must be distinct (snapshots pack deduplicated tables)."""
-        table = object.__new__(cls)
-        table.order = tuple(order)
-        table._rows = None
-        table._rowlist = None
-        table._packed = buffer
-        table._nrows = nrows
-        table._columns = None
-        table._decoded = None
-        return table
-
     @property
     def rows(self) -> FrozenSet[IdRow]:
-        """The tuple set (built lazily from the row list or the packed
-        buffer on first use)."""
+        """The tuple set (built lazily from the row list or the columns
+        on first use)."""
         r = self._rows
         if r is None:
             r = self._rows = frozenset(self.row_list())
@@ -302,22 +251,13 @@ class ColumnarTable:
         """
         rl = self._rowlist
         if rl is None:
-            packed = self._packed
             cols = self._columns
             if cols is not None:
                 rl = list(zip(*(cols[attr] for attr in self.order)))
-            elif packed is not None:
-                width = len(self.order)
-                rl = list(zip(*(packed[i::width] for i in range(width))))
             else:
                 rl = list(self._rows)
             self._rowlist = rl
         return rl
-
-    def to_packed(self) -> array:
-        """The rows sorted and flattened into a fresh ``array('q')`` --
-        the deterministic payload a shared-memory snapshot stores."""
-        return array("q", chain.from_iterable(sorted(self.rows)))
 
     @property
     def tau(self) -> int:
@@ -333,15 +273,8 @@ class ColumnarTable:
         """
         cols = self._columns
         if cols is None:
-            width = len(self.order)
-            packed = self._packed
-            if packed is not None and self._rowlist is None:
-                # Strided slices of the flat buffer: one C-speed copy
-                # per column, no row tuples ever built.
-                series = [tuple(packed[i::width]) for i in range(width)]
-            else:
-                rl = self.row_list()
-                series = list(zip(*rl)) if rl else [() for _ in range(width)]
+            rl = self.row_list()
+            series = list(zip(*rl)) if rl else [() for _ in self.order]
             cols = self._columns = dict(zip(self.order, series))
         return cols
 

@@ -1,7 +1,7 @@
 """The resilient execution runtime: deadlines, budgets, cancellation.
 
 Every long-running entry point of the library -- the optimizers, the
-condition checkers, the parallel drivers, :class:`~repro.query.JoinQuery`,
+condition checkers, :class:`~repro.query.JoinQuery`,
 :meth:`~repro.obs.profile.RunReport.capture`, and the CLI
 (``--timeout-ms`` / ``--budget``) -- accepts an optional ``runtime=``
 :class:`Runtime`.  Within limits the results are bit-for-bit what the

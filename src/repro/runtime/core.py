@@ -6,16 +6,14 @@ combinatorially; a serving system therefore needs every search to be
 :class:`Runtime` context that carries them through the engine:
 
 * :class:`Deadline` -- a wall-clock cutoff on the monotonic clock.  The
-  target instant is a plain float, so a deadline crosses a ``fork``
-  boundary intact (``CLOCK_MONOTONIC`` is system-wide) and workers see
-  the *same* cutoff as the parent.
+  target instant is a plain float, so one deadline bounds a whole
+  request across every layer it reaches.
 * :class:`WorkBudget` -- a cap on abstract work units (strategy
   costings, DP state expansions, condition instances, produced tuples).
   Charging is a plain int bump, so hot loops can charge per unit.
-* :class:`CancelToken` -- a cooperative cancellation flag.  Locally it
-  is one bool; :meth:`CancelToken.share` backs it with a
-  ``multiprocessing.Value`` cell so a parent-side :meth:`cancel` is
-  visible inside forked workers (and a worker-side one in the parent).
+* :class:`CancelToken` -- a cooperative cancellation flag: one bool,
+  so another thread's :meth:`~CancelToken.cancel` reaches the running
+  work at its next charge.
 
 Exhaustion is **not** an error: :meth:`Runtime.charge` returns a trigger
 string (``"deadline"`` or ``"budget"``) and the searches degrade
@@ -36,7 +34,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.errors import OperationCancelled, ReproError
 from repro.obs.metrics import get_registry
@@ -79,8 +77,7 @@ class Deadline:
 
     Build one with :meth:`after_ms` (or :meth:`after` for seconds).  The
     cutoff is an absolute monotonic instant, so one deadline can bound a
-    whole request across optimizers, condition checks, and forked
-    workers.
+    whole request across optimizers and condition checks.
     """
 
     __slots__ = ("at",)
@@ -119,9 +116,7 @@ class WorkBudget:
     reports whether the budget survived.  What a "unit" is depends on
     the caller: the exhaustive optimizer charges one per strategy
     costed, the DP one per state expanded, the condition checkers one
-    per quantifier instance.  In parallel runs each forked worker
-    inherits the budget *as of the fork*, so the cap is per process --
-    the deadline and the cancel token are the cross-worker bounds.
+    per quantifier instance.  One budget bounds the whole run.
     """
 
     __slots__ = ("limit", "spent")
@@ -154,46 +149,24 @@ class WorkBudget:
 class CancelToken:
     """A cooperative cancellation flag.
 
-    ``cancel()`` flips the token; running work notices at its next
-    :meth:`Runtime.charge` and raises
-    :class:`~repro.errors.OperationCancelled`.  :meth:`share` extends
-    the reach of a cancel across process boundaries: it attaches a
-    ``multiprocessing.Value`` so forked workers observe a parent-side
-    cancel (and vice versa).
+    ``cancel()`` flips the token (from any thread); running work
+    notices at its next :meth:`Runtime.charge` and raises
+    :class:`~repro.errors.OperationCancelled`.
     """
 
-    __slots__ = ("_flag", "_cell")
+    __slots__ = ("_flag",)
 
     def __init__(self) -> None:
         self._flag = False
-        self._cell: Optional[Any] = None
-
-    def share(self, mp_context) -> Any:
-        """Back the token with a shared cell from ``mp_context`` (built
-        before forking, so workers inherit it).  Idempotent; returns the
-        cell."""
-        if self._cell is None:
-            self._cell = mp_context.Value("b", 1 if self._flag else 0)
-        return self._cell
 
     def cancel(self) -> None:
-        """Request cancellation (idempotent, thread- and fork-safe)."""
+        """Request cancellation (idempotent and thread-safe)."""
         self._flag = True
-        if self._cell is not None:
-            with self._cell.get_lock():
-                self._cell.value = 1
 
     @property
     def cancelled(self) -> bool:
-        """True once :meth:`cancel` was called anywhere the token
-        reaches (locally, or through the shared cell)."""
-        if self._flag:
-            return True
-        cell = self._cell
-        if cell is not None and cell.value:
-            self._flag = True
-            return True
-        return False
+        """True once :meth:`cancel` was called."""
+        return self._flag
 
     def __repr__(self) -> str:
         return f"<CancelToken {'cancelled' if self.cancelled else 'live'}>"
@@ -212,9 +185,7 @@ class Runtime:
     budget, polls the deadline, and checks the token, returning ``None``
     (keep going) or the exhaustion trigger (``"deadline"``/``"budget"``)
     -- and raising :class:`~repro.errors.OperationCancelled` on an
-    explicit cancel.  Everything is fork-inheritable;
-    :meth:`worker_clone` is what :mod:`repro.parallel` installs in each
-    worker (fresh budget share, same deadline and token).
+    explicit cancel.
     """
 
     __slots__ = ("deadline", "budget", "token", "condition_verdicts")
@@ -291,26 +262,6 @@ class Runtime:
         """Work units charged so far (0 without a budget)."""
         return self.budget.spent if self.budget is not None else 0
 
-    # -- parallel support ---------------------------------------------------
-
-    def worker_clone(self) -> "Runtime":
-        """The runtime a forked worker should run under: the same
-        deadline object and token (shared-cell visibility), but a fresh
-        budget of the parent's *remaining* units -- the budget is a
-        per-process cap in parallel runs (see :class:`WorkBudget`)."""
-        budget = None
-        if self.budget is not None and self.budget.remaining > 0:
-            budget = WorkBudget(self.budget.remaining)
-        elif self.budget is not None:
-            budget = WorkBudget(1)
-            budget.spent = 2  # already exhausted at fork time
-        return Runtime(
-            deadline=self.deadline,
-            budget=budget,
-            token=self.token,
-            condition_verdicts=self.condition_verdicts,
-        )
-
     # -- telemetry ----------------------------------------------------------
 
     def record_exhaustion(self, trigger: str, where: str) -> None:
@@ -358,8 +309,7 @@ class Runtime:
 #: take a ``runtime=`` parameter (deep execution layers like the wcoj
 #: kernel, reached through Database's memoized join cache).  A plain
 #: module global, not a contextvar: the engine's hot paths are
-#: single-threaded per process, and forked workers receive their clone
-#: through the pool initializer instead.
+#: single-threaded per process.
 _AMBIENT: Optional[Runtime] = None
 
 

@@ -104,7 +104,7 @@ def _iter_all(db: Database, subset=None) -> Iterator[Strategy]:
     runtime-bounded consumer (docs/api.md) stop after a few candidates
     without paying for -- or holding in memory -- the whole subspace.
     Subsets of the sorted scheme tuple stay sorted, so the yield order is
-    deterministic (the parallel driver stripes over it by position).
+    deterministic.
     """
 
     def build(ordered: Tuple[AttributeSet, ...]) -> Iterator[Strategy]:

@@ -107,31 +107,14 @@ def cost_distribution(
     rng: random.Random,
     samples: int = 200,
     sampler: Optional[Callable[[Database, random.Random], Strategy]] = None,
-    jobs: Optional[int] = None,
 ) -> dict:
     """Summary statistics of tau over sampled strategies.
 
     Returns min/median/max and the fraction of samples within 2x of the
     sampled minimum -- a density picture of the search space.
-
-    ``jobs`` parallelizes the *costing* only: the strategies are drawn
-    from ``rng`` up front (consuming exactly the sequential random
-    stream) and their tau-costs fanned across workers, so the summary is
-    identical for any worker count.
     """
     chosen = sampler if sampler is not None else sample_strategy
-    workers = 1
-    if jobs is not None:
-        from repro.parallel import resolve_jobs
-
-        workers = resolve_jobs(jobs)
-    if workers > 1:
-        from repro.parallel.exhaustive import parallel_tau_costs
-
-        strategies = [chosen(db, rng) for _ in range(samples)]
-        costs = sorted(parallel_tau_costs(db, strategies, workers))
-    else:
-        costs = sorted(tau_cost(chosen(db, rng)) for _ in range(samples))
+    costs = sorted(tau_cost(chosen(db, rng)) for _ in range(samples))
     minimum = costs[0]
     threshold = 2 * minimum
     within = sum(1 for c in costs if c <= threshold)

@@ -14,15 +14,6 @@ from repro.workloads.paper import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _allow_oversubscription(monkeypatch):
-    """The suite exercises jobs=2..4 fan-outs for *correctness* (byte
-    identity, envelope merging), which must not depend on how many CPUs
-    the CI runner happens to expose.  Lift the visible-CPU clamp for
-    every test; the clamp's own tests re-clear the variable."""
-    monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
-
-
 @pytest.fixture
 def ex1():
     """Example 1: C1 holds, the optimum uses a Cartesian product."""

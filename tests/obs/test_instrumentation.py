@@ -8,6 +8,7 @@ from repro import database, relation
 from repro.conditions.checks import check_c1, check_c2
 from repro.optimizer.dp import optimize_dp
 from repro.optimizer.estimate import aggregate_qerror, qerror_profile
+from repro.optimizer.exhaustive import optimize_exhaustive
 from repro.optimizer.greedy import greedy_bushy, greedy_linear
 from repro.optimizer.ikkbz import ikkbz
 from repro.optimizer.spaces import SearchSpace
@@ -70,6 +71,18 @@ class TestOptimizerSpans:
         states = registry.counter("optimizer.dp.states")
         assert states.value(space="linear") == span.attributes["states"]
         assert registry.counter("optimizer.dp.splits").value(space="linear") > 0
+
+    def test_exhaustive_span_and_counter(self):
+        db = _db()
+        with obs.observed() as tracer:
+            result = optimize_exhaustive(db, SearchSpace.ALL)
+        (span,) = tracer.spans_named("optimize.exhaustive")
+        assert span.attributes["space"] == "all"
+        assert span.attributes["relations"] == 4
+        assert span.attributes["strategies"] == result.considered == 15
+        assert span.attributes["cost"] == result.cost
+        counter = obs.get_registry().counter("optimizer.exhaustive.strategies")
+        assert counter.value(space="all") == result.considered
 
     def test_dp_memo_hits_accumulate(self):
         db = _db()

@@ -152,6 +152,23 @@ class TestSummarize:
         assert summary["tau"] is None
         assert summary["resource_samples"] == 0
 
+    def test_summarize_tolerates_removed_resource_columns(self):
+        # Ledgers written before 4.0.0 carry shm_bytes/pool_queue_depth.
+        records = [
+            {"type": "span", "name": "root", "span_id": 1, "parent_id": None,
+             "start_ns": 0, "duration_ns": 5_000_000, "attributes": {}},
+            {"type": "resource", "rss_bytes": 7, "cpu_seconds": 0.5,
+             "shm_bytes": 4096, "pool_queue_depth": 3, "perf_ns": 1,
+             "wall_ns": 2},
+        ]
+        summary = summarize(records)
+        assert summary["rss_peak_bytes"] == 7
+        assert summary["resource_samples"] == 1
+        assert "rss peak (bytes)" in render_summary(summary)
+        assert render_tail(records).splitlines()[-1] == (
+            "resource rss_bytes=7 cpu_seconds=0.5"
+        )
+
     def test_diff_rows(self):
         a = {"wall_ms": 10.0, "tau": 100, "anomalies": 0}
         b = {"wall_ms": 20.0, "tau": 50, "anomalies": 1}

@@ -23,8 +23,6 @@ class TestProviders:
         assert row["type"] == "resource"
         assert row["rss_bytes"] > 0
         assert row["cpu_seconds"] >= 0
-        assert row["shm_bytes"] == 0
-        assert row["pool_queue_depth"] == 0
         assert sampler.rows() == (row,)
 
     def test_custom_provider(self):
@@ -115,16 +113,15 @@ class TestLifecycle:
 
     def test_summary_peaks(self):
         sampler = ResourceSampler()
-        sampler.add_provider("pool_queue_depth", lambda: 3)
+        sampler.add_provider("rss_bytes", lambda: 3)
         sampler.sample_once()
-        sampler.add_provider("pool_queue_depth", lambda: 7)
+        sampler.add_provider("rss_bytes", lambda: 7)
         sampler.sample_once()
-        sampler.add_provider("pool_queue_depth", lambda: 1)
+        sampler.add_provider("rss_bytes", lambda: 1)
         sampler.sample_once()
         summary = sampler.summary()
         assert summary["samples"] == 3
-        assert summary["pool_queue_depth_peak"] == 7
-        assert summary["rss_peak_bytes"] > 0
+        assert summary["rss_peak_bytes"] == 7
 
     def test_empty_summary_is_zeros(self):
         summary = ResourceSampler().summary()

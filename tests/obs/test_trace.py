@@ -1,19 +1,13 @@
 """The span tracer: nesting, attributes, timings, the disabled no-op,
-and the cross-process trace context (ids, clock skew, adopt)."""
-
-import pickle
+and the run's trace id."""
 
 import pytest
 
 import repro.obs as obs
 from repro.obs.trace import (
-    CLOCK_SKEW_TOLERANCE_NS,
     Span,
-    TraceContext,
     Tracer,
     _NULL_SPAN,
-    clock_sample,
-    clock_skew_ns,
     get_tracer,
     new_trace_id,
 )
@@ -162,28 +156,6 @@ class TestTraceContext:
             pass
         assert tracer.trace_id != first
 
-    def test_trace_context_captures_innermost_span(self):
-        tracer = Tracer(enabled=True)
-        with tracer.begin_run("run"):
-            with tracer.span("inner") as inner:
-                ctx = tracer.trace_context()
-        assert ctx.trace_id == tracer.trace_id
-        assert ctx.span_id == inner.span_id
-        assert len(ctx.clock) == 2
-
-    def test_trace_context_outside_spans(self):
-        tracer = Tracer(enabled=True)
-        ctx = tracer.trace_context()
-        assert ctx.trace_id is None
-        assert ctx.span_id is None
-
-    def test_trace_context_pickle_roundtrip(self):
-        ctx = TraceContext("ab" * 16, 7, (123, 456))
-        clone = pickle.loads(pickle.dumps(ctx))
-        assert clone.trace_id == ctx.trace_id
-        assert clone.span_id == ctx.span_id
-        assert clone.clock == ctx.clock
-
     def test_clear_resets_trace_id(self):
         tracer = Tracer(enabled=True)
         with tracer.begin_run("run"):
@@ -201,98 +173,6 @@ class TestTraceContext:
         )
         stamped.end_ns = 0
         assert stamped.to_dict()["trace_id"] == "ff" * 16
-
-
-class TestClockSkew:
-    def test_same_process_samples_report_zero(self):
-        assert clock_skew_ns(clock_sample(), clock_sample()) == 0
-
-    def test_within_tolerance_is_zero(self):
-        ref = (1_000, 5_000)
-        sample = (1_000 + CLOCK_SKEW_TOLERANCE_NS, 5_000)
-        assert clock_skew_ns(ref, sample) == 0
-
-    def test_beyond_tolerance_reports_offset(self):
-        ref = (1_000, 5_000)
-        offset = 10 * CLOCK_SKEW_TOLERANCE_NS
-        sample = (1_000 + offset, 5_000)
-        assert clock_skew_ns(ref, sample) == offset
-        assert clock_skew_ns(sample, ref) == -offset
-
-    def test_shared_wall_progress_cancels(self):
-        # Both processes advance 1s of wall time; only the monotonic
-        # epochs differ.
-        ref = (100, 1_000_000_000)
-        sample = (999_999_100 + 10**9, 2_000_000_000)
-        assert clock_skew_ns(ref, sample) == 999_999_100 + 10**9 - 100 - 10**9
-
-
-def _payload(name, span_id, parent_id, start_ns, trace_id=None):
-    payload = {
-        "type": "span",
-        "name": name,
-        "span_id": span_id,
-        "parent_id": parent_id,
-        "start_ns": start_ns,
-        "duration_ns": 10,
-        "attributes": {},
-    }
-    if trace_id is not None:
-        payload["trace_id"] = trace_id
-    return payload
-
-
-class TestAdopt:
-    def test_adopt_remaps_ids_and_parents(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("root") as root:
-            pass
-        tracer.adopt(
-            [_payload("w.child", 2, 1, 200), _payload("w.root", 1, None, 100)],
-            parent_id=root.span_id,
-        )
-        adopted = {s.name: s for s in tracer.finished_spans() if s.name != "root"}
-        assert adopted["w.root"].parent_id == root.span_id
-        assert adopted["w.child"].parent_id == adopted["w.root"].span_id
-
-    def test_adopt_orders_ties_by_span_id(self):
-        # Two workers whose clocks tie must still get a deterministic id
-        # assignment, so jobs=N exports are byte-stable run over run.
-        batch = [
-            _payload("b", 7, None, 500),
-            _payload("a", 3, None, 500),
-            _payload("c", 5, None, 400),
-        ]
-        first = Tracer(enabled=True)
-        first.adopt(list(batch))
-        second = Tracer(enabled=True)
-        second.adopt(list(reversed(batch)))
-        order = [(s.name, s.span_id) for s in sorted(first, key=lambda s: s.span_id)]
-        assert order == [
-            (s.name, s.span_id) for s in sorted(second, key=lambda s: s.span_id)
-        ]
-        assert [name for name, _ in order] == ["c", "a", "b"]
-
-    def test_adopt_subtracts_skew(self):
-        tracer = Tracer(enabled=True)
-        tracer.adopt([_payload("w", 1, None, 10_000)], skew_ns=4_000)
-        (span,) = tracer.finished_spans()
-        assert span.start_ns == 6_000
-        assert span.end_ns == 6_010
-
-    def test_adopted_spans_keep_their_trace_id(self):
-        tracer = Tracer(enabled=True)
-        tracer.trace_id = "aa" * 16
-        tracer.adopt([_payload("w", 1, None, 0, trace_id="bb" * 16)])
-        (span,) = tracer.finished_spans()
-        assert span.trace_id == "bb" * 16
-
-    def test_adopted_spans_inherit_missing_trace_id(self):
-        tracer = Tracer(enabled=True)
-        tracer.trace_id = "aa" * 16
-        tracer.adopt([_payload("w", 1, None, 0)])
-        (span,) = tracer.finished_spans()
-        assert span.trace_id == "aa" * 16
 
 
 class TestModuleToggles:

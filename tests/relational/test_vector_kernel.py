@@ -19,8 +19,6 @@ from repro.relational.columnar import (
     antijoin_tables,
     decode_row,
     intern_value,
-    interner_export,
-    interner_import,
     join_tables,
     project_table,
     semijoin_tables,
@@ -171,19 +169,6 @@ class TestColumnCaching:
         assert table.decoded_column("A") is table.decoded_column("A")
         assert sorted(table.decoded_column("A")) in ([1, 3], [3, 1])
 
-    def test_from_packed_columns_match_rows(self):
-        base = relation("ABC", [(1, 2, 3), (4, 5, 6), (7, 8, 9)])._table()
-        packed = base.to_packed()
-        clone = ColumnarTable.from_packed(base.order, packed, len(base))
-        assert clone.rows == base.rows
-        # Column *multisets* agree (row order differs: packed is sorted).
-        for attr in base.order:
-            assert sorted(clone.column(attr)) == sorted(base.column(attr))
-        # Positional alignment: row i is column position i everywhere.
-        cols = clone.columns()
-        for i, row in enumerate(clone.row_list()):
-            assert row == tuple(cols[attr][i] for attr in clone.order)
-
     def test_born_columnar_results_expose_consistent_views(self):
         out = relation("AB", [(1, 2)]).join(relation("BC", [(2, 3)]))._table()
         assert set(out.columns()) == {"A", "B", "C"}
@@ -192,16 +177,6 @@ class TestColumnCaching:
 
 
 class TestInterner:
-    def test_export_import_round_trip(self):
-        probe = [f"vector-probe-{i}" for i in range(5)] + [101, (2, 3), None]
-        ids = [intern_value(v) for v in probe]
-        exported = interner_export()
-        assert all(exported[vid] == v for vid, v in zip(ids, probe))
-        # Same-process import is the identity translation.
-        translation = interner_import(exported)
-        assert translation == list(range(len(exported)))
-        assert all(value_of(translation[vid]) == v for vid, v in zip(ids, probe))
-
     def test_concurrent_interning_converges(self):
         values = [("vector-race", i % 50) for i in range(400)]
         results = [None] * 8

@@ -66,19 +66,6 @@ class TestCancelToken:
         token.cancel()
         assert token.cancelled
 
-    def test_shared_cell_carries_cancellation(self):
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        token = CancelToken()
-        cell = token.share(ctx)
-        assert cell is token.share(ctx), "share must be idempotent"
-        token.cancel()
-        assert cell.value == 1
-        fresh = CancelToken()
-        fresh._cell = cell  # a worker's view of the same cell
-        assert fresh.cancelled
-
 
 class TestRuntime:
     def test_with_limits_unbounded_is_none(self):
@@ -111,26 +98,6 @@ class TestRuntime:
             runtime.charge()
         with pytest.raises(OperationCancelled):
             runtime.exhausted()
-
-    def test_worker_clone_gets_remaining_budget(self):
-        runtime = Runtime.with_limits(budget=10)
-        for _ in range(4):
-            runtime.charge()
-        clone = runtime.worker_clone()
-        assert clone.budget.limit == 6
-        assert clone.budget.spent == 0
-        # The deadline rides through by reference; the verdicts by value.
-        assert clone.deadline is runtime.deadline
-        runtime.condition_verdicts["C3"] = True
-        clone2 = runtime.worker_clone()
-        assert clone2.condition_verdicts == {"C3": True}
-
-    def test_worker_clone_of_exhausted_budget_stays_exhausted(self):
-        runtime = Runtime.with_limits(budget=1)
-        runtime.charge()
-        runtime.charge()
-        clone = runtime.worker_clone()
-        assert clone.exhausted() == BUDGET
 
 
 class TestTimedOutVerdict:

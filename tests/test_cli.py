@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 import shlex
 
 import pytest
@@ -10,6 +11,8 @@ import repro.obs as obs
 from repro import __version__
 from repro.cli import build_parser, main
 from repro.database import Database
+from repro.optimizer.dp import optimize_dp
+from repro.workloads.generators import WorkloadSpec
 
 
 class TestParser:
@@ -141,16 +144,8 @@ class TestOptimizeCommand:
         out = capsys.readouterr().out
         assert "space: linear" in out
 
-    def test_jobs_needs_the_exhaustive_space(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["optimize", "--relations", "3", "--jobs", "2"])
-        assert exc.value.code == 2
-        assert "--space exhaustive" in capsys.readouterr().err
-
     def test_jobs_with_the_exhaustive_space(self, capsys):
-        code = main(
-            ["optimize", "--relations", "3", "--space", "exhaustive", "--jobs", "1"]
-        )
+        code = main(["optimize", "--relations", "3", "--space", "exhaustive"])
         assert code == 0
         assert "optimizer: exhaustive" in capsys.readouterr().out
 
@@ -247,6 +242,17 @@ class TestExplainCommand:
         assert len(payload["steps"]) == 3
         assert payload["tau"] == sum(s["actual"] for s in payload["steps"])
         assert payload["workload"]["shape"] == "chain"
+
+    def test_exhaustive_space_profiles_the_exhaustive_plan(self, capsys, tmp_path):
+        path = tmp_path / "profile.json"
+        argv = self._BASE + ["--space", "exhaustive", "--no-memory"]
+        assert main(argv + ["--profile-json", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^optimizer +: exhaustive$", out, re.MULTILINE)
+        payload = json.loads(path.read_text())
+        assert payload["optimizer"] == "exhaustive"
+        spec = WorkloadSpec(size=10, domain=6, shape="chain", relations=4, seed=0)
+        assert payload["tau"] == optimize_dp(spec.build()).cost
 
     def test_chrome_trace_export(self, capsys, tmp_path):
         path = tmp_path / "trace.json"

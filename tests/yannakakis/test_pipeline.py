@@ -1,6 +1,5 @@
 """End-to-end contract of the yannakakis engine: byte identity with the
-binary pipeline everywhere, per-subset routing on mixed databases, and
-worker-count independence."""
+binary pipeline everywhere, and per-subset routing on mixed databases."""
 
 import random
 
@@ -9,7 +8,6 @@ import pytest
 import repro.obs as obs
 from repro.database import Database
 from repro.obs.metrics import get_registry
-from repro.parallel import parallel_available
 from repro.workloads.generators import (
     WorkloadSpec,
     chain_scheme,
@@ -29,11 +27,6 @@ from repro.workloads.paper import (
 from repro.yannakakis import yannakakis_join
 
 PAPER_WORKLOADS = [example1, example2_c2_only, example3, example4, example5]
-
-
-def _evaluate_probe(db, extra, _args):
-    table = db.evaluate()._table()
-    return table.order, sorted(table.rows)
 
 
 def _identical(left, right):
@@ -195,20 +188,3 @@ class TestKernelDirect:
         assert len(out.rows) == 0
         assert out.order == ("A", "B", "C", "D")
 
-
-@pytest.mark.skipif(
-    not parallel_available(), reason="requires the fork start method"
-)
-class TestWorkerIndependence:
-    def test_evaluation_is_byte_identical_across_jobs(self):
-        db = generate_selective_star(3, 31)
-        pinned = Database(db.relations(), engine="yannakakis")
-        table = pinned.evaluate()._table()
-        expected = (table.order, sorted(table.rows))
-        # Workers re-evaluate from the zero-copy snapshot; the full join
-        # a worker computes must match the parent's bytes.
-        from repro.parallel.context import ParallelContext
-
-        with ParallelContext(db=pinned, jobs=2) as ctx:
-            payloads = ctx.run(_evaluate_probe, [((),), ((),)])
-        assert payloads == [expected, expected]
