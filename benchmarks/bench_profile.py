@@ -1,16 +1,17 @@
 """E-PROF: the EXPLAIN ANALYZE profiler on the standard chain workload.
 
-The profiler (:mod:`repro.obs.profile`) re-executes the DP-optimal plan
-step by step on a cold-cache clone of the database and reports, per
-step, estimated vs actual tau, Q-error, wall time, kernel counters, and
-cache traffic.  This experiment pins the profiler's *accounting*
-invariants on the same 6-relation chain the observability-overhead bench
-uses:
+The profiler (:mod:`repro.obs.profile`) runs the DP-optimal plan once,
+as ``Plan.execute`` does, and reports one row per operator that ran:
+estimated vs actual tau, Q-error, wall time, kernel counters, and cache
+traffic.  This experiment pins the profiler's *accounting* invariants
+on the same 6-relation chain the observability-overhead bench uses,
+whose plan executes binary (its rho, 1.12, is below the router's 1.2):
 
 * the summed actual taus equal the plan's true cost (the paper's
-  ``tau(S) = sum tau(s_i)``);
+  ``tau(S) = sum tau(s_i)``), and so do the tuples the steps' hash
+  joins produced;
 * every step's Q-error is >= 1 (the symmetric ratio's floor);
-* the kernel counters are live (a cold-cache execution really probes);
+* the kernel counters are live (every step really probes);
 * capture restores the observability state it found.
 
 The rendered table lands in ``benchmarks/results/E-PROF_explain.txt``
@@ -59,9 +60,9 @@ def test_profiler_accounting(record):
     for step in report.steps:
         assert step.q_error >= 1.0
         assert step.wall_ns >= 0
-    # A cold-cache execution really runs the kernel.
+    # Every step really runs the hash join, which produces the step's tau.
     assert sum(step.probes for step in report.steps) > 0
-    assert sum(step.output_tuples for step in report.steps) > 0
+    assert sum(step.output_tuples for step in report.steps) == report.tau
 
     record("E-PROF_explain", report.render())
     obs.reset()

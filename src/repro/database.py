@@ -12,7 +12,7 @@ every other subsystem needs:
 * sub-databases (:meth:`Database.restrict`).
 
 The tau-only path (docs/performance.md): ``tau_of`` first consults the
-join memo and a separate bounded tau-cache.  On a miss it routes by
+join memo and a separate tau-cache of counts.  On a miss it routes by
 shape, reading the scheme's
 :class:`~repro.schemegraph.index.SubsetIndex` (the subset as an int
 mask; no :class:`DatabaseScheme` is built per counted subset) -- a
@@ -33,8 +33,7 @@ shared attributes only, nothing materialized), while the whole database
 ``R_D`` is still joined and memoized, because the subset DP asks for its
 tau first and ``Plan.execute`` reads it back.  On the ``"vector"`` engine
 every cyclic subset is joined (binary joins, memoized) and its length
-taken.  Counts survive join-cache eviction: evicted results leave their
-cardinality behind in the tau-cache.
+taken.  Both caches are unbounded and live as long as the database.
 
 Each database carries its own engine, ``Database(engine=...)`` with one
 of :data:`ENGINES`.  The default ``None`` leaves it unpinned: it runs as
@@ -50,18 +49,15 @@ relations for readable strategies.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import partial
 from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Generic,
     Iterable,
     Iterator,
     Optional,
     Tuple,
-    TypeVar,
     Union,
 )
 
@@ -108,60 +104,8 @@ _CACHE_MISSES = _METRICS.counter(
     "db.subset_join.computed", "subset joins actually computed"
 )
 
-_K = TypeVar("_K")
-_V = TypeVar("_V")
-
 #: Key type of the subset caches.
 SubsetKey = FrozenSet[AttributeSet]
-
-
-class _BoundedCache(Generic[_K, _V]):
-    """A small LRU cache; ``capacity=None`` means unbounded.
-
-    ``get`` refreshes recency; ``put`` evicts the least recently used
-    entry past capacity, handing each evicted pair to ``on_evict`` (the
-    join memo uses this to leave the evicted result's tau behind in the
-    tau-cache).
-    """
-
-    __slots__ = ("_data", "_capacity", "_on_evict")
-
-    def __init__(
-        self,
-        capacity: Optional[int] = None,
-        on_evict: Optional[Callable[[_K, _V], None]] = None,
-    ):
-        if capacity is not None and capacity < 1:
-            raise ValueError("cache capacity must be a positive int or None")
-        self._data: "OrderedDict[_K, _V]" = OrderedDict()
-        self._capacity = capacity
-        self._on_evict = on_evict
-
-    def get(self, key: _K, default: Optional[_V] = None) -> Optional[_V]:
-        data = self._data
-        value = data.get(key, default)
-        if value is not default and self._capacity is not None:
-            data.move_to_end(key)
-        return value
-
-    def put(self, key: _K, value: _V) -> None:
-        data = self._data
-        data[key] = value
-        if self._capacity is not None:
-            data.move_to_end(key)
-            while len(data) > self._capacity:
-                evicted_key, evicted_value = data.popitem(last=False)
-                if self._on_evict is not None:
-                    self._on_evict(evicted_key, evicted_value)
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def values(self) -> Iterable[_V]:
-        return self._data.values()
 
 
 class CacheStats:
@@ -258,16 +202,10 @@ class Database:
         "__weakref__",
     )
 
-    #: Default bound of the tau-cache.  Counts are a single int per subset,
-    #: so the bound exists only to keep pathological enumerations in check.
-    DEFAULT_TAU_CACHE_SIZE = 65536
-
     def __init__(
         self,
         relations: Iterable[Relation],
         *,
-        join_cache_size: Optional[int] = None,
-        tau_cache_size: Optional[int] = DEFAULT_TAU_CACHE_SIZE,
         engine: Optional[str] = None,
     ):
         if engine is not None and engine not in ENGINES:
@@ -290,20 +228,10 @@ class Database:
             by_scheme[rel.scheme] = rel
         self._relations = by_scheme
         self._scheme = DatabaseScheme(by_scheme)
-        # Memo: frozenset of relation schemes -> joined relation state.
-        # Evicted joins leave their cardinality behind in the tau-cache so
-        # tau_of never recomputes a count it once knew.
-        self._tau_cache: _BoundedCache[SubsetKey, int] = _BoundedCache(
-            tau_cache_size
-        )
-        # The hook closes over the tau-cache, not self: a reference back
-        # to the database would put it in a cycle only the cyclic
-        # collector frees.
-        tau_cache = self._tau_cache
-        self._join_cache: _BoundedCache[SubsetKey, Relation] = _BoundedCache(
-            join_cache_size,
-            on_evict=lambda key, rel: tau_cache.put(key, len(rel)),
-        )
+        # Memo: frozenset of relation schemes -> joined relation state;
+        # the tau-cache holds the counts of subsets never materialized.
+        self._join_cache: Dict[SubsetKey, Relation] = {}
+        self._tau_cache: Dict[SubsetKey, int] = {}
         # Per-instance cache accounting behind Database.cache_stats().
         # Plain int bumps on paths that already do cache lookups -- cheap
         # enough to track unconditionally, so the snapshot API works with
@@ -461,7 +389,7 @@ class Database:
             _CACHE_MISSES.inc()
         else:
             result = compute()
-        self._join_cache.put(chosen, result)
+        self._join_cache[chosen] = result
         return result
 
     def _compute_join(self, chosen: SubsetKey) -> Relation:
@@ -617,7 +545,7 @@ class Database:
             _CACHE_MISSES.inc()
         else:
             tau = self._count_join(chosen)
-        self._tau_cache.put(chosen, tau)
+        self._tau_cache[chosen] = tau
         return tau
 
     def _count_join(self, chosen: SubsetKey) -> int:
@@ -677,7 +605,7 @@ class Database:
                 tau = self._multiway_join(chosen, count=True)
             if tau is None:
                 return len(self._join_memo(chosen))
-        self._tau_cache.put(chosen, tau)
+        self._tau_cache[chosen] = tau
         return tau
 
     def is_nonnull(self) -> bool:

@@ -1,15 +1,15 @@
 """Observability: execution tracing, metrics, telemetry export, and
 profiling.
 
-The subsystem has five small parts:
+The subsystem has eight small parts:
 
 * :mod:`repro.obs.trace` -- a nested span tracer with a context-manager
   API, per-span attributes, and monotonic timings;
 * :mod:`repro.obs.metrics` -- a process-wide registry of counters,
   gauges, and histograms (with p50/p95/p99 percentiles) and label
   support;
-* :mod:`repro.obs.export` -- JSONL, Chrome-trace (Perfetto), and
-  Prometheus export plus human-readable rendering;
+* :mod:`repro.obs.export` -- Chrome-trace (Perfetto) and Prometheus
+  export plus human-readable rendering;
 * :mod:`repro.obs.profile` -- the ``EXPLAIN ANALYZE``-style
   :class:`~repro.obs.profile.RunReport` profiler (per-step estimated vs
   actual tau, Q-error, wall time, kernel counters, cache hit rates,
@@ -34,10 +34,11 @@ whole layer on and off together::
     import repro.obs as obs
 
     obs.enable()
-    ...             # optimizers, joins, checkers now record
+    with obs.RunLedger("my.run") as ledger:
+        ...         # optimizers, joins, checkers now record
     print(obs.render_span_tree())
     print(obs.render_metrics())
-    obs.write_jsonl("trace.jsonl")
+    ledger.write("run.jsonl")
     obs.disable()
 
 or scoped::
@@ -46,7 +47,7 @@ or scoped::
         plan = query.optimize()
 
 See docs/observability.md for the span model, metric names, and the
-JSONL schema.
+ledger's JSONL schema.
 """
 
 from __future__ import annotations
@@ -54,16 +55,12 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from repro.obs.export import (
-    metrics_to_jsonl,
     metrics_to_prometheus,
-    read_jsonl,
     record_strategy_steps,
     render_metrics,
     render_span_tree,
     spans_to_chrome_trace,
-    spans_to_jsonl,
     write_chrome_trace,
-    write_jsonl,
     write_prometheus,
 )
 from repro.obs.metrics import (
@@ -92,10 +89,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
-    "spans_to_jsonl",
-    "metrics_to_jsonl",
-    "write_jsonl",
-    "read_jsonl",
     "spans_to_chrome_trace",
     "write_chrome_trace",
     "metrics_to_prometheus",

@@ -1,10 +1,8 @@
 """Exporting and rendering spans and metrics.
 
-Several consumers, several formats:
+Several consumers, several formats (machines get JSONL from the run
+ledger, :meth:`repro.obs.ledger.RunLedger.write`):
 
-* machines get **JSONL** -- one JSON object per line, spans first (in
-  completion order) then metric rows, each self-describing via a
-  ``"type"`` field (see docs/observability.md for the schema);
 * trace viewers get the **Chrome Trace Event format**
   (:func:`spans_to_chrome_trace` / :func:`write_chrome_trace`) --
   loadable in Perfetto or ``chrome://tracing``;
@@ -25,17 +23,13 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.metrics import HistogramSummary, MetricsRegistry, get_registry
 from repro.obs.trace import Span, Tracer, get_tracer
 from repro.report import Table
 
 __all__ = [
-    "spans_to_jsonl",
-    "metrics_to_jsonl",
-    "write_jsonl",
-    "read_jsonl",
     "spans_to_chrome_trace",
     "write_chrome_trace",
     "metrics_to_prometheus",
@@ -44,50 +38,6 @@ __all__ = [
     "render_metrics",
     "record_strategy_steps",
 ]
-
-
-def spans_to_jsonl(spans: Iterable[Span]) -> str:
-    """Spans as JSONL (one ``{"type": "span", ...}`` object per line)."""
-    return "\n".join(json.dumps(span.to_dict(), sort_keys=True) for span in spans)
-
-
-def metrics_to_jsonl(registry: Optional[MetricsRegistry] = None) -> str:
-    """The registry snapshot as JSONL (``{"type": "metric", ...}`` lines)."""
-    chosen = registry if registry is not None else get_registry()
-    return "\n".join(json.dumps(row, sort_keys=True) for row in chosen.snapshot())
-
-
-def write_jsonl(
-    path: str,
-    tracer: Optional[Tracer] = None,
-    registry: Optional[MetricsRegistry] = None,
-) -> int:
-    """Write all finished spans and metric rows to ``path``; returns the
-    number of lines written."""
-    tracer = tracer if tracer is not None else get_tracer()
-    registry = registry if registry is not None else get_registry()
-    chunks = [
-        text
-        for text in (spans_to_jsonl(tracer.finished_spans()), metrics_to_jsonl(registry))
-        if text
-    ]
-    body = "\n".join(chunks)
-    lines = body.count("\n") + 1 if body else 0
-    with open(path, "w", encoding="utf-8") as handle:
-        if body:
-            handle.write(body + "\n")
-    return lines
-
-
-def read_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Parse a file written by :func:`write_jsonl` back into dicts."""
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
 
 
 # -- Chrome Trace Event format -------------------------------------------------

@@ -19,9 +19,9 @@ and on the way through:
 :meth:`RunLedger.records` (and :meth:`write`) then emit one JSONL
 stream: a ``run`` header, every span, every metric row, the resource
 rows, the recorder events that happened during the run, and an
-``outcome`` footer.  The stream is a superset of the PR 1
-``write_jsonl`` format -- every record still self-describes through its
-``"type"`` field, so old readers skip the new rows.
+``outcome`` footer.  Every record self-describes through its ``"type"``
+field, so a reader skips the rows it does not know; :func:`load` reads
+a ledger back.
 
 The read side aggregates ledgers for the ``repro obs`` CLI family:
 :func:`summarize` boils a ledger down to the run's headline numbers
@@ -37,7 +37,6 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.export import read_jsonl
 from repro.obs.metrics import get_registry
 from repro.obs.recorder import get_recorder
 from repro.obs.sampler import ResourceSampler
@@ -47,7 +46,6 @@ from repro.report import Table, render_kv
 __all__ = [
     "RunLedger",
     "load",
-    "read_ledger",
     "summarize",
     "diff_summaries",
     "render_summary",
@@ -196,11 +194,6 @@ class RunLedger:
 
 # -- reading and aggregation ---------------------------------------------------
 
-def read_ledger(path: str) -> List[Dict[str, Any]]:
-    """Parse a ledger (or any obs JSONL file) back into record dicts."""
-    return read_jsonl(path)
-
-
 def load(path: str) -> Tuple[str, Any]:
     """Open either obs artifact by sniffing its content.
 
@@ -240,8 +233,8 @@ def summarize(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     and :func:`diff_summaries`.
 
     Works on a full :class:`RunLedger` stream and degrades gracefully on
-    a bare PR 1 ``write_jsonl`` file (missing sections summarize to
-    ``None``/0).
+    a bare span-and-metric file, as the removed ``obs.write_jsonl`` wrote
+    (missing sections summarize to ``None``/0).
     """
     header = next((r for r in records if r.get("type") == "run"), None)
     outcome = next((r for r in records if r.get("type") == "outcome"), None)

@@ -3,20 +3,24 @@
 The paper's cost measure ``tau(S)`` is literally "tuples produced per
 step", so the most faithful profile of a run is a per-step
 *estimated-vs-actual* tau report.  :meth:`RunReport.capture` plans a
-strategy (or takes one), then re-executes it step by step on a
-cold-cache clone of the database with observability enabled, assembling
-for every join step:
+strategy through :class:`~repro.query.JoinQuery` (or takes one), then
+runs it once, as :meth:`repro.query.Plan.execute` does, with
+observability enabled, and records one row per operator that run
+visits above the leaves -- a binary ``plan`` step it computes, a
+component it hands to the ``yannakakis`` or ``wcoj`` kernel, or a
+``memo`` read of a result already in the join memo (zero work) --
+carrying:
 
 * **estimated tau** -- what the classical uniformity/independence
-  estimator (:mod:`repro.optimizer.estimate`) believed the step would
+  estimator (:mod:`repro.optimizer.estimate`) believed the node would
   produce;
 * **actual tau** and the resulting **Q-error**;
-* **wall time** of the step's join;
+* **wall time** of the operator alone (its children excluded);
 * **join-kernel counters** -- hash-table probes, row comparisons, and
   output tuples (``join.probes`` / ``join.comparisons`` /
-  ``join.output_tuples``, see docs/performance.md);
+  ``join.output_tuples``, see docs/performance.md), children excluded;
 * **cache traffic** -- subset-join/tau-cache hits vs computed joins,
-  charged to the step via :meth:`repro.database.Database.cache_stats`
+  charged to the operator via :meth:`repro.database.Database.cache_stats`
   snapshots.
 
 Around the steps it records per-phase wall time and peak memory
@@ -38,7 +42,7 @@ import json
 import time
 import tracemalloc
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Dict, List, Optional
 
 import repro.obs as obs
@@ -47,7 +51,10 @@ from repro.obs.metrics import get_registry
 from repro.optimizer.dp import optimize_dp
 from repro.optimizer.estimate import CardinalityEstimator, aggregate_qerror
 from repro.optimizer.spaces import OptimizationResult, SearchSpace
+from repro.query import JoinQuery, Plan, _run
 from repro.report import Table, render_kv
+from repro.runtime.core import using_runtime
+from repro.strategy.cost import tau_cost
 
 __all__ = ["StepProfile", "RunReport"]
 
@@ -71,13 +78,16 @@ def _kernel_counts() -> Dict[str, int]:
 
 
 class StepProfile:
-    """One profiled join step: the paper's per-step accounting, measured.
+    """One profiled operator: the paper's per-step accounting, measured.
 
-    ``estimated``/``actual`` are the step's believed and true output tau;
-    ``wall_ns`` is the time its join took on the cold-cache executor;
-    ``probes``/``comparisons``/``output_tuples`` are the kernel-counter
-    deltas; ``cache_hits``/``cache_lookups`` the subset-cache traffic the
-    step generated (children of earlier steps hit the memo).
+    ``step`` names the node (a plan step's ``describe()``, or the kernel
+    and the relations of the component it ran) and ``operator`` what ran
+    it: ``"plan"`` (a binary step), ``"yannakakis"`` or ``"wcoj"`` (a
+    kernel), or ``"memo"`` (a join-memo read).
+    ``estimated``/``actual`` are the node's believed and true output tau;
+    ``wall_ns`` is the time the operator took, its children excluded;
+    ``probes``/``comparisons``/``output_tuples`` are its kernel-counter
+    deltas; ``cache_hits``/``cache_lookups`` its subset-cache traffic.
     """
 
     __slots__ = (
@@ -91,6 +101,7 @@ class StepProfile:
         "cache_hits",
         "cache_lookups",
         "cartesian",
+        "operator",
     )
 
     def __init__(
@@ -105,6 +116,7 @@ class StepProfile:
         cache_hits: int,
         cache_lookups: int,
         cartesian: bool,
+        operator: str,
     ):
         self.step = step
         self.estimated = estimated
@@ -116,6 +128,7 @@ class StepProfile:
         self.cache_hits = cache_hits
         self.cache_lookups = cache_lookups
         self.cartesian = cartesian
+        self.operator = operator
 
     @property
     def q_error(self) -> float:
@@ -142,6 +155,7 @@ class StepProfile:
         """A JSON-ready dict (one row of the profile export)."""
         return {
             "step": self.step,
+            "operator": self.operator,
             "estimated": self.estimated,
             "actual": self.actual,
             "q_error": self.q_error,
@@ -157,7 +171,7 @@ class StepProfile:
 
     def __repr__(self) -> str:
         return (
-            f"<StepProfile {self.step} est={self.estimated:.1f} "
+            f"<StepProfile {self.operator} {self.step} est={self.estimated:.1f} "
             f"actual={self.actual} q={self.q_error:.2f} "
             f"{self.wall_ms:.3f}ms>"
         )
@@ -201,6 +215,46 @@ class _PhaseClock:
         if self._started_tracing:
             tracemalloc.stop()
             self._started_tracing = False
+
+
+class _OperatorClock:
+    """The ``memo`` :func:`repro.query._run` calls once per step.
+
+    Each call serves the step from the join memo exactly as
+    :meth:`Plan.execute <repro.query.Plan.execute>` does and appends one
+    row ``(subset, actual tau, [wall ns, probes, comparisons, output
+    tuples, cache hits, computed])`` when it returns, so rows come in
+    post-order.  A step's children run inside its call; their totals,
+    bookkeeping included, are subtracted, so each row is the operator's
+    own work.
+    """
+
+    __slots__ = ("_db", "rows", "_nested")
+
+    def __init__(self, db: Database):
+        self._db = db
+        self.rows: List[tuple] = []
+        # Per open call: the totals of the calls nested inside it.
+        self._nested: List[List[int]] = [[0] * 6]
+
+    def _counts(self) -> List[int]:
+        stats = self._db.cache_stats()
+        return [*_kernel_counts().values(), stats.hits, stats.computed]
+
+    def __call__(self, db: Database, key, compute=None):
+        enter = time.perf_counter_ns()
+        self._nested.append([0] * 6)
+        before = self._counts()
+        start = time.perf_counter_ns()
+        result = Database._join_memo(db, key, compute)
+        wall_ns = time.perf_counter_ns() - start
+        total = [wall_ns] + [a - b for a, b in zip(self._counts(), before)]
+        nested = self._nested.pop()
+        self.rows.append((key, len(result), [t - n for t, n in zip(total, nested)]))
+        # The caller's own time excludes this call's bookkeeping as well.
+        total[0] = time.perf_counter_ns() - enter
+        self._nested[-1] = [t + n for t, n in zip(total, self._nested[-1])]
+        return result
 
 
 class RunReport:
@@ -275,18 +329,23 @@ class RunReport:
         report's ``degradation`` records why.  The execute phase always
         runs the served plan to completion.
 
-        * **plan** -- ``planner`` finds the tau-optimal strategy in
-          ``space`` (skipped when ``strategy`` is passed in).  It is
-          called as ``planner(db, space, runtime=runtime)``: the subset
-          DP by default, or
+        * **plan** -- :class:`~repro.query.JoinQuery` routes ``db`` and
+          pins the engine the router chose; ``planner`` then finds the
+          tau-optimal strategy in ``space`` on the pinned database.  It
+          is called as ``planner(db, space, runtime=runtime)``: the
+          subset DP by default, or
           :func:`~repro.optimizer.exhaustive.optimize_exhaustive` for
-          ground-truth enumeration at paper scale;
+          ground-truth enumeration at paper scale.  A ``strategy`` passed
+          in is costed instead, and runs on its own database, where
+          ``Plan(strategy, ...).execute()`` would run it.  The phase ends
+          with the plan's :attr:`~repro.query.Plan.execution` records;
         * **statistics** -- the classical estimator collects its
           per-column statistics;
-        * **execute** -- every step of the strategy is executed, in the
-          paper's post-order, on a *cold-cache clone* of the database
-          (same relation states, fresh memo), so each step's wall time,
-          kernel counters, and cache traffic are genuinely its own.
+        * **execute** -- the plan runs once through
+          :func:`repro.query._run`, the function :meth:`Plan.execute
+          <repro.query.Plan.execute>` calls, on the database it was
+          planned on, and every operator it visits above the leaves
+          becomes one row, in post-order.
 
         Runs inside :func:`repro.obs.observed`, so spans and metrics are
         recorded and the previous observability state is restored even on
@@ -294,93 +353,82 @@ class RunReport:
         ``track_memory=False`` the ``tracemalloc`` phase peaks are
         skipped (and reported as ``None``).
         """
-        from contextlib import nullcontext
-
-        from repro.optimizer.route import EngineRouter
-        from repro.runtime.core import using_runtime
-
-        # Decide the execution engine up front (same policy as
-        # JoinQuery): cyclic schemes on the default engine are routed to
-        # generic join, acyclic ones to the Yannakakis pipeline, and
-        # both the planner and the executor clone run on the routed
-        # engine so the profile reflects reality.
-        routing = EngineRouter(db).route()
-        if routing.routed:
-            db = db.with_engine(routing.effective)
+        query = JoinQuery(db)
         ambient = using_runtime(runtime) if runtime is not None else nullcontext()
         clock = _PhaseClock(track_memory)
-        optimizer = "manual"
-        degradation = None
         try:
             with obs.observed(), ambient:
                 with clock.phase("plan"):
                     if strategy is None:
-                        result = planner(db, space, runtime=runtime)
-                        strategy = result.strategy
-                        optimizer = result.optimizer
-                        degradation = result.degradation
-                planner_cache = db.cache_stats()
-                with clock.phase("statistics"):
-                    estimator = CardinalityEstimator.from_database(db)
-                # Same relation states, fresh caches: each step below
-                # really computes its join (children hit the memo, as a
-                # real pipelined execution would).
-                executor = Database(db.relations(), engine=db.pinned_engine)
-                steps: List[StepProfile] = []
-                with clock.phase("execute"):
-                    for node in strategy.steps():
-                        estimated = estimator.estimate_step(node)
-                        counts_before = _kernel_counts()
-                        cache_before = executor.cache_stats()
-                        start_ns = time.perf_counter_ns()
-                        state = executor.join_of(node.scheme_set.schemes)
-                        wall_ns = time.perf_counter_ns() - start_ns
-                        counts_after = _kernel_counts()
-                        cache_delta = executor.cache_stats().delta(cache_before)
-                        steps.append(
-                            StepProfile(
-                                step=node.describe(),
-                                estimated=estimated,
-                                actual=len(state),
-                                wall_ns=wall_ns,
-                                probes=counts_after["join.probes"]
-                                - counts_before["join.probes"],
-                                comparisons=counts_after["join.comparisons"]
-                                - counts_before["join.comparisons"],
-                                output_tuples=counts_after["join.output_tuples"]
-                                - counts_before["join.output_tuples"],
-                                cache_hits=cache_delta.hits,
-                                cache_lookups=cache_delta.lookups,
-                                cartesian=node.step_uses_cartesian_product(),
-                            )
+                        plan = Plan.from_result(
+                            planner(query.database, space, runtime=runtime)
                         )
-                        _QERROR.observe(steps[-1].q_error)
-                executor_cache = executor.cache_stats()
-                execution = EngineRouter.execution(
-                    strategy, sum(step.actual for step in steps), routing
-                )
+                    else:
+                        plan = Plan(strategy, tau_cost(strategy), space, "manual")
+                    plan.provenance.routing = query.routing
+                    kernels = {
+                        record.subset: record
+                        for record in plan.execution
+                        if record.engine != "plan"
+                    }
+                planned = plan.strategy.database
+                planner_cache = planned.cache_stats()
+                with clock.phase("statistics"):
+                    estimator = CardinalityEstimator.from_database(planned)
+                operators = _OperatorClock(planned)
+                with clock.phase("execute"):
+                    _run(plan.strategy, kernels, operators)
+                executor_cache = planned.cache_stats().delta(planner_cache)
+                nodes = {node.scheme_set.schemes: node for node in plan.strategy.steps()}
+                steps = []
+                for key, actual, own in operators.rows:
+                    wall_ns, probes, comparisons, output_tuples, hits, computed = own
+                    node, record = nodes[key], kernels.get(key)
+                    if record is None:
+                        step, operator = node.describe(), "plan"
+                    else:
+                        step = f"{record.engine} {{{', '.join(record.relations)}}}"
+                        operator = record.engine
+                    steps.append(
+                        StepProfile(
+                            step=step,
+                            estimated=estimator.estimate_step(node),
+                            actual=actual,
+                            wall_ns=wall_ns,
+                            probes=probes,
+                            comparisons=comparisons,
+                            output_tuples=output_tuples,
+                            cache_hits=hits,
+                            cache_lookups=hits + computed,
+                            cartesian=node.step_uses_cartesian_product(),
+                            operator=operator if computed else "memo",
+                        )
+                    )
+                    _QERROR.observe(steps[-1].q_error)
         finally:
             clock.close()
         return cls(
-            strategy=strategy,
+            strategy=plan.strategy,
             space=space.value if isinstance(space, SearchSpace) else str(space),
-            optimizer=optimizer,
+            optimizer=plan.optimizer,
             steps=steps,
             phases=clock.phases,
             planner_cache=planner_cache,
             executor_cache=executor_cache,
             workload=workload,
-            degradation=degradation,
-            routing=routing,
-            execution=execution,
+            degradation=plan.degradation,
+            routing=query.routing,
+            execution=plan.execution,
         )
 
     # -- derived quantities ------------------------------------------------
 
     @property
     def tau(self) -> int:
-        """The plan's true cost: the sum of the steps' actual taus."""
-        return sum(step.actual for step in self.steps)
+        """The plan's true cost ``tau(S)``, read from the planned
+        database's caches.  On a plan executed binary it is the sum of
+        the rows' actual taus."""
+        return tau_cost(self.strategy)
 
     @property
     def qerror(self) -> Dict[str, float]:
@@ -389,7 +437,7 @@ class RunReport:
 
     @property
     def execute_wall_ms(self) -> float:
-        """Total execution wall time across the steps, in milliseconds."""
+        """Total execution wall time across the rows, in milliseconds."""
         return sum(step.wall_ns for step in self.steps) / 1e6
 
     # -- presentation ------------------------------------------------------
@@ -399,6 +447,7 @@ class RunReport:
         table = Table(
             [
                 "step",
+                "operator",
                 "est tau",
                 "actual tau",
                 "q-error",
@@ -413,6 +462,7 @@ class RunReport:
         for index, step in enumerate(self.steps, start=1):
             table.add_row(
                 f"{index}. {step.step}" + (" [CP]" if step.cartesian else ""),
+                step.operator,
                 f"{step.estimated:.1f}",
                 step.actual,
                 f"{step.q_error:.2f}",

@@ -23,8 +23,6 @@ served: a partial minimum depends on timing).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.database import Database
 from repro.optimizer.spaces import Degradation, OptimizationResult, SearchSpace
 from repro.runtime.core import Runtime

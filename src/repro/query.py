@@ -142,20 +142,25 @@ def _render(node: Strategy, depth: int) -> Tuple[str, List[str]]:
     return label, [f"{indent}join {label} [tau={node.tau}]", *first[1], *second[1]]
 
 
-def _run(node: Strategy, kernels) -> Relation:
+def _run(node: Strategy, kernels, memo=Database._join_memo) -> Relation:
     """The state of ``node``: a leaf's base state; a step whose subset is
     in ``kernels`` from the database's kernel entry; any other step the
     join of its children's states.  Steps go through the join memo, so
-    a memoized subset is reused and a computed one is memoized."""
+    a memoized subset is reused and a computed one is memoized.  Every
+    step is one call ``memo(db, subset[, compute])``; the profiler
+    (:meth:`repro.obs.profile.RunReport.capture`) passes a ``memo`` that
+    times each one."""
     db = node.database
     if node.is_leaf:
         (scheme,) = node.scheme_set.schemes
         return db.state_for(scheme)
     key = node.scheme_set.schemes
     if key in kernels:
-        return db._join_memo(key)
-    return db._join_memo(
-        key, lambda: _run(node.left, kernels).join(_run(node.right, kernels))
+        return memo(db, key)
+    return memo(
+        db,
+        key,
+        lambda: _run(node.left, kernels, memo).join(_run(node.right, kernels, memo)),
     )
 
 

@@ -66,7 +66,7 @@ from __future__ import annotations
 import threading
 from functools import partial
 from itertools import chain, compress, count, repeat
-from operator import is_not, itemgetter, not_
+from operator import is_not, not_
 from typing import (
     Dict,
     FrozenSet,
@@ -307,18 +307,6 @@ class ColumnarTable:
 
 
 # -- kernel operators ----------------------------------------------------------
-
-
-def _picker(indices: Tuple[int, ...]):
-    """A C-speed callable mapping a tuple to the sub-tuple at ``indices``.
-
-    ``operator.itemgetter`` returns a bare element for a single index, so
-    the width-1 case is wrapped to keep the tuple-in/tuple-out contract.
-    """
-    if len(indices) == 1:
-        getter = itemgetter(indices[0])
-        return lambda row: (getter(row),)
-    return itemgetter(*indices)
 
 
 def _keys_of(cols: Dict[str, Sequence[int]], common: List[str]):

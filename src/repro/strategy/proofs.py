@@ -38,7 +38,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.errors import StrategyError
-from repro.schemegraph.scheme import DatabaseScheme
 from repro.strategy.transform import exchange_leaves, pluck_and_graft
 from repro.strategy.tree import Strategy
 

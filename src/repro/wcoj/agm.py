@@ -33,7 +33,7 @@ dense tableau is more than fast enough.
 from __future__ import annotations
 
 from math import log2
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.relational.attributes import AttributeSet

@@ -23,7 +23,7 @@ needs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.obs.metrics import get_registry
 from repro.relational.columnar import ColumnarTable, join_tables, project_table

@@ -1,18 +1,12 @@
-"""JSONL export, round-tripping, and the human-readable renderings."""
-
-import json
+"""Prometheus export, step replay, and the human-readable renderings."""
 
 import repro.obs as obs
 from repro import database, parse_strategy, relation, tau_cost
 from repro.obs.export import (
-    metrics_to_jsonl,
     metrics_to_prometheus,
-    read_jsonl,
     record_strategy_steps,
     render_metrics,
     render_span_tree,
-    spans_to_jsonl,
-    write_jsonl,
     write_prometheus,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -34,49 +28,6 @@ def _traced_tracer():
             pass
         tracer.event("point", tau=3)
     return tracer
-
-
-class TestJsonl:
-    def test_spans_to_jsonl_one_object_per_line(self):
-        tracer = _traced_tracer()
-        lines = spans_to_jsonl(tracer.finished_spans()).splitlines()
-        assert len(lines) == 3
-        parsed = [json.loads(line) for line in lines]
-        assert {p["type"] for p in parsed} == {"span"}
-        assert {p["name"] for p in parsed} == {"root", "child", "point"}
-
-    def test_metrics_to_jsonl(self):
-        registry = MetricsRegistry(enabled=True)
-        registry.counter("joins").inc(2, kind="hash")
-        (line,) = metrics_to_jsonl(registry).splitlines()
-        row = json.loads(line)
-        assert row == {
-            "type": "metric",
-            "kind": "counter",
-            "name": "joins",
-            "labels": {"kind": "hash"},
-            "value": 2,
-        }
-
-    def test_write_and_read_roundtrip(self, tmp_path):
-        tracer = _traced_tracer()
-        registry = MetricsRegistry(enabled=True)
-        registry.counter("joins").inc(5)
-        path = tmp_path / "trace.jsonl"
-        lines = write_jsonl(str(path), tracer=tracer, registry=registry)
-        assert lines == 4
-        records = read_jsonl(str(path))
-        assert len(records) == 4
-        assert [r["type"] for r in records] == ["span", "span", "span", "metric"]
-
-    def test_write_empty_state_yields_empty_file(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        lines = write_jsonl(
-            str(path), tracer=Tracer(), registry=MetricsRegistry()
-        )
-        assert lines == 0
-        assert path.read_text() == ""
-        assert read_jsonl(str(path)) == []
 
 
 class TestRenderings:

@@ -10,7 +10,6 @@ from repro.obs.ledger import (
     RunLedger,
     diff_summaries,
     load,
-    read_ledger,
     render_bundle,
     render_diff,
     render_summary,
@@ -87,7 +86,8 @@ class TestRunLedger:
         ledger = _run_ledger()
         path = tmp_path / "run.jsonl"
         count = ledger.write(str(path))
-        records = read_ledger(str(path))
+        kind, records = load(str(path))
+        assert kind == "ledger"
         assert len(records) == count
         assert records[0]["type"] == "run"
 
@@ -139,7 +139,8 @@ class TestSummarize:
         )
 
     def test_summarize_tolerates_bare_span_metric_files(self):
-        # A PR 1 write_jsonl file has no run/outcome/resource records.
+        # A file of bare spans and metric rows (what the removed
+        # obs.write_jsonl wrote) has no run/outcome/resource records.
         records = [
             {"type": "span", "name": "root", "span_id": 1, "parent_id": None,
              "start_ns": 0, "duration_ns": 5_000_000, "attributes": {}},

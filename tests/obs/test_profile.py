@@ -1,16 +1,27 @@
-"""The EXPLAIN ANALYZE profiler: capture invariants, rendering, export."""
+"""The EXPLAIN ANALYZE profiler: capture invariants, the rows of the
+operators that ran, rendering, export."""
 
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.obs as obs
 from repro.database import Database
 from repro.obs.profile import KERNEL_COUNTERS, RunReport, StepProfile
 from repro.optimizer.dp import optimize_dp
 from repro.optimizer.spaces import SearchSpace
-from repro.workloads.generators import WorkloadSpec, chain_scheme, generate_database
+from repro.query import JoinQuery
+from repro.workloads.generators import (
+    WorkloadSpec,
+    chain_scheme,
+    cycle_scheme,
+    generate_database,
+    generate_selective_star,
+    star_scheme,
+)
+from tests.test_execute_oracle import databases
 
 RELATIONS = 4
 SPEC = WorkloadSpec(size=12, domain=5)
@@ -93,6 +104,71 @@ class TestCaptureInvariants:
         assert report.tau == planned.cost
 
 
+def _capture(db):
+    report = RunReport.capture(db, track_memory=False)
+    obs.reset()
+    return report
+
+
+class TestRowsAreTheOperatorsThatRan:
+    def test_selective_star_profiles_as_one_yannakakis_row(self):
+        report = _capture(generate_selective_star(3, 301))
+        (row,) = report.steps
+        assert (row.step, row.operator, row.actual) == (
+            "yannakakis {Hub, S1, S2}", "yannakakis", 1
+        )
+        assert report.tau == 90002
+
+    def test_routed_cycle_reads_its_result_from_the_memo(self):
+        # Generic Join materialized R_D while the DP counted tau(R_D).
+        db = generate_database(cycle_scheme(4), random.Random(0), SPEC)
+        report = _capture(db)
+        assert report.routing.effective == "wcoj"
+        (row,) = report.steps
+        assert row.operator == "memo"
+        assert row.step == "wcoj {R1, R2, R3, R4}"
+        assert (row.cache_hits, row.cache_lookups, row.output_tuples) == (1, 1, 0)
+        assert report.tau == optimize_dp(db).cost
+
+    def test_binary_star_rows_produce_the_plan_cost(self):
+        db = generate_database(
+            star_scheme(4), random.Random(17), WorkloadSpec(size=120, domain=4)
+        )
+        report = _capture(db)
+        assert [r.engine for r in report.execution] == ["plan"]
+        produced = sum(step.output_tuples for step in report.steps)
+        assert produced == sum(step.actual for step in report.steps)
+        assert produced == report.tau == optimize_dp(db).cost
+        assert {step.operator for step in report.steps} == {"plan"}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    databases(),
+    st.sampled_from([None, "vector", "yannakakis"]),
+    st.sampled_from([SearchSpace.ALL, SearchSpace.LINEAR, SearchSpace.NOCP]),
+)
+def test_rows_are_the_memo_entries_execute_adds(case, engine, space):
+    relations, _ = case
+    report = RunReport.capture(
+        Database(relations, engine=engine), space, track_memory=False
+    )
+    obs.reset()
+    plan = JoinQuery(Database(relations, engine=engine)).optimize(space)
+    memo = plan.strategy.database._join_cache
+    before = len(memo)
+    plan.execute()
+    labels = {node.scheme_set.schemes: node.describe() for node in plan.strategy.steps()}
+    for record in plan.execution:
+        if record.engine != "plan":
+            labels[record.subset] = f"{record.engine} {{{', '.join(record.relations)}}}"
+    computed = [step.step for step in report.steps if step.operator != "memo"]
+    assert computed == [labels[key] for key in list(memo)[before:]]
+    assert report.tau == plan.cost
+    if all(record.engine == "plan" for record in plan.execution):
+        assert sum(step.actual for step in report.steps) == plan.cost
+
+
 class TestRendering:
     def test_render_contains_table_and_summary(self, report):
         text = report.render()
@@ -119,7 +195,7 @@ class TestExport:
         assert payload["workload"] == {"shape": "chain", "seed": 0}
         assert len(payload["steps"]) == len(report.steps)
         for row in payload["steps"]:
-            assert {"step", "estimated", "actual", "q_error", "wall_ms",
+            assert {"step", "operator", "estimated", "actual", "q_error", "wall_ms",
                     "probes", "comparisons", "output_tuples",
                     "cache_hit_rate", "cartesian"} <= set(row)
         assert set(payload["phases"]) == {"plan", "statistics", "execute"}

@@ -239,22 +239,6 @@ class TestTauOnlyCounting:
         assert chain3.tau_of(["AB", "BC", "CD"]) == 3
         assert len(chain3._join_cache) == 0
 
-    def test_count_survives_join_cache_eviction(self):
-        db = Database(
-            [
-                relation("AB", [(1, 1), (2, 1)], name="R1"),
-                relation("BC", [(1, 5), (1, 6)], name="R2"),
-            ],
-            join_cache_size=1,
-        )
-        full = db.join_of(["AB", "BC"])
-        assert len(full) == 4
-        # Force eviction of the AB-BC entry by caching another subset.
-        db.join_of(["AB"])
-        db.join_of(["BC"])
-        # The evicted join left its cardinality in the tau-cache.
-        assert db.tau_of(["AB", "BC"]) == 4
-
     def test_unconnected_tau_is_product(self):
         db = Database(
             [
