@@ -24,10 +24,9 @@ benchmark measures exactly that gap:
   honest result -- the sentinel guards the measured ratio against
   *relative* regression, not a floor.
 * **fk_chain** -- a 6-relation foreign-key chain where every shared
-  attribute keys the deeper side, so the safe-subjoin detector
-  (:mod:`repro.yannakakis.subjoin`) collapses tree edges before the
-  reducer runs.  Binary FK joins only ever shrink, so the plan is
-  expected to win; recorded for the trend, not gated.
+  attribute keys the deeper side.  Binary FK joins only ever shrink,
+  so the plan is expected to win and the reducer's sweeps are
+  overhead; recorded for the trend, not gated.
 
 On every workload and every round the Yannakakis result is asserted
 **byte-identical** to the binary plan's (same frozenset of interned id

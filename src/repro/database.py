@@ -67,21 +67,11 @@ from repro.obs.recorder import get_recorder
 from repro.obs.trace import get_tracer
 from repro.relational.attributes import AttributeSet, AttrsLike, attrs, format_attrs
 from repro.relational.relation import Relation
-from repro.runtime.core import current_runtime
+from repro.runtime.core import KernelExhausted, current_runtime
 from repro.schemegraph.index import SubsetIndex
 from repro.schemegraph.scheme import DatabaseScheme
-from repro.wcoj.join import (
-    GenericJoinExhausted,
-    generic_count,
-    generic_join,
-    record_fallback as record_wcoj_fallback,
-)
-from repro.yannakakis.join import (
-    YannakakisExhausted,
-    record_fallback as record_yannakakis_fallback,
-    yannakakis_count,
-    yannakakis_join,
-)
+from repro.wcoj.join import generic_count, generic_join
+from repro.yannakakis.join import yannakakis_count, yannakakis_join
 
 __all__ = ["ENGINES", "CacheStats", "Database", "database"]
 
@@ -103,6 +93,22 @@ _CACHE_HITS = _METRICS.counter(
 _CACHE_MISSES = _METRICS.counter(
     "db.subset_join.computed", "subset joins actually computed"
 )
+#: Per multiway kernel: the counter of runs abandoned to the binary
+#: pipeline, and the site its runtime exhaustion is recorded under.
+_KERNEL_FALLBACKS = {
+    "wcoj": (
+        _METRICS.counter(
+            "wcoj.fallback", "generic joins abandoned to the binary kernel"
+        ),
+        "wcoj.generic_join",
+    ),
+    "yannakakis": (
+        _METRICS.counter(
+            "yannakakis.fallback", "acyclic pipelines abandoned to the binary kernel"
+        ),
+        "yannakakis.pipeline",
+    ),
+}
 
 #: Key type of the subset caches.
 SubsetKey = FrozenSet[AttributeSet]
@@ -451,25 +457,21 @@ class Database:
         mask = index.mask_of(chosen)
         tree = None if count else index.join_tree(mask)
         if count:
-            join, exhausted = generic_count, GenericJoinExhausted
-            count_fallback = record_wcoj_fallback
-            kernel, site = "wcoj", "wcoj.generic_join"
+            kernel, join = "wcoj", generic_count
         elif tree is not None:
             if engine == "wcoj":
                 return None
-            join, exhausted = partial(yannakakis_join, tree=tree), YannakakisExhausted
-            count_fallback = record_yannakakis_fallback
-            kernel, site = "yannakakis", "yannakakis.pipeline"
+            kernel, join = "yannakakis", partial(yannakakis_join, tree=tree)
         else:
-            join, exhausted = generic_join, GenericJoinExhausted
-            count_fallback = record_wcoj_fallback
-            kernel, site = "wcoj", "wcoj.generic_join"
+            kernel, join = "wcoj", generic_join
         tables = [self._relations[s]._table() for s in index.members(mask)]
         runtime = current_runtime()
         try:
             result = join(tables, runtime=runtime)
-        except exhausted as exc:
-            count_fallback(exc.trigger)
+        except KernelExhausted as exc:
+            fallbacks, site = _KERNEL_FALLBACKS[kernel]
+            if _METRICS.enabled:
+                fallbacks.inc(trigger=exc.trigger)
             if runtime is not None:
                 runtime.record_exhaustion(exc.trigger, site)
                 runtime.record_fallback(exc.trigger, "binary join pipeline")

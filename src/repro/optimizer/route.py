@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, NamedTuple, Option
 from repro.database import Database
 from repro.relational.attributes import AttributeSet, format_attrs
 from repro.schemegraph.jointree import JoinTree
-from repro.schemegraph.scheme import DatabaseScheme
 from repro.strategy.cost import tau_cost
 from repro.wcoj.agm import FractionalEdgeCover, fractional_edge_cover
 from repro.wcoj.order import choose_order
@@ -179,13 +178,6 @@ class EngineRouter:
         if size < 3:
             return "vector"
         return "wcoj" if cyclic else "yannakakis"
-
-    @staticmethod
-    def classify(subscheme: DatabaseScheme) -> str:
-        """The engine one connected subset wants: ``"wcoj"`` if cyclic,
-        ``"yannakakis"`` if acyclic, ``"vector"`` below three relations."""
-        index = subscheme.subset_index()
-        return EngineRouter._wants(len(subscheme), index.join_tree(index.full) is None)
 
     def route(self) -> EngineRouting:
         """Decide the execution engine for the database and say why."""

@@ -7,7 +7,8 @@ condition checkers, :class:`~repro.query.JoinQuery`,
 :class:`Runtime`.  Within limits the results are bit-for-bit what the
 unbounded run produces; on exhaustion the engine degrades instead of
 raising (greedy fallback plans with ``degraded=True`` provenance,
-three-valued ``TimedOut`` condition verdicts).  See
+three-valued ``TimedOut`` condition verdicts, the binary join pipeline
+behind a multiway kernel that raised :class:`KernelExhausted`).  See
 docs/api.md ("Runtime budgets & degradation").
 """
 
@@ -16,6 +17,7 @@ from repro.runtime.core import (
     DEADLINE,
     CancelToken,
     Deadline,
+    KernelExhausted,
     Runtime,
     WorkBudget,
     current_runtime,
@@ -27,6 +29,7 @@ __all__ = [
     "DEADLINE",
     "CancelToken",
     "Deadline",
+    "KernelExhausted",
     "Runtime",
     "WorkBudget",
     "current_runtime",

@@ -24,6 +24,11 @@ cancellation *is* an error (the caller asked for the result to be
 abandoned): ``charge``/``exhausted`` raise
 :class:`~repro.errors.OperationCancelled`.
 
+The multiway join kernels charge through one :class:`Charger`, which
+batches their row work and raises :class:`KernelExhausted` on a trigger;
+:class:`~repro.database.Database` catches it and serves the binary join
+pipeline instead.
+
 Degradations are observable (docs/observability.md): the
 ``runtime.timeout`` / ``runtime.budget_exhausted`` / ``runtime.fallback``
 / ``runtime.cancelled`` counters and ``runtime.degraded`` events let the
@@ -43,7 +48,9 @@ from repro.obs.trace import get_tracer
 
 __all__ = [
     "CancelToken",
+    "Charger",
     "Deadline",
+    "KernelExhausted",
     "Runtime",
     "WorkBudget",
     "DEADLINE",
@@ -301,6 +308,57 @@ class Runtime:
         if self.token is not None:
             parts.append("cancellable")
         return f"<Runtime {' '.join(parts) or 'unbounded'}>"
+
+
+# -- kernel charging ------------------------------------------------------------
+
+#: Units of kernel work (trie rows, frontier rows, candidates, semijoin
+#: and join rows) between two Runtime.charge calls: large enough to
+#: amortize the call, small enough that deadlines are polled within a
+#: fraction of a millisecond of work.
+CHARGE_CHUNK = 512
+
+
+class KernelExhausted(Exception):
+    """Internal control flow: a multiway join kernel hit its runtime limit.
+
+    Carries the trigger (``"deadline"`` or ``"budget"``).  Deliberately
+    *not* a :class:`~repro.errors.ReproError`: it must never escape to
+    users -- :class:`~repro.database.Database` catches it and serves the
+    binary-join fallback instead.
+    """
+
+    def __init__(self, trigger: str):
+        super().__init__(trigger)
+        self.trigger = trigger
+
+
+class Charger:
+    """Batches :meth:`Runtime.charge` calls over a kernel's unit work,
+    one call per :data:`CHARGE_CHUNK` units; free without a runtime."""
+
+    __slots__ = ("runtime", "pending")
+
+    def __init__(self, runtime: Optional[Runtime]):
+        self.runtime = runtime
+        self.pending = 0
+
+    def spend(self, units: int) -> None:
+        if self.runtime is None:
+            return
+        self.pending += units
+        if self.pending >= CHARGE_CHUNK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Charge what is pending; raises :class:`KernelExhausted` on a
+        trigger."""
+        if self.runtime is None or self.pending == 0:
+            return
+        trigger = self.runtime.charge(self.pending)
+        self.pending = 0
+        if trigger is not None:
+            raise KernelExhausted(trigger)
 
 
 # -- the ambient runtime --------------------------------------------------------

@@ -36,13 +36,12 @@ frozensets of process-interned id tuples over the sorted attribute order
 """
 
 from repro.wcoj.agm import FractionalEdgeCover, fractional_edge_cover
-from repro.wcoj.join import GenericJoinExhausted, generic_count, generic_join
+from repro.wcoj.join import generic_count, generic_join
 from repro.wcoj.order import choose_order
 from repro.wcoj.trie import build_trie
 
 __all__ = [
     "FractionalEdgeCover",
-    "GenericJoinExhausted",
     "build_trie",
     "choose_order",
     "fractional_edge_cover",

@@ -36,11 +36,12 @@ the run ledger a natural phase structure: one ``wcoj.attr`` span per
 level, with the frontier sizes on its attributes.
 
 Runtime integration: the expansion charges the supplied
-:class:`~repro.runtime.Runtime` (or the ambient one installed by
-:func:`repro.runtime.using_runtime`) once per ``_CHARGE_CHUNK`` units
-of work and raises :class:`GenericJoinExhausted` on a deadline/budget
-trigger; :class:`~repro.database.Database` catches it and falls back to
-the binary pipeline with degradation provenance.
+:class:`~repro.runtime.Runtime` through a
+:class:`~repro.runtime.core.Charger`, once per
+:data:`~repro.runtime.core.CHARGE_CHUNK` units of work, and raises
+:class:`~repro.runtime.KernelExhausted` on a deadline/budget trigger;
+:class:`~repro.database.Database` catches it and falls back to the
+binary pipeline with degradation provenance.
 
 Telemetry: ``wcoj.joins`` (labelled ``mode="join"`` or ``"count"``) /
 ``wcoj.intersections`` / ``wcoj.candidates`` / ``wcoj.output_tuples``
@@ -59,10 +60,11 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.relational.attributes import AttributeSet
 from repro.relational.columnar import ColumnarTable
+from repro.runtime.core import CHARGE_CHUNK, Charger
 from repro.wcoj.order import choose_order
 from repro.wcoj.trie import build_trie
 
-__all__ = ["GenericJoinExhausted", "generic_count", "generic_join"]
+__all__ = ["generic_count", "generic_join"]
 
 _TRACER = get_tracer()
 _METRICS = get_registry()
@@ -76,61 +78,6 @@ _WCOJ_CANDIDATES = _METRICS.counter(
 _WCOJ_OUTPUT = _METRICS.counter(
     "wcoj.output_tuples", "tuples produced (or counted) by generic joins"
 )
-_WCOJ_FALLBACKS = _METRICS.counter(
-    "wcoj.fallback", "generic joins abandoned to the binary kernel"
-)
-
-#: Units of work (trie rows, frontier rows, candidates) between two
-#: Runtime.charge calls: large enough to amortize the call, small enough
-#: that deadlines are polled within a fraction of a millisecond of work.
-_CHARGE_CHUNK = 512
-
-
-class GenericJoinExhausted(Exception):
-    """Internal control flow: the expansion hit its runtime limit.
-
-    Carries the trigger (``"deadline"`` or ``"budget"``).  Deliberately
-    *not* a :class:`~repro.errors.ReproError`: it must never escape to
-    users -- :class:`~repro.database.Database` catches it and serves the
-    binary-join fallback instead.
-    """
-
-    def __init__(self, trigger: str):
-        super().__init__(trigger)
-        self.trigger = trigger
-
-
-def record_fallback(trigger: str) -> None:
-    """Count one abandoned generic join (called by the fallback site)."""
-    if _METRICS.enabled:
-        _WCOJ_FALLBACKS.inc(trigger=trigger)
-
-
-class _Charger:
-    """Batches Runtime.charge calls over the expansion's unit work."""
-
-    __slots__ = ("runtime", "pending")
-
-    def __init__(self, runtime):
-        self.runtime = runtime
-        self.pending = 0
-
-    def spend(self, units: int) -> None:
-        if self.runtime is None:
-            return
-        self.pending += units
-        if self.pending >= _CHARGE_CHUNK:
-            self.flush()
-
-    def flush(self) -> None:
-        if self.runtime is None or self.pending == 0:
-            return
-        trigger = self.runtime.charge(self.pending)
-        self.pending = 0
-        if trigger is not None:
-            raise GenericJoinExhausted(trigger)
-
-
 def _schemes_and_order(
     tables: Sequence[ColumnarTable], order: Optional[Tuple[str, ...]]
 ) -> Tuple[List[frozenset], Tuple[str, ...], Tuple[str, ...]]:
@@ -162,8 +109,8 @@ def generic_join(
     the same layout (and therefore the same bytes) the vector kernel
     produces for the same join.
 
-    Raises :class:`GenericJoinExhausted` when ``runtime`` (or the
-    ambient runtime) trips mid-expansion.
+    Raises :class:`~repro.runtime.KernelExhausted` when ``runtime``
+    trips mid-expansion.
     """
     attr_sets, pi, sorted_order = _schemes_and_order(tables, order)
     if _METRICS.enabled:
@@ -198,7 +145,7 @@ def generic_count(
     expansion order (``order`` as for :func:`generic_join`, restricted
     to those attributes), over weighted tries; see the module docstring
     for why the product of the leaf weights is exact.  Raises
-    :class:`GenericJoinExhausted` like :func:`generic_join`.
+    :class:`~repro.runtime.KernelExhausted` like :func:`generic_join`.
     """
     attr_sets, pi, _ = _schemes_and_order(tables, order)
     if _METRICS.enabled:
@@ -231,7 +178,7 @@ def _expand(
     one whose attributes are all bound is never read again, so neither
     is carried row by row.
     """
-    charger = _Charger(runtime)
+    charger = Charger(runtime)
     depth = {attr: level for level, attr in enumerate(levels)}
     tries = []
     finish: List[int] = []  # the level binding each relation's last attribute
@@ -301,7 +248,7 @@ def _expand(
                 if metering:
                     probed += min(map(len, row[1 : 1 + n_part]))
                 units += 1 + len(candidates)
-                if units >= _CHARGE_CHUNK:
+                if units >= CHARGE_CHUNK:
                     charger.spend(units)
                     units = 0
                 if not candidates:

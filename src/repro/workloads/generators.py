@@ -356,9 +356,6 @@ def generate_selective_star(n: int, size: int) -> Database:
     with ``O(n·m)`` semijoin work and joins single-row states --
     the acyclic mirror of :func:`generate_spiked_cycle`, deterministic
     by construction (see ``benchmarks/bench_yannakakis.py``).
-
-    No safe subjoin exists here (shared attributes are not keys of
-    either state), so the measured speedup is the reducer's alone.
     """
     if n < 3:
         raise ReproError("a selective star needs at least three relations")

@@ -1,16 +1,17 @@
-"""The Yannakakis entry points: count, or reduce and join bottom-up.
+"""The Yannakakis entry points: count, or reduce and join.
 
 Both take a connected alpha-acyclic subset's tables and share one tree
-set-up: a join tree over the tables' positions, rooted at position 0.
-A caller that holds the tree passes it as ``tree=`` (edges between
-table positions, as :meth:`~repro.schemegraph.index.SubsetIndex.join_tree`
-returns them); otherwise the set-up sorts the tables by scheme and
-builds the tree with the same index code, one Kruskal pass that also
-decides acyclicity.
+set-up: a join tree over the tables' positions, rooted at position 0
+and listed once in BFS order.  A caller that holds the tree passes it
+as ``tree=`` (edges between table positions, as
+:meth:`~repro.schemegraph.index.SubsetIndex.join_tree` returns them);
+otherwise the set-up sorts the tables by scheme and builds the tree
+with the same index code, one Kruskal pass that also decides
+acyclicity.
 
 * :func:`yannakakis_join` is the acyclic analogue of
-  :func:`repro.wcoj.join.generic_join`: it collapses safe subjoins, runs
-  the full reducer, and joins along the tree.  The output is a
+  :func:`repro.wcoj.join.generic_join`: it runs the full reducer, then
+  joins along the tree.  The output is a
   :class:`~repro.relational.columnar.ColumnarTable` over the *sorted*
   union order with the exact same id rows the vector kernel's binary
   pipeline produces -- byte identity is the contract every test holds
@@ -20,17 +21,17 @@ decides acyclicity.
   with weights, which counts the join without building it.
 
 Runtime integration: the join pipeline charges the supplied
-:class:`~repro.runtime.Runtime` (or the ambient one) once per
-``_CHARGE_CHUNK`` rows of semijoin/join work and raises
-:class:`YannakakisExhausted` on a deadline/budget trigger;
-:class:`~repro.database.Database` catches it and falls back to the
-binary pipeline with degradation provenance.
+:class:`~repro.runtime.Runtime` through a
+:class:`~repro.runtime.core.Charger`, once per
+:data:`~repro.runtime.core.CHARGE_CHUNK` rows of semijoin/join work,
+and raises :class:`~repro.runtime.KernelExhausted` on a deadline/budget
+trigger; :class:`~repro.database.Database` catches it and falls back to
+the binary pipeline with degradation provenance.
 
 Telemetry: ``yannakakis.joins`` / ``yannakakis.semijoins`` /
-``yannakakis.subjoins`` / ``yannakakis.output_tuples`` count the
-join pipeline's work; ``yannakakis.fallback`` counts abandoned runs
-(bumped by the caller that falls back).  Counting charges no runtime
-and moves no counter.
+``yannakakis.output_tuples`` count the join pipeline's work;
+``yannakakis.fallback`` counts abandoned runs (bumped by the caller
+that falls back).  Counting charges no runtime and moves no counter.
 """
 
 from __future__ import annotations
@@ -45,16 +46,11 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.relational.attributes import AttributeSet
 from repro.relational.columnar import ColumnarTable, _keys_of, join_tables
+from repro.runtime.core import Charger
 from repro.schemegraph.index import SubsetIndex, TreeEdges
 from repro.yannakakis.reducer import bfs_order, full_reduce
-from repro.yannakakis.subjoin import collapse_safe_edges
 
-__all__ = [
-    "YannakakisExhausted",
-    "record_fallback",
-    "yannakakis_count",
-    "yannakakis_join",
-]
+__all__ = ["yannakakis_count", "yannakakis_join"]
 
 _TRACER = get_tracer()
 _METRICS = get_registry()
@@ -64,65 +60,14 @@ _YK_JOINS = _METRICS.counter(
 _YK_OUTPUT = _METRICS.counter(
     "yannakakis.output_tuples", "tuples produced by the acyclic pipeline"
 )
-_YK_FALLBACKS = _METRICS.counter(
-    "yannakakis.fallback", "acyclic pipelines abandoned to the binary kernel"
-)
-
-#: Rows of semijoin/join work between two Runtime.charge calls (same
-#: granularity as the wcoj kernel's frontier chunk).
-_CHARGE_CHUNK = 512
-
-
-class YannakakisExhausted(Exception):
-    """Internal control flow: the pipeline hit its runtime limit.
-
-    Carries the trigger (``"deadline"`` or ``"budget"``).  Deliberately
-    *not* a :class:`~repro.errors.ReproError`: it must never escape to
-    users -- :class:`~repro.database.Database` catches it and serves the
-    binary-join fallback instead.
-    """
-
-    def __init__(self, trigger: str):
-        super().__init__(trigger)
-        self.trigger = trigger
-
-
-def record_fallback(trigger: str) -> None:
-    """Count one abandoned pipeline (called by the fallback site)."""
-    if _METRICS.enabled:
-        _YK_FALLBACKS.inc(trigger=trigger)
-
-
-class _Charger:
-    """Batches Runtime.charge calls over the pipeline's row work."""
-
-    __slots__ = ("runtime", "pending")
-
-    def __init__(self, runtime):
-        self.runtime = runtime
-        self.pending = 0
-
-    def spend(self, units: int) -> None:
-        if self.runtime is None:
-            return
-        self.pending += units
-        if self.pending >= _CHARGE_CHUNK:
-            self.flush()
-
-    def flush(self) -> None:
-        if self.runtime is None or self.pending == 0:
-            return
-        trigger = self.runtime.charge(self.pending)
-        self.pending = 0
-        if trigger is not None:
-            raise YannakakisExhausted(trigger)
 
 
 def _join_tree(
     tables: Sequence[ColumnarTable],
     tree: Optional[TreeEdges] = None,
-) -> Tuple[Dict[int, ColumnarTable], Dict[int, Set[int]]]:
-    """The join tree over ``tables``: node ids -> states, plus adjacency.
+) -> Tuple[Dict[int, ColumnarTable], List[Tuple[int, Optional[int]]]]:
+    """The join tree over ``tables``: node ids -> states, plus the
+    rooted ``(node, parent)`` listing of :func:`bfs_order` from node 0.
 
     With ``tree`` given, node ``i`` is ``tables[i]`` and the edges are
     taken as they are.  Without it, the tables are numbered in
@@ -141,12 +86,11 @@ def _join_tree(
             )
         by_scheme = {AttributeSet(t.order): t for t in tables}
         tables = [by_scheme[s] for s in index.schemes]
-    states = dict(enumerate(tables))
-    adjacency: Dict[int, Set[int]] = {i: set() for i in states}
+    adjacency: Dict[int, Set[int]] = {i: set() for i in range(len(tables))}
     for a, b in tree:
         adjacency[a].add(b)
         adjacency[b].add(a)
-    return states, adjacency
+    return dict(enumerate(tables)), bfs_order(adjacency, 0)
 
 
 def yannakakis_join(
@@ -164,8 +108,8 @@ def yannakakis_join(
     the sorted union order -- the same layout (and therefore the same
     bytes) the vector kernel produces for the same join.
 
-    Raises :class:`YannakakisExhausted` when ``runtime`` trips
-    mid-pipeline.
+    Raises :class:`~repro.runtime.KernelExhausted` when ``runtime``
+    trips mid-pipeline.
     """
     if not tables:
         raise ValueError("yannakakis_join needs at least one table")
@@ -174,16 +118,8 @@ def yannakakis_join(
         _YK_JOINS.inc()
     if any(len(t) == 0 for t in tables):
         return ColumnarTable(sorted_order, frozenset())
-    charger = _Charger(runtime)
-    states, adjacency = _join_tree(tables, tree)
-
-    with _TRACER.span("yannakakis.subjoin", nodes=len(states)) as span:
-        collapsed = collapse_safe_edges(states, adjacency, charge=charger.spend)
-        span.set_attribute("collapsed", collapsed)
-
-    # A collapse merges into the smaller id, so node 0 survives it.
-    root = 0
-    order = bfs_order(adjacency, root)
+    charger = Charger(runtime)
+    states, order = _join_tree(tables, tree)
     with _TRACER.span("yannakakis.reduce", nodes=len(states)) as span:
         nonempty = full_reduce(states, order, charge=charger.spend)
         span.set_attribute("nonempty", nonempty)
@@ -192,13 +128,11 @@ def yannakakis_join(
         return ColumnarTable(sorted_order, frozenset())
 
     with _TRACER.span("yannakakis.join", nodes=len(states)) as span:
-        result = states[root]
+        result = states[0]
         # BFS order keeps every joined node adjacent to the part already
         # joined, so no step is a Cartesian product; full reduction
         # bounds every intermediate by input + output.
-        for node, parent in order:
-            if parent is None:
-                continue
+        for node, _ in order[1:]:
             result = join_tables(result, states[node])
             charger.spend(len(result) + 1)
         span.set_attribute("output", len(result))
@@ -240,14 +174,14 @@ def yannakakis_count(
     """
     if not tables:
         raise ValueError("yannakakis_count needs at least one table")
-    states, adjacency = _join_tree(tables, tree)
+    states, order = _join_tree(tables, tree)
     if any(len(t) == 0 for t in tables):
         return 0
     # weights[node]: per-row weights aligned with the node's columns,
     # present once some child has multiplied in (a leaf has none: every
     # row weighs 1).
     weights: Dict[int, List[int]] = {}
-    for node, parent in reversed(bfs_order(adjacency, 0)):
+    for node, parent in reversed(order):
         if parent is None:
             break
         child, above = states[node], states[parent]

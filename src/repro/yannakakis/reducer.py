@@ -32,7 +32,7 @@ _SEMIJOINS = _METRICS.counter(
 def bfs_order(
     adjacency: Dict[int, Set[int]], root: int
 ) -> List[Tuple[int, Optional[int]]]:
-    """A (node, parent) listing of the working tree in BFS order."""
+    """A (node, parent) listing of the join tree in BFS order."""
     order: List[Tuple[int, Optional[int]]] = [(root, None)]
     seen = {root}
     queue = [root]

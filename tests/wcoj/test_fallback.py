@@ -9,8 +9,14 @@ import repro.obs as obs
 from repro.database import Database
 from repro.obs.metrics import get_registry
 from repro.obs.recorder import get_recorder
-from repro.runtime import Deadline, Runtime, WorkBudget, using_runtime
-from repro.wcoj import GenericJoinExhausted, generic_count, generic_join
+from repro.runtime import (
+    Deadline,
+    KernelExhausted,
+    Runtime,
+    WorkBudget,
+    using_runtime,
+)
+from repro.wcoj import generic_count, generic_join
 from repro.workloads.generators import (
     WorkloadSpec,
     clique_scheme,
@@ -44,13 +50,13 @@ def _identical(left, right):
 class TestGenericJoinExhaustion:
     def test_budget_trigger(self):
         tables = [rel._table() for rel in _relations()]
-        with pytest.raises(GenericJoinExhausted) as excinfo:
+        with pytest.raises(KernelExhausted) as excinfo:
             generic_join(tables, runtime=Runtime(budget=WorkBudget(1)))
         assert excinfo.value.trigger == "budget"
 
     def test_deadline_trigger(self):
         tables = [rel._table() for rel in _relations()]
-        with pytest.raises(GenericJoinExhausted) as excinfo:
+        with pytest.raises(KernelExhausted) as excinfo:
             generic_join(tables, runtime=Runtime(deadline=Deadline.after_ms(0)))
         assert excinfo.value.trigger == "deadline"
 
@@ -58,7 +64,7 @@ class TestGenericJoinExhaustion:
     def test_count_trips_too(self, trigger):
         tables = [rel._table() for rel in _relations()]
         make_runtime, _ = _TRIPS[trigger]
-        with pytest.raises(GenericJoinExhausted) as excinfo:
+        with pytest.raises(KernelExhausted) as excinfo:
             generic_count(tables, runtime=make_runtime())
         assert excinfo.value.trigger == trigger
 

@@ -64,14 +64,6 @@ class TestEngineRouter:
         assert not routing.connected
         assert routing.cover is None
 
-    def test_classify_per_connected_subset(self, triangle, chain3):
-        from repro.schemegraph.scheme import DatabaseScheme
-
-        assert EngineRouter.classify(triangle.scheme) == "wcoj"
-        assert EngineRouter.classify(chain3.scheme) == "yannakakis"
-        small = DatabaseScheme(list(chain3.scheme.schemes)[:2])
-        assert EngineRouter.classify(small) == "vector"
-
     def test_describe_and_to_dict(self, triangle):
         routing = route_of(triangle)
         line = routing.describe()

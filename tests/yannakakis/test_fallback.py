@@ -7,9 +7,15 @@ import repro.obs as obs
 from repro.database import Database
 from repro.obs.metrics import get_registry
 from repro.obs.recorder import get_recorder
-from repro.runtime import Deadline, Runtime, WorkBudget, using_runtime
+from repro.runtime import (
+    Deadline,
+    KernelExhausted,
+    Runtime,
+    WorkBudget,
+    using_runtime,
+)
 from repro.workloads.generators import generate_selective_star
-from repro.yannakakis import YannakakisExhausted, yannakakis_join
+from repro.yannakakis import yannakakis_join
 
 
 def _relations(size=201):
@@ -26,13 +32,13 @@ def _identical(left, right):
 class TestYannakakisExhaustion:
     def test_budget_trigger(self):
         tables = [rel._table() for rel in _relations()]
-        with pytest.raises(YannakakisExhausted) as excinfo:
+        with pytest.raises(KernelExhausted) as excinfo:
             yannakakis_join(tables, runtime=Runtime(budget=WorkBudget(1)))
         assert excinfo.value.trigger == "budget"
 
     def test_deadline_trigger(self):
         tables = [rel._table() for rel in _relations()]
-        with pytest.raises(YannakakisExhausted) as excinfo:
+        with pytest.raises(KernelExhausted) as excinfo:
             yannakakis_join(tables, runtime=Runtime(deadline=Deadline.after_ms(0)))
         assert excinfo.value.trigger == "deadline"
 

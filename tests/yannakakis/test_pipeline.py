@@ -63,22 +63,15 @@ class TestByteIdentity:
         assert _identical(expected, result)
         assert len(result) == 1  # only the survivor row
 
-    def test_fk_chain_with_safe_subjoins(self):
+    def test_fk_chain(self):
         db = generate_foreign_key_chain(5, random.Random(3), size=60)
         expected = Database(db.relations(), engine="vector").evaluate()
         with obs.observed():
             result = Database(db.relations(), engine="yannakakis").evaluate()
-            # Every FK shared attribute keys the deeper side, so the
-            # detector collapses all four tree edges before the reducer
-            # runs (and the reducer then has nothing left to sweep).
+            # The reducer sweeps all four tree edges both ways:
+            # 2 * (5 - 1) semijoins, with no state emptied on the way.
             registry = get_registry()
-            assert (
-                registry.counter("yannakakis.subjoins").value(
-                    reason="shared attributes key the right state"
-                )
-                == 4
-            )
-            assert registry.counter("yannakakis.semijoins").value() == 0
+            assert registry.counter("yannakakis.semijoins").value() == 8
         assert _identical(expected, result)
 
     def test_empty_join_short_circuits(self, chain3):
@@ -111,8 +104,8 @@ class TestPerSubsetRouting:
             assert registry.counter("wcoj.joins").series() == {}
 
     def test_acyclic_subset_runs_on_the_reducer(self):
-        # Shared attributes repeat on both sides of every edge, so no
-        # subjoin is safe and the full reducer does all the work.
+        # Shared attributes repeat on both sides of every edge: no
+        # semijoin removes a row, and the reducer still sweeps both ways.
         from repro.relational.relation import relation
 
         db = Database(
@@ -127,8 +120,7 @@ class TestPerSubsetRouting:
             db.evaluate()
             registry = get_registry()
             assert registry.counter("yannakakis.joins").value() == 1
-            # 4 semijoins = both sweeps over an intact 3-node tree, so
-            # no edge was collapsed away beforehand.
+            # 4 semijoins = both sweeps over the 3-node tree.
             assert registry.counter("yannakakis.semijoins").value() == 4
             assert registry.counter("yannakakis.output_tuples").value() >= 1
 
