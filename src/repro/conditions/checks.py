@@ -19,10 +19,9 @@ the product of two counts the sweep already holds::
 
     tau(R_E |><| R_E2)  ==  tau(R_E) * tau(R_E2)
 
-Counts come from :meth:`Database.tau_of` -- the tau-only path that
-counts subset joins without materializing them and caches the counts
-(docs/performance.md) -- through a dict local to one check, keyed by
-mask.
+Counts come from :meth:`Database.tau_of_mask` -- the tau-only path that
+counts subset joins without materializing them and caches the counts by
+mask (docs/performance.md).
 
 Instances are visited in a fixed nested-loop order over
 :meth:`Database.connected_subsets`: ``E``, then ``E1``, then ``E2`` for
@@ -39,7 +38,7 @@ number of instances checked, and -- when the condition fails -- concrete
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.database import Database
 from repro.errors import ReproError
@@ -300,14 +299,7 @@ def _check(
     if trigger is None:
         index = db.scheme.subset_index()
         masks = index.connected()
-        taus: Dict[int, int] = {}
-
-        def tau(mask: int) -> int:
-            value = taus.get(mask)
-            if value is None:
-                value = taus[mask] = db.tau_of(index.members(mask))
-            return value
-
+        tau = db.tau_of_mask
         for positions in sweep(masks, [index.linked(mask) for mask in masks]):
             if runtime is not None:
                 trigger = runtime.exhausted() if positions is None else runtime.charge()

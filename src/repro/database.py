@@ -11,29 +11,34 @@ every other subsystem needs:
   that counts the join without materializing it whenever it can;
 * sub-databases (:meth:`Database.restrict`).
 
-The tau-only path (docs/performance.md): ``tau_of`` first consults the
-join memo and a separate tau-cache of counts.  On a miss it routes by
-shape, reading the scheme's
-:class:`~repro.schemegraph.index.SubsetIndex` (the subset as an int
-mask; no :class:`DatabaseScheme` is built per counted subset) -- a
-singleton subset is just ``len(state)``; an unconnected subset is the
-product of its components' taus (its join *is* their Cartesian
-product); a connected subset with a join tree (the index's Kruskal
-pass says alpha-acyclic) is counted on that tree, on every engine,
-by :func:`~repro.yannakakis.join.yannakakis_count`, the reducer's
-bottom-up sweep with weights (each row starts with weight 1; leaf to
-root, a parent row's weight is multiplied by the summed weights of the
-child rows it joins with, and parents with no match drop to 0 -- the
-running intersection property makes tree-local agreement imply global
-consistency, so the root weights sum to the exact join cardinality).
-A cyclic connected subset has no join tree.  On the ``"wcoj"`` and
-``"yannakakis"`` engines Generic Join counts every proper one
+The tau-only path (docs/performance.md) works on the scheme's
+:class:`~repro.schemegraph.index.SubsetIndex`: a subset is an int mask,
+and :meth:`Database.tau_of_mask` is the one entry every tau lookup goes
+through (``tau_of`` resolves its schemes to the mask).  It first
+consults the join memo and a separate tau-cache of counts, both keyed
+by mask.  On a miss it routes by shape -- a singleton subset is
+just ``len(state)``; an unconnected subset is the product of its lowest
+component's tau and the rest's (its join *is* the Cartesian product of
+its components' joins); a connected subset with a join tree (the
+index's Kruskal pass says alpha-acyclic) is counted on that tree, on
+every engine, by :func:`~repro.yannakakis.join.yannakakis_count`, the
+reducer's bottom-up sweep with weights (each row starts with weight 1;
+leaf to root, a parent row's weight is multiplied by the summed weights
+of the child rows it joins with, and parents with no match drop to 0 --
+the running intersection property makes tree-local agreement imply
+global consistency, so the root weights sum to the exact join
+cardinality).  The sweep's messages go into a memo on the database
+(:func:`~repro.yannakakis.join._count_with_messages`), so subsets that
+share a subtree count it once.  A cyclic connected subset
+has no join tree.  On the ``"wcoj"`` and ``"yannakakis"`` engines
+Generic Join counts every proper one
 (:func:`~repro.wcoj.join.generic_count`: weighted tries over the
 shared attributes only, nothing materialized), while the whole database
-``R_D`` is still joined and memoized, because the subset DP asks for its
-tau first and ``Plan.execute`` reads it back.  On the ``"vector"`` engine
-every cyclic subset is joined (binary joins, memoized) and its length
-taken.  Both caches are unbounded and live as long as the database.
+``R_D`` is still joined and memoized, because ``Plan.execute`` reads it
+back; the subset DP asks for its tau last, once every proper subset is
+counted.  On the ``"vector"`` engine every cyclic subset is joined
+(binary joins, memoized) and its length taken.  The caches and the
+message memo are unbounded and live as long as the database.
 
 Each database carries its own engine, ``Database(engine=...)`` with one
 of :data:`ENGINES`.  The default ``None`` leaves it unpinned: it runs as
@@ -56,6 +61,7 @@ from typing import (
     FrozenSet,
     Iterable,
     Iterator,
+    List,
     Optional,
     Tuple,
     Union,
@@ -68,10 +74,10 @@ from repro.obs.trace import get_tracer
 from repro.relational.attributes import AttributeSet, AttrsLike, attrs, format_attrs
 from repro.relational.relation import Relation
 from repro.runtime.core import KernelExhausted, current_runtime
-from repro.schemegraph.index import SubsetIndex
+from repro.schemegraph.index import bits_of
 from repro.schemegraph.scheme import DatabaseScheme
 from repro.wcoj.join import generic_count, generic_join
-from repro.yannakakis.join import yannakakis_count, yannakakis_join
+from repro.yannakakis.join import _count_with_messages, yannakakis_join
 
 __all__ = ["ENGINES", "CacheStats", "Database", "database"]
 
@@ -198,6 +204,7 @@ class Database:
         "_scheme",
         "_join_cache",
         "_tau_cache",
+        "_messages",
         "_join_hits",
         "_tau_hits",
         "_computed",
@@ -234,10 +241,13 @@ class Database:
             by_scheme[rel.scheme] = rel
         self._relations = by_scheme
         self._scheme = DatabaseScheme(by_scheme)
-        # Memo: frozenset of relation schemes -> joined relation state;
-        # the tau-cache holds the counts of subsets never materialized.
-        self._join_cache: Dict[SubsetKey, Relation] = {}
-        self._tau_cache: Dict[SubsetKey, int] = {}
+        # Memo: subset-index mask -> joined relation state; the
+        # tau-cache holds, by mask, the counts of subsets never
+        # materialized, and the message memo the Yannakakis counter's
+        # messages (yannakakis.join._count_with_messages).
+        self._join_cache: Dict[int, Relation] = {}
+        self._tau_cache: Dict[int, int] = {}
+        self._messages: Dict[Tuple[int, int, int], List[int]] = {}
         # Per-instance cache accounting behind Database.cache_stats().
         # Plain int bumps on paths that already do cache lookups -- cheap
         # enough to track unconditionally, so the snapshot API works with
@@ -379,7 +389,8 @@ class Database:
         intermediate is a Cartesian product of a connected input, and
         joins an unconnected subset component by component.
         """
-        cached = self._join_cache.get(chosen)
+        mask = self._scheme.subset_index().mask_of(chosen)
+        cached = self._join_cache.get(mask)
         if cached is not None:
             self._join_hits += 1
             if _METRICS.enabled:
@@ -395,7 +406,7 @@ class Database:
             _CACHE_MISSES.inc()
         else:
             result = compute()
-        self._join_cache[chosen] = result
+        self._join_cache[mask] = result
         return result
 
     def _compute_join(self, chosen: SubsetKey) -> Relation:
@@ -438,7 +449,7 @@ class Database:
         gives an optimal binary order on acyclic ones).
 
         ``count=True`` asks for the tau of a *cyclic* subset instead of
-        its join (:meth:`_component_tau` counts acyclic ones with
+        its join (:meth:`_count` counts acyclic ones with
         :func:`~repro.yannakakis.join.yannakakis_count`):
         :func:`~repro.wcoj.join.generic_count` counts it without
         materializing anything.
@@ -514,105 +525,118 @@ class Database:
     def tau_of(self, subset: Optional[Iterable[AttrsLike]] = None) -> int:
         """``tau(R_E)``: the tuple count of the subset join.
 
-        Served without materializing the join whenever possible: a cached
-        full result or cached count answers immediately; otherwise
-        connected acyclic subsets are counted by
-        :func:`~repro.yannakakis.join.yannakakis_count` on the subset
-        index's join tree, on every engine,
-        and on the multiway engines proper cyclic subsets by Generic
-        Join's counting mode (see the module docstring).  Only ``R_D``
-        itself, and cyclic subsets on the vector engine, fall back to
-        ``len(join_of(...))``.
+        Resolves ``subset`` (``None`` is the whole database) to its
+        subset-index mask and asks :meth:`tau_of_mask`.  A
+        :class:`DatabaseScheme` or a frozenset of this database's
+        relation schemes (what strategies, the DP's ``subset_cost`` and
+        estimators pass) maps to its mask directly.
         """
-        chosen = self._resolve_subset(subset)
-        cached = self._join_cache.get(chosen)
+        schemes = self._scheme.schemes
+        if isinstance(subset, DatabaseScheme):
+            subset = subset.schemes
+        if not (isinstance(subset, frozenset) and subset and subset <= schemes):
+            subset = self._resolve_subset(subset)
+        return self.tau_of_mask(self._scheme.subset_index().mask_of(subset))
+
+    def tau_of_mask(self, mask: int) -> int:
+        """``tau`` of the subset ``mask`` of the scheme's
+        :class:`~repro.schemegraph.index.SubsetIndex`: the one entry
+        every tau lookup goes through.
+
+        Served without materializing the join whenever possible: a cached
+        full result or cached count answers immediately; otherwise an
+        unconnected subset is the product of its lowest component's tau
+        and the rest's, connected acyclic subsets are counted by
+        :func:`~repro.yannakakis.join.yannakakis_count` on the subset
+        index's join tree, on every engine, with this database's message
+        memo, and on the multiway engines proper cyclic subsets by
+        Generic Join's counting mode (see the module docstring).  Only
+        ``R_D`` itself, and cyclic subsets on the vector engine, fall
+        back to ``len(join_of(...))``.  Each call counts one cache hit
+        or one computed subset; the lookups it makes on the way move no
+        counter.
+        """
+        cached = self._join_cache.get(mask)
         if cached is not None:
             self._join_hits += 1
             if _METRICS.enabled:
                 _CACHE_HITS.inc()
             return len(cached)
-        tau = self._tau_cache.get(chosen)
+        tau = self._tau_cache.get(mask)
         if tau is not None:
             self._tau_hits += 1
             if _METRICS.enabled:
                 _CACHE_HITS.inc()
             return tau
+        if not 0 < mask <= self._scheme.subset_index().full:
+            raise SchemaError(f"{mask!r} is not a subset mask of {self._scheme}")
         self._computed += 1
         if _TRACER.enabled:
             with _TRACER.span(
-                "db.join", relations=len(chosen), mode="count"
+                "db.join", relations=bin(mask).count("1"), mode="count"
             ) as span:
-                tau = self._count_join(chosen)
+                tau = self._count(mask)
                 span.set_attribute("tau", tau)
             _CACHE_MISSES.inc()
         else:
-            tau = self._count_join(chosen)
-        self._tau_cache[chosen] = tau
+            tau = self._count(mask)
+        self._tau_cache[mask] = tau
         return tau
 
-    def _count_join(self, chosen: SubsetKey) -> int:
-        """Count ``tau(R_E)`` without materializing when the shape allows."""
-        if len(chosen) == 1:
-            (only,) = chosen
-            return len(self._relations[only])
-        index = self._scheme.subset_index()
-        mask = index.mask_of(chosen)
-        components = index.components(mask)
-        if len(components) > 1:
-            # The join of an unconnected subset is the Cartesian product of
-            # its components' joins, so tau multiplies.
-            tau = 1
-            for component in components:
-                tau *= self._component_tau(index, component)
-                if tau == 0:
-                    return 0
-            return tau
-        return self._component_tau(index, mask, chosen)
+    def _cached_tau(self, mask: int) -> int:
+        """tau of ``mask`` from the caches, or counted and cached (a
+        single relation is just read), moving no cache counter."""
+        cached = self._join_cache.get(mask)
+        if cached is not None:
+            return len(cached)
+        tau = self._tau_cache.get(mask)
+        if tau is None:
+            tau = self._count(mask)
+            if mask & (mask - 1):
+                self._tau_cache[mask] = tau
+        return tau
 
-    def _component_tau(
-        self, index: SubsetIndex, mask: int, chosen: Optional[SubsetKey] = None
-    ) -> int:
-        """tau of the connected subset ``mask``: from the caches, from
-        :func:`~repro.yannakakis.join.yannakakis_count` on the index's
-        join tree (an acyclic subset of two or more relations, on every
-        engine; its tables go in sorted-scheme order), from
-        :func:`~repro.wcoj.join.generic_count` (a proper cyclic subset
-        on the ``"wcoj"``/``"yannakakis"`` engines, cached as a count
-        only), or else the memoized join's length.  ``chosen`` is the
-        subset's cache key when :meth:`tau_of` has just missed on it; a
-        component of an unconnected subset consults the caches first."""
-        members = index.members(mask)
-        if chosen is None:
-            chosen = frozenset(members)
-            cached = self._join_cache.get(chosen)
-            if cached is not None:
-                return len(cached)
-            tau = self._tau_cache.get(chosen)
-            if tau is not None:
-                return tau
-        if len(members) == 1:
-            return len(self._relations[members[0]])
+    def _count(self, mask: int) -> int:
+        """Count the subset ``mask``, which neither cache holds: a
+        single relation's length; an unconnected subset's product of
+        taus (its join is the Cartesian product of its components'
+        joins); a connected acyclic subset's
+        :func:`~repro.yannakakis.join.yannakakis_count` sweep on the
+        index's join tree (its tables in sorted-scheme order, rooted at
+        the lowest relation), with this database's message memo; a proper cyclic subset's
+        :func:`~repro.wcoj.join.generic_count` on the
+        ``"wcoj"``/``"yannakakis"`` engines; or else the memoized
+        join's length."""
+        index = self._scheme.subset_index()
+        if not mask & (mask - 1):
+            return len(self._relations[index.schemes[mask.bit_length() - 1]])
+        lowest = index.component(mask)
+        if lowest != mask:
+            tau = self._cached_tau(lowest)
+            return tau * self._cached_tau(mask ^ lowest) if tau else 0
         tree = index.join_tree(mask)
         if tree is not None:
-            tau = yannakakis_count(
-                [self._relations[s]._table() for s in members], tree=tree
-            )
-        else:
-            # Cyclic connected subset: no join tree.  On the multiway
-            # engines Generic Join counts a proper subset; R_D itself is
-            # materialized for Plan.execute to read back, and so is every
-            # cyclic subset on the vector engine.
-            tau = None
-            if mask != index.full:
-                tau = self._multiway_join(chosen, count=True)
-            if tau is None:
-                return len(self._join_memo(chosen))
-        self._tau_cache[chosen] = tau
+            bits = bits_of(mask)
+            schemes = index.schemes
+            tables = [
+                self._relations[schemes[bit.bit_length() - 1]]._table() for bit in bits
+            ]
+            return _count_with_messages(tables, tree, bits, self._messages)
+        # Cyclic connected subset: no join tree.  On the multiway
+        # engines Generic Join counts a proper subset; R_D itself is
+        # materialized for Plan.execute to read back, and so is every
+        # cyclic subset on the vector engine.
+        chosen = frozenset(index.members(mask))
+        tau = None
+        if mask != index.full:
+            tau = self._multiway_join(chosen, count=True)
+        if tau is None:
+            tau = len(self._join_memo(chosen))
         return tau
 
     def is_nonnull(self) -> bool:
         """The paper's standing hypothesis ``R_D ≠ ∅``."""
-        return self.tau_of(None) > 0
+        return self.tau_of_mask(self._scheme.subset_index().full) > 0
 
     # -- cache telemetry ----------------------------------------------------------
 

@@ -25,15 +25,19 @@ gap the paper's introduction describes.
 States are int masks over the scheme's
 :class:`~repro.schemegraph.index.SubsetIndex` (relation ``i`` in
 sorted-scheme order is bit ``1 << i``), which also supplies the
-components the CP-avoiding filters read.  The memo keeps a cost and the
-winning split per state; :class:`~repro.strategy.tree.Strategy` nodes
-are built for the winning plan only, once the search is over.
+components the CP-avoiding filters read.  The search is one bottom-up
+pass over the states in ascending mask order: a proper subset of a state
+is a smaller mask, so both parts of every split are solved before the
+state, and the whole scheme's tau is the last one asked for.  Costs sit
+in a table indexed by mask, with the winning split per state;
+:class:`~repro.strategy.tree.Strategy` nodes are built for the winning
+plan only, once the search is over.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.database import Database
 from repro.errors import OptimizerError
@@ -51,11 +55,11 @@ __all__ = ["optimize_dp"]
 _TRACER = get_tracer()
 _METRICS = get_registry()
 _STATES = _METRICS.counter("optimizer.dp.states", "DP subproblems expanded")
-_MEMO_HITS = _METRICS.counter("optimizer.dp.memo_hits", "DP memo-table hits")
 _SPLITS = _METRICS.counter("optimizer.dp.splits", "candidate splits evaluated")
 _PRUNED = _METRICS.counter(
-    "optimizer.dp.plans_pruned", "split candidates beaten by a cheaper plan"
+    "optimizer.dp.plans_pruned", "feasible splits that lose to the winning split"
 )
+
 
 def _splits(
     index: SubsetIndex,
@@ -96,6 +100,38 @@ def _splits(
     ]
 
 
+def _reached(
+    index: SubsetIndex, space: SearchSpace, connected: Callable[[int], bool]
+) -> Dict[int, List[int]]:
+    """Every state a restricted space reaches from the whole scheme, each
+    with its :func:`_splits`: both parts of every split are states."""
+    reached: Dict[int, List[int]] = {}
+    pending = [index.full]
+    while pending:
+        mask = pending.pop()
+        if mask in reached:
+            continue
+        parts = reached[mask] = (
+            _splits(index, space, mask, connected) if mask & (mask - 1) else []
+        )
+        for part1 in parts:
+            pending.append(part1)
+            pending.append(mask ^ part1)
+    return reached
+
+
+def _earlier(part1: int, other: int) -> bool:
+    """Whether ``part1`` comes before ``other`` in the ``combinations``
+    order :func:`_splits` lists ``ALL``'s splits in: fewer relations
+    first, and between equal sizes, the part holding the lowest relation
+    of the two parts' symmetric difference."""
+    size, other_size = bin(part1).count("1"), bin(other).count("1")
+    if size != other_size:
+        return size < other_size
+    differ = part1 ^ other
+    return bool(part1 & differ & -differ)
+
+
 def _strategy(
     db: Database, index: SubsetIndex, chosen: Dict[int, int], mask: int
 ) -> Strategy:
@@ -110,13 +146,6 @@ def _strategy(
     )
 
 
-class _Exhausted(Exception):
-    """Internal control flow: the runtime stopped the DP mid-recursion."""
-
-    def __init__(self, trigger: str):
-        self.trigger = trigger
-
-
 def optimize_dp(
     db: Database,
     space: SearchSpace = SearchSpace.ALL,
@@ -128,101 +157,126 @@ def optimize_dp(
     Returns an actual :class:`~repro.strategy.tree.Strategy` (so membership
     in the space can be re-validated) together with its cost under the
     optimizer's cost source.  ``subset_cost`` maps a frozenset of relation
-    schemes to the cost charged for producing that subset's join, and is
-    called once per multi-relation state; it
-    defaults to the *true* tau (``db.tau_of``).  Passing an estimator here
-    turns this into a classical estimate-driven optimizer (see
+    schemes to the cost charged for producing that subset's join.  It is
+    called once per multi-relation state, every proper subset before the
+    subset itself, so the whole scheme comes last.  It defaults to the
+    *true* tau, read by mask (:meth:`Database.tau_of_mask`, which
+    ``db.tau_of`` resolves to).  Passing an estimator here turns this
+    into a classical estimate-driven optimizer (see
     :mod:`repro.optimizer.estimate`).  Raises
     :class:`~repro.errors.OptimizerError` when the space is empty for the
     database's scheme.
 
+    Between splits of equal cost the earliest in :func:`_splits` order
+    wins.  ``ALL`` enumerates its splits as submasks and breaks ties by
+    that order (:func:`_earlier`); the other spaces try their splits in
+    that order.
+
     ``runtime`` bounds the search (docs/api.md): one budget unit is
     charged per DP state expanded.  On deadline/budget exhaustion the DP
-    *does not raise* -- it abandons the memo table and serves a
+    *does not raise* -- it abandons the cost table and serves a
     deterministic greedy fallback with ``degraded=True`` provenance.
     """
-    if subset_cost is None:
-        subset_cost = db.tau_of
     index = db.scheme.subset_index()
-    # memo: mask -> the cheapest cost (None: no plan in the space);
-    # chosen: mask -> part 1 of that cost's split.
-    memo: Dict[int, Optional[int]] = {}
+    if subset_cost is None:
+        tau = db.tau_of_mask
+    else:
+        members = index.members
+
+        def tau(mask: int):
+            return subset_cost(frozenset(members(mask)))
+
+    full = index.full
+    # cost[mask]: the cheapest cost of a state (None: no plan in the
+    # space); chosen: mask -> part 1 of that cost's split.
     chosen: Dict[int, int] = {}
-    connectivity: Dict[int, bool] = {}
+    if space is SearchSpace.ALL:
+        # Every subset is a state, and every split is feasible.
+        reached = None
+        states = range(1, full + 1)
+        cost: Union[List, Dict[int, Optional[int]]] = [0] * (full + 1)
+    else:
+        connectivity: Dict[int, bool] = {}
+
+        def connected(part: int) -> bool:
+            known = connectivity.get(part)
+            if known is None:
+                known = connectivity[part] = index.component(part) == part
+            return known
+
+        reached = _reached(index, space, connected)
+        states = sorted(reached)
+        cost = {}
     states_solved = 0
-    memo_hits = 0
     splits_considered = 0
     plans_pruned = 0
-
-    def connected(part: int) -> bool:
-        known = connectivity.get(part)
-        if known is None:
-            known = connectivity[part] = len(index.components(part)) == 1
-        return known
-
-    def best(mask: int) -> Optional[int]:
-        nonlocal states_solved, memo_hits, splits_considered, plans_pruned
-        if mask in memo:
-            memo_hits += 1
-            return memo[mask]
-        if runtime is not None:
-            trigger = runtime.charge()
-            if trigger is not None:
-                raise _Exhausted(trigger)
-        states_solved += 1
-        cost: Optional[int] = 0
-        if mask & (mask - 1):
-            tau_here = subset_cost(frozenset(index.members(mask)))
-            cost = None
-            for part1 in _splits(index, space, mask, connected):
-                splits_considered += 1
-                left = best(part1)
-                if left is None:
-                    continue
-                right = best(mask ^ part1)
-                if right is None:
-                    continue
-                total = left + right + tau_here
-                if cost is None or total < cost:
-                    cost = total
-                    chosen[mask] = part1
-                else:
-                    plans_pruned += 1
-        memo[mask] = cost
-        return cost
 
     with _TRACER.span(
         "optimize.dp", space=space.value, relations=len(db.scheme)
     ) as span:
-        try:
-            cost = best(index.full)
-        except _Exhausted as stop:
-            span.set_attribute("degraded", True)
-            span.set_attribute("trigger", stop.trigger)
-            span.set_attribute("covered", states_solved)
-            from repro.optimizer.fallback import degrade_to_greedy
+        for mask in states:
+            if runtime is not None:
+                trigger = runtime.charge()
+                if trigger is not None:
+                    span.set_attribute("degraded", True)
+                    span.set_attribute("trigger", trigger)
+                    span.set_attribute("covered", states_solved)
+                    from repro.optimizer.fallback import degrade_to_greedy
 
-            return degrade_to_greedy(
-                db, space, stop.trigger, states_solved, runtime, "dp"
-            )
-        finally:
-            # best() reaches itself through its closure cell.  Emptying
-            # the cell breaks that cycle, so db, subset_cost and the memo
-            # are freed by reference counting, not by the cyclic collector.
-            del best
-        if cost is None:
+                    return degrade_to_greedy(
+                        db, space, trigger, states_solved, runtime, "dp"
+                    )
+            states_solved += 1
+            if not mask & (mask - 1):
+                cost[mask] = 0
+                continue
+            tau_here = tau(mask)
+            if reached is None:
+                # Part 1 holds the lowest relation and a proper submask
+                # of the rest, from the largest submask down to none.
+                low = mask & -mask
+                rest = mask ^ low
+                sub = (rest - 1) & rest
+                best = cost[low | sub] + cost[rest ^ sub] + tau_here
+                win = low | sub
+                while sub:
+                    sub = (sub - 1) & rest
+                    total = cost[low | sub] + cost[rest ^ sub] + tau_here
+                    if total < best or (total == best and _earlier(low | sub, win)):
+                        best = total
+                        win = low | sub
+                feasible = (1 << bin(rest).count("1")) - 1
+                splits_considered += feasible
+            else:
+                best = None
+                feasible = 0
+                for part1 in reached[mask]:
+                    splits_considered += 1
+                    left = cost[part1]
+                    right = cost[mask ^ part1]
+                    if left is None or right is None:
+                        continue
+                    feasible += 1
+                    total = left + right + tau_here
+                    if best is None or total < best:
+                        best = total
+                        win = part1
+            cost[mask] = best
+            if feasible:
+                chosen[mask] = win
+                plans_pruned += feasible - 1
+        total_cost = cost[full]
+        if total_cost is None:
             raise OptimizerError(
                 f"the {space.describe()} subspace is empty for {db.scheme}"
             )
-        strategy = _strategy(db, index, chosen, index.full)
+        strategy = _strategy(db, index, chosen, full)
         span.set_attribute("states", states_solved)
-        span.set_attribute("memo_hits", memo_hits)
         span.set_attribute("splits", splits_considered)
         span.set_attribute("pruned", plans_pruned)
-        span.set_attribute("cost", cost)
+        span.set_attribute("cost", total_cost)
     if _METRICS.enabled:
         _STATES.inc(states_solved, space=space.value)
-        _MEMO_HITS.inc(memo_hits, space=space.value)
         _SPLITS.inc(splits_considered, space=space.value)
         _PRUNED.inc(plans_pruned, space=space.value)
-    return OptimizationResult(strategy, cost, space, "dp", states_solved)
+    return OptimizationResult(strategy, total_cost, space, "dp", states_solved)

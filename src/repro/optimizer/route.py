@@ -81,7 +81,7 @@ class EngineRouting(NamedTuple):
         """Explain lines for the multiway structure: the join tree
         (root first, children indented) or the expansion order."""
         if self.tree is not None:
-            order = self.tree.rooted_at(self.tree.scheme.sorted_schemes()[0])
+            order = self.tree.rooted_at(self.tree.scheme.subset_index().schemes[0])
             depths: Dict[Any, int] = {}
             lines = ["join tree:"]
             for node, parent in order:
@@ -243,7 +243,7 @@ class EngineRouter:
                 engine, reason = "plan", "not a node of the strategy"
             else:
                 plan_tau = cost if node is strategy else tau_cost(node)
-                inputs, output = sum(map(len, states)), db.tau_of(subset)
+                inputs, output = sum(map(len, states)), db.tau_of_mask(mask)
                 rho = plan_tau / max(inputs + output, 1)
                 terms = (rho, plan_tau, inputs, output)
                 if cyclic:

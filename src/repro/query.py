@@ -37,7 +37,7 @@ from repro.optimizer.route import ComponentExecution, EngineRouter
 from repro.optimizer.spaces import Degradation, OptimizationResult, SearchSpace
 from contextlib import nullcontext
 
-from repro.relational.attributes import format_attrs
+from repro.relational.attributes import AttributeSet, format_attrs
 from repro.relational.relation import Relation
 from repro.runtime.core import Runtime, using_runtime
 from repro.strategy.cost import step_costs, tau_cost
@@ -123,23 +123,35 @@ class PlanProvenance:
         )
 
 
-def _render(node: Strategy, depth: int) -> Tuple[str, List[str]]:
-    """``node.describe()`` and the explain lines of its subtree, children
-    in ``describe()`` order.  Each subtree is described once, where
-    calling ``describe()`` per node would re-render it at every
-    ancestor."""
+#: ``safety_report``'s per-space keys, in ``SearchSpace`` order.
+_SAFE_KEYS = tuple((space, f"safe[{space.value}]") for space in SearchSpace)
+
+
+def _render(
+    node: Strategy, depth: int, bit_of: Dict[AttributeSet, int]
+) -> Tuple[str, List[str], int]:
+    """``node.describe()``, the explain lines of its subtree (children
+    in ``describe()`` order) and its subset's mask (``bit_of`` maps each
+    relation scheme to its subset-index bit).  Each subtree is described
+    once, where calling ``describe()`` per node would re-render it at
+    every ancestor, and a step's tau is read by its mask."""
     indent = "  " * depth
     if node.is_leaf:
         (scheme,) = node.scheme_set.schemes
         # A leaf's tau is its state's length: no subset-cache lookup.
         rel = node.database.state_for(scheme)
         name = rel.name or format_attrs(scheme)
-        return name, [f"{indent}scan {name} [tau={len(rel)}]"]
-    first, second = sorted(
-        (_render(node.left, depth + 1), _render(node.right, depth + 1))
-    )
+        return name, [f"{indent}scan {name} [tau={len(rel)}]"], bit_of[scheme]
+    first = _render(node.left, depth + 1, bit_of)
+    second = _render(node.right, depth + 1, bit_of)
+    if second[:2] < first[:2]:
+        first, second = second, first
     label = f"({first[0]} ⋈ {second[0]})"
-    return label, [f"{indent}join {label} [tau={node.tau}]", *first[1], *second[1]]
+    mask = first[2] | second[2]
+    lines = [f"{indent}join {label} [tau={node.database.tau_of_mask(mask)}]"]
+    lines += first[1]
+    lines += second[1]
+    return label, lines, mask
 
 
 def _run(node: Strategy, kernels, memo=Database._join_memo) -> Relation:
@@ -269,7 +281,8 @@ class Plan:
               ⋈ [tau=3]   MS ⋈ SC
               ...
         """
-        label, tree = _render(self.strategy, 1)
+        bit_of = self.strategy.database.scheme.subset_index().bit_of
+        label, tree, _ = _render(self.strategy, 1, bit_of)
         lines = [
             f"plan: {label}",
             f"space: {self.space.describe()}  optimizer: {self.optimizer}  "
@@ -511,8 +524,8 @@ class JoinQuery:
         are three-valued under a runtime (see :meth:`condition`)."""
         report = {name: self.condition(name) for name in ("C1", "C2", "C3")}
         applies = self._theorems_apply()
-        for space in SearchSpace:
-            report[f"safe[{space.value}]"] = space is SearchSpace.ALL or (
+        for space, key in _SAFE_KEYS:
+            report[key] = space is SearchSpace.ALL or (
                 applies and self._guarantee(space)
             )
         return report

@@ -109,6 +109,8 @@ def format_attrs(attributes: Iterable[str]) -> str:
     """Render attributes compactly: ``ABC`` when all names are single
     characters (the paper's notation), ``{course, student}`` otherwise."""
     names = sorted(attributes)
-    if names and set(map(len, names)) == {1}:
-        return "".join(names)
+    joined = "".join(names)
+    # No empty name, and as many characters as names: each is one.
+    if names and len(joined) == len(names) and "" not in names:
+        return joined
     return "{" + ", ".join(names) + "}"

@@ -147,19 +147,25 @@ class SubsetIndex:
         self._connected = tuple(out)
         return self._connected
 
+    def component(self, mask: int) -> int:
+        """The component of the subset ``mask`` that holds its lowest
+        relation (``mask`` itself iff the subset is connected)."""
+        neighbours = self._neighbours
+        reached = frontier = mask & -mask
+        while frontier:
+            bit = frontier & -frontier
+            grown = neighbours[bit] & mask & ~reached
+            reached |= grown
+            frontier = (frontier ^ bit) | grown
+        return reached
+
     def components(self, mask: int) -> List[int]:
         """The components of the subset ``mask``, ordered by their lowest
         relation -- the order of
         :meth:`~repro.schemegraph.scheme.DatabaseScheme.components`."""
-        neighbours = self._neighbours
         out = []
         while mask:
-            reached = frontier = mask & -mask
-            while frontier:
-                bit = frontier & -frontier
-                grown = neighbours[bit] & mask & ~reached
-                reached |= grown
-                frontier = (frontier ^ bit) | grown
+            reached = self.component(mask)
             out.append(reached)
             mask ^= reached
         return out

@@ -174,31 +174,78 @@ def yannakakis_count(
     """
     if not tables:
         raise ValueError("yannakakis_count needs at least one table")
-    states, order = _join_tree(tables, tree)
+    return _count_with_messages(tables, tree, None, {})
+
+
+def _count_with_messages(
+    tables: Sequence[ColumnarTable],
+    edges: Optional[TreeEdges],
+    bits: Optional[Sequence[int]],
+    messages: Dict[Tuple[int, int, int], List[int]],
+) -> int:
+    """:func:`yannakakis_count`'s sweep, sending only the messages
+    ``messages`` lacks and filing them there.  A
+    :class:`~repro.database.Database` passes its memo, and ``bits``, each
+    table's relation bit in its
+    :class:`~repro.schemegraph.index.SubsetIndex` (``None``: table ``i``
+    is bit ``1 << i``).
+
+    A message is keyed by (child bit, parent bit, mask of the child's
+    subtree) and is a vector aligned with the parent's rows: for each,
+    how many tuples of the subtree's join agree with it on the
+    attributes the child shares with the parent.  The subtree below a
+    child is a join tree of its own relations (the running intersection
+    property holds on any connected part of a join tree), so the key
+    fixes the message whatever tree the rest of the subset has, and
+    subsets that share a subtree count it once.
+    """
+    states, order = _join_tree(tables, edges)
     if any(len(t) == 0 for t in tables):
         return 0
+    if bits is None:
+        bits = [1 << node for node in range(len(states))]
+    # below[node]: the mask of the node's subtree.
+    below = list(bits)
+    for node, parent in reversed(order[1:]):
+        below[parent] |= below[node]
+    # Top-down: a node weighs its rows iff its parent does and the memo
+    # lacks its message.  The root always does.
+    weighs = [False] * len(states)
+    weighs[0] = True
+    known: Dict[int, List[int]] = {}
+    for node, parent in order[1:]:
+        if weighs[parent]:
+            sent = messages.get((bits[node], bits[parent], below[node]))
+            if sent is None:
+                weighs[node] = True
+            else:
+                known[node] = sent
     # weights[node]: per-row weights aligned with the node's columns,
     # present once some child has multiplied in (a leaf has none: every
-    # row weighs 1).
+    # row weighs 1).  Nothing here is mutated once built: a memoized
+    # message may serve as a parent's weights as it is.
     weights: Dict[int, List[int]] = {}
-    for node, parent in reversed(order):
-        if parent is None:
-            break
-        child, above = states[node], states[parent]
-        shared = [attr for attr in child.order if attr in above.order]
-        keys = _keys_of(child.columns(), shared)
-        own = weights.pop(node, None)
-        if own is None:
-            message = Counter(keys)
-        else:
-            message = {}
-            get = message.get
-            for key, weight in zip(keys, own):
-                if weight:
-                    message[key] = get(key, 0) + weight
-        looked = map(message.get, _keys_of(above.columns(), shared), repeat(0))
+    for node, parent in reversed(order[1:]):
+        if not weighs[parent]:
+            continue
+        sent = known.get(node)
+        if sent is None:
+            child, above = states[node], states[parent]
+            shared = [attr for attr in child.order if attr in above.order]
+            keys = _keys_of(child.columns(), shared)
+            own = weights.pop(node, None)
+            if own is None:
+                summed = Counter(keys)
+            else:
+                summed = {}
+                get = summed.get
+                for key, weight in zip(keys, own):
+                    if weight:
+                        summed[key] = get(key, 0) + weight
+            sent = list(map(summed.get, _keys_of(above.columns(), shared), repeat(0)))
+            messages[bits[node], bits[parent], below[node]] = sent
         prior = weights.get(parent)
-        merged = list(looked) if prior is None else list(map(mul, prior, looked))
+        merged = sent if prior is None else list(map(mul, prior, sent))
         if not any(merged):
             return 0
         weights[parent] = merged

@@ -84,13 +84,6 @@ class TestOptimizerSpans:
         counter = obs.get_registry().counter("optimizer.exhaustive.strategies")
         assert counter.value(space="all") == result.considered
 
-    def test_dp_memo_hits_accumulate(self):
-        db = _db()
-        with obs.observed() as tracer:
-            optimize_dp(db, SearchSpace.ALL)
-        (span,) = tracer.spans_named("optimize.dp")
-        assert span.attributes["memo_hits"] > 0
-
     def test_greedy_spans(self):
         db = _db()
         with obs.observed() as tracer:

@@ -155,13 +155,19 @@ def test_rows_are_the_memo_entries_execute_adds(case, engine, space):
     )
     obs.reset()
     plan = JoinQuery(Database(relations, engine=engine)).optimize(space)
-    memo = plan.strategy.database._join_cache
+    memo = plan.strategy.database._join_cache  # keyed by subset-index mask
+    mask_of = plan.strategy.database.scheme.subset_index().mask_of
     before = len(memo)
     plan.execute()
-    labels = {node.scheme_set.schemes: node.describe() for node in plan.strategy.steps()}
+    labels = {
+        mask_of(node.scheme_set.schemes): node.describe()
+        for node in plan.strategy.steps()
+    }
     for record in plan.execution:
         if record.engine != "plan":
-            labels[record.subset] = f"{record.engine} {{{', '.join(record.relations)}}}"
+            labels[mask_of(record.subset)] = (
+                f"{record.engine} {{{', '.join(record.relations)}}}"
+            )
     computed = [step.step for step in report.steps if step.operator != "memo"]
     assert computed == [labels[key] for key in list(memo)[before:]]
     assert report.tau == plan.cost

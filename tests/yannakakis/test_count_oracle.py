@@ -23,6 +23,7 @@ from repro.errors import AcyclicityError
 from repro.relational.attributes import AttributeSet, attrs
 from repro.relational.relation import Relation
 from repro.schemegraph.acyclicity import is_alpha_acyclic
+from repro.schemegraph.scheme import DatabaseScheme
 from repro.workloads.generators import chain_scheme, random_tree_scheme, star_scheme
 from repro.yannakakis import yannakakis_count
 from tests import oracle
@@ -110,6 +111,40 @@ def test_tau_of_matches_the_oracle_on_every_engine(case):
         assert got == expected, engine
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(acyclic_databases())
+def test_one_database_shares_messages_across_subsets(case):
+    # The test above counts each subset on a fresh database; here one
+    # database counts every connected acyclic subset, so later counts
+    # read the messages earlier ones filed.  Both orders matter: in
+    # ascending mask order the smaller subtrees come first, in
+    # descending order the largest subset files messages its subsets
+    # reuse.
+    relations, operands = case
+    index = Database(relations).scheme.subset_index()
+    masks = [mask for mask in index.connected() if index.join_tree(mask) is not None]
+    expected = {
+        mask: _oracle_tau(operands, DatabaseScheme(index.members(mask)))
+        for mask in masks
+    }
+    for engine in (None,) + ENGINES:
+        for order in (sorted(masks), sorted(masks, reverse=True)):
+            db = Database(relations, engine=engine)
+            got = {mask: db.tau_of_mask(mask) for mask in order}
+            assert got == expected, engine
+
+
+def test_copies_start_with_an_empty_message_memo():
+    db = Database(
+        Relation.from_dicts(scheme, [dict.fromkeys(scheme.sorted(), 0)])
+        for scheme in chain_scheme(4)
+    )
+    assert db.tau_of(None) == 1
+    assert db._messages
+    assert db.with_engine("yannakakis")._messages == {}
+    assert db.restrict(chain_scheme(3))._messages == {}
+
+
 def _covered_triangle():
     dicts = {
         "AB": [{"A": a, "B": b} for a in range(3) for b in range(3) if a != b],
@@ -134,13 +169,15 @@ def test_a_cyclic_subset_is_counted_elsewhere(engine, monkeypatch):
     relations, operands = _covered_triangle()
     counted = []
 
-    def spy(tables, tree=None):
-        tau = yannakakis_count(tables, tree=tree)
+    database_module = importlib.import_module("repro.database")
+    count = database_module._count_with_messages
+
+    def spy(tables, edges, bits, messages):
+        tau = count(tables, edges, bits, messages)
         counted.append(frozenset(AttributeSet(t.order) for t in tables))
         return tau
 
-    database_module = importlib.import_module("repro.database")
-    monkeypatch.setattr(database_module, "yannakakis_count", spy)
+    monkeypatch.setattr(database_module, "_count_with_messages", spy)
     db = Database(relations, engine=engine)
     cycle = frozenset(_COVERED_TRIANGLE[:3])
     for subset in db.connected_subsets():
