@@ -20,15 +20,16 @@ evaluating many overlapping natural joins).  The kernel removes that cost:
   synchronized representations it was born with, converting lazily:
 
   - a ``frozenset`` of id tuples (canonical for set ops and equality),
-  - an ordered, duplicate-free *row list* (what the vector kernel
-    emits -- natural-join outputs are provably duplicate-free, so no
-    hashing happens until someone actually needs set semantics),
-  - position-aligned *columns* (what the vector kernel builds its
-    outputs from, so a chain of joins never transposes to rows).
+  - an ordered, duplicate-free *row list* (what Generic Join emits),
+  - position-aligned *columns*, tuples of ids (what the vector kernel,
+    and so the Yannakakis join phase, emits, so a chain of joins never
+    transposes to rows).
 
-  Because the attribute order is always the sorted scheme, two tables
-  over the same scheme are positionally aligned and set operations are
-  raw ``frozenset`` ops on id tuples.
+  Join outputs are born as columns or a row list: they are provably
+  duplicate-free, so the row set is built lazily, only when someone
+  actually needs set semantics.  Because the attribute order is always
+  the sorted scheme, two tables over the same scheme are positionally
+  aligned and set operations are raw ``frozenset`` ops on id tuples.
 * **Vector kernel operators** -- the one binary kernel:
   :func:`join_tables`, :func:`semijoin_tables`,
   :func:`antijoin_tables`, and :func:`project_table` batch-at-a-time
@@ -36,7 +37,7 @@ evaluating many overlapping natural joins).  The kernel removes that cost:
   keys are built for a whole column block with one bulk ``zip`` (one C
   call, no per-row ``itemgetter``), the hash build maps each key to an
   array of build-side row indices, and the probe is a single pass that
-  emits output *columns* through C-speed ``map``/``zip`` pipelines --
+  emits output *columns*, each gathered by one ``itemgetter`` call --
   no per-pair tuple concatenation, no intermediate ``set``.  Dedup is
   paid only where set semantics require it (projection); join outputs
   are duplicate-free by construction because an output row restricted
@@ -66,8 +67,9 @@ from __future__ import annotations
 import threading
 from functools import partial
 from itertools import chain, compress, count, repeat
-from operator import is_not, not_
+from operator import is_not, itemgetter, mul, not_
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -185,7 +187,7 @@ class ColumnarTable:
     * ``ColumnarTable(order, rows)`` -- from any iterable of id tuples
       (deduplicated into a frozenset, the historical constructor);
     * :meth:`from_rowlist` -- from an ordered, *already duplicate-free*
-      row list (vector-kernel outputs: no hashing until set semantics
+      row list (Generic Join's outputs: no hashing until set semantics
       are actually demanded);
     * :meth:`from_columns` -- from position-aligned, duplicate-free id
       columns (vector-kernel outputs built column-at-a-time).
@@ -206,7 +208,7 @@ class ColumnarTable:
     @classmethod
     def from_rowlist(cls, order: Iterable[str], rowlist: List[IdRow]) -> "ColumnarTable":
         """Wrap an ordered row list that is guaranteed duplicate-free
-        (the vector kernel's output contract).  No frozenset is built
+        (Generic Join's output contract).  No frozenset is built
         until :attr:`rows` is actually read."""
         table = object.__new__(cls)
         table.order = tuple(order)
@@ -328,17 +330,20 @@ def join_tables(left: ColumnarTable, right: ColumnarTable) -> ColumnarTable:
     single-pass probe emitting output columns.
 
     The only Python-level loop is the hash build over the *smaller*
-    input; the probe is a ``map``/``compress``/``chain`` pipeline that
-    runs entirely in C: one bulk pass looks every probe key up, one
-    flattens the hit index arrays, and one repeats each probe index by
-    its hit count.  Output columns are then gathered per attribute with
-    a C-speed ``map`` over the matched index arrays.
+    input; the probe is a ``map``/``compress`` pipeline that runs
+    entirely in C: one bulk pass looks every probe key up, and one
+    drops the misses.  Each side then gets one ``operator.itemgetter``
+    over its output positions, built straight from the flattened index
+    iterators: the chained hit lists on the build side, each matched
+    probe position repeated by its fan-out on the probe side.  Applying
+    it to a column gathers that output column in one C call.
 
-    The output is materialized as columns, **not** a set: an output row
-    restricted to the probe scheme recovers the probe row and restricted
-    to the build scheme recovers the build row (shared attributes carry
-    equal ids on a match), so distinct matched pairs produce distinct
-    outputs and no dedup is needed.
+    The output is born as columns (tuples of ids), **not** a set: an
+    output row restricted to the probe scheme recovers the probe row and
+    restricted to the build scheme recovers the build row (shared
+    attributes carry equal ids on a match), so distinct matched pairs
+    produce distinct outputs, no dedup is needed, and the row set is
+    built lazily, only if someone asks for it.
     """
     lcols = left.columns()
     rcols = right.columns()
@@ -353,11 +358,11 @@ def join_tables(left: ColumnarTable, right: ColumnarTable) -> ColumnarTable:
         if n_left and n_right:
             out_cols: Dict[str, Sequence[int]] = {}
             for attr in left.order:
-                out_cols[attr] = list(
+                out_cols[attr] = tuple(
                     chain.from_iterable(map(repeat, lcols[attr], repeat(n_right)))
                 )
             for attr in right.order:
-                out_cols[attr] = list(rcols[attr]) * n_left
+                out_cols[attr] = tuple(rcols[attr]) * n_left
             result = ColumnarTable.from_columns(out_order, out_cols, n_left * n_right)
         else:
             result = ColumnarTable(out_order)
@@ -379,32 +384,49 @@ def join_tables(left: ColumnarTable, right: ColumnarTable) -> ColumnarTable:
         setdefault(key, []).append(i)
 
     # The probe, in C: look every key up in one bulk map, drop the
-    # misses, flatten the build-side hit arrays, and fan each probe
-    # index out once per hit.
+    # misses, and count each hit's fan-out.
     nested = list(map(buckets.get, _keys_of(pcols, common)))
     mask = list(map(_HIT, nested))
     hit_lists = list(compress(nested, mask))
-    build_idx = list(chain.from_iterable(hit_lists))
-    probe_idx = list(
-        chain.from_iterable(map(repeat, compress(count(), mask), map(len, hit_lists)))
-    )
+    fanout = list(map(len, hit_lists))
+    size = sum(fanout)
 
-    # Emit output columns: each output attribute gathers from exactly
-    # one side's column through a C-speed map over its index array
-    # (shared attributes read from the probe side).
-    out_cols = {
-        attr: list(map(pcols[attr].__getitem__, probe_idx))
-        if attr in pcols
-        else list(map(bcols[attr].__getitem__, build_idx))
-        for attr in out_order
-    }
-    result = ColumnarTable.from_columns(out_order, out_cols, len(build_idx))
+    # Emit output columns: one getter per side picks every output
+    # position in one C call per column.  The build side's positions are
+    # the flattened hit lists; the probe side's repeat each matched
+    # position by its fan-out, as ``(i,) * n``.  Shared attributes read
+    # from the probe side.
+    if size:
+        take_build = _picker(chain.from_iterable(hit_lists), size)
+        take_probe = _picker(
+            chain.from_iterable(map(mul, zip(compress(count(), mask)), fanout)), size
+        )
+        out_cols = {
+            attr: take_probe(pcols[attr]) if attr in pcols else take_build(bcols[attr])
+            for attr in out_order
+        }
+    else:
+        out_cols = dict.fromkeys(out_order, ())
+    result = ColumnarTable.from_columns(out_order, out_cols, size)
     if enabled:
         _JOINS.inc(kind="hash")
         _PROBES.inc(len(probe), kind="hash")
-        _COMPARISONS.inc(len(build_idx), kind="hash")
-        _OUTPUT_TUPLES.inc(len(result), kind="hash")
+        _COMPARISONS.inc(size, kind="hash")
+        _OUTPUT_TUPLES.inc(size, kind="hash")
     return result
+
+
+def _picker(
+    positions: Iterable[int], size: int
+) -> Callable[[Sequence[int]], Tuple[int, ...]]:
+    """A getter that picks ``positions`` (``size`` >= 1 of them, in
+    order) out of a column as a tuple: an ``itemgetter``, whose one call
+    per column runs the whole gather in C.  With a single position
+    ``itemgetter`` returns the bare item, so that one is wrapped."""
+    getter = itemgetter(*positions)
+    if size == 1:
+        return lambda column: (getter(column),)
+    return getter
 
 
 def semijoin_tables(left: ColumnarTable, right: ColumnarTable) -> ColumnarTable:

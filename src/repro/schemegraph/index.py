@@ -36,7 +36,8 @@ from repro.relational.attributes import AttributeSet
 
 __all__ = ["SubsetIndex", "TreeEdges", "bits_of"]
 
-#: A join tree as edges between positions of a subset's members.
+#: A join tree rooted at position 0, as ``(child, parent)`` edges between
+#: positions of a subset's members, parents listed before their children.
 TreeEdges = Tuple[Tuple[int, int], ...]
 
 
@@ -178,6 +179,11 @@ class SubsetIndex:
         iff the tree weighs ``Σ_a (|holders_a ∩ mask| - 1)`` over the
         attributes it holds (module docstring).  A cyclic or unconnected
         subset returns ``None``.
+
+        The tree comes rooted at position 0: each edge is a ``(child,
+        parent)`` pair, listed in breadth-first order with each node's
+        children in ascending position, so a parent's own edge comes
+        before its children's.
         """
         # target: the weight of a join tree, Σ_a (|holders_a ∩ mask| - 1)
         # over the attributes two or more relations hold.
@@ -187,21 +193,38 @@ class SubsetIndex:
             position[bit] = len(position)
             target += self._shared[bit]
         target -= sum(1 for held in self._holders if held & mask)
-        # group[bit]: the mask of the tree fragment holding bit.
+        # group[bit]: the mask of the tree fragment holding bit;
+        # adjacent[bit]: the mask of its tree neighbours.
         group = {bit: bit for bit in position}
-        edges = []
+        adjacent = dict.fromkeys(position, 0)
+        edges = 0
         weight = 0
         last = len(position) - 1
         for pair, pair_weight, a, b in self._pairs:
-            if len(edges) == last:
+            if edges == last:
                 break
             if pair & mask != pair or group[a] & b:
                 continue
             merged = group[a] | group[b]
             for bit in bits_of(merged):
                 group[bit] = merged
-            edges.append((position[a], position[b]))
+            adjacent[a] |= b
+            adjacent[b] |= a
+            edges += 1
             weight += pair_weight
-        if len(edges) != last or weight != target:
+        if edges != last or weight != target:
             return None
-        return tuple(edges)
+        # Breadth-first from the lowest relation: a lower bit is a lower
+        # position, so children come out in ascending position.
+        queue = [mask & -mask]
+        seen = queue[0]
+        listing = []
+        for node in queue:
+            fresh = adjacent[node] & ~seen
+            seen |= fresh
+            while fresh:
+                child = fresh & -fresh
+                fresh ^= child
+                listing.append((position[child], position[node]))
+                queue.append(child)
+        return tuple(listing)

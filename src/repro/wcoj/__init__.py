@@ -31,8 +31,9 @@ components) stays on the vector kernel, which is already optimal there.
 (``join_of``, and ``tau_of`` of the whole database) and counts every
 proper cyclic subset's ``tau`` with :func:`generic_count`.  Results are
 byte-identical to the vector engine by construction: both produce
-frozensets of process-interned id tuples over the sorted attribute order
-(see tests/wcoj/test_generic_join.py).
+duplicate-free process-interned id tuples over the sorted attribute
+order, born as a row list here and as columns there, and either builds
+its row set only when asked (see tests/wcoj/test_generic_join.py).
 """
 
 from repro.wcoj.agm import FractionalEdgeCover, fractional_edge_cover

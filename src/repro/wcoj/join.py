@@ -105,9 +105,11 @@ def generic_join(
     ``order`` overrides the expansion order (it must cover every
     attribute exactly once); by default :func:`~repro.wcoj.order
     .choose_order` picks it.  The result is a :class:`ColumnarTable`
-    over the *sorted* attribute order with a frozenset of id rows --
-    the same layout (and therefore the same bytes) the vector kernel
-    produces for the same join.
+    over the *sorted* attribute order, born as a row list: the bindings
+    are duplicate-free by construction (a row forks once per distinct
+    candidate), so no row set is hashed until one is asked for.  Its
+    rows are the same id tuples (and therefore the same bytes) the
+    vector kernel produces for the same join.
 
     Raises :class:`~repro.runtime.KernelExhausted` when ``runtime``
     trips mid-expansion.
@@ -116,21 +118,15 @@ def generic_join(
     if _METRICS.enabled:
         _WCOJ_JOINS.inc(mode="join")
     if any(len(t) == 0 for t in tables):
-        return ColumnarTable(sorted_order, frozenset())
+        return ColumnarTable.from_rowlist(sorted_order, [])
     frontier = _expand(tables, attr_sets, pi, runtime, count=False)
-    if not frontier:
-        return ColumnarTable(sorted_order, frozenset())
-    # Permute the pi-ordered bindings into the canonical sorted layout.
-    if pi == sorted_order:
-        rows = frozenset(frontier)
-    else:
-        positions = tuple(pi.index(attr) for attr in sorted_order)
-        if len(positions) == 1:  # pragma: no cover - one-attribute joins
-            rows = frozenset((b[positions[0]],) for b in frontier)
-        else:
-            pick = itemgetter(*positions)
-            rows = frozenset(map(pick, frontier))
-    return ColumnarTable(sorted_order, rows)
+    if frontier and pi != sorted_order:
+        # Permute the pi-ordered bindings into the canonical sorted
+        # layout.  pi is a permutation of two or more attributes here,
+        # so the getter returns tuples.
+        pick = itemgetter(*map(pi.index, sorted_order))
+        frontier = list(map(pick, frontier))
+    return ColumnarTable.from_rowlist(sorted_order, frontier)
 
 
 def generic_count(

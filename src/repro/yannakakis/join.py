@@ -3,11 +3,11 @@
 Both take a connected alpha-acyclic subset's tables and share one tree
 set-up: a join tree over the tables' positions, rooted at position 0
 and listed once in BFS order.  A caller that holds the tree passes it
-as ``tree=`` (edges between table positions, as
-:meth:`~repro.schemegraph.index.SubsetIndex.join_tree` returns them);
-otherwise the set-up sorts the tables by scheme and builds the tree
-with the same index code, one Kruskal pass that also decides
-acyclicity.
+as ``tree=`` (``(child, parent)`` edges between table positions in BFS
+order, as :meth:`~repro.schemegraph.index.SubsetIndex.join_tree`
+returns them); otherwise the set-up sorts the tables by scheme and
+builds the tree with the same index code, one Kruskal pass that also
+decides acyclicity.
 
 * :func:`yannakakis_join` is the acyclic analogue of
   :func:`repro.wcoj.join.generic_join`: it runs the full reducer, then
@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import repeat
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import AcyclicityError
 from repro.obs.metrics import get_registry
@@ -48,7 +48,7 @@ from repro.relational.attributes import AttributeSet
 from repro.relational.columnar import ColumnarTable, _keys_of, join_tables
 from repro.runtime.core import Charger
 from repro.schemegraph.index import SubsetIndex, TreeEdges
-from repro.yannakakis.reducer import bfs_order, full_reduce
+from repro.yannakakis.reducer import full_reduce
 
 __all__ = ["yannakakis_count", "yannakakis_join"]
 
@@ -67,12 +67,13 @@ def _join_tree(
     tree: Optional[TreeEdges] = None,
 ) -> Tuple[Dict[int, ColumnarTable], List[Tuple[int, Optional[int]]]]:
     """The join tree over ``tables``: node ids -> states, plus the
-    rooted ``(node, parent)`` listing of :func:`bfs_order` from node 0.
+    rooted ``(node, parent)`` listing from node 0, in BFS order.
 
-    With ``tree`` given, node ``i`` is ``tables[i]`` and the edges are
-    taken as they are.  Without it, the tables are numbered in
-    sorted-scheme order, so node 0 (the root of every sweep) and every
-    scan over the ids are deterministic, and the tree comes from a
+    With ``tree`` given, node ``i`` is ``tables[i]`` and the tree's
+    ``(child, parent)`` edges, already in BFS order, are the listing.
+    Without it, the tables are numbered in sorted-scheme order, so node
+    0 (the root of every sweep) and every scan over the ids are
+    deterministic, and the tree comes from a
     :class:`~repro.schemegraph.index.SubsetIndex` over their schemes;
     :class:`~repro.errors.AcyclicityError` is raised when they do not
     form a connected alpha-acyclic scheme.
@@ -86,11 +87,7 @@ def _join_tree(
             )
         by_scheme = {AttributeSet(t.order): t for t in tables}
         tables = [by_scheme[s] for s in index.schemes]
-    adjacency: Dict[int, Set[int]] = {i: set() for i in range(len(tables))}
-    for a, b in tree:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    return dict(enumerate(tables)), bfs_order(adjacency, 0)
+    return dict(enumerate(tables)), [(0, None), *tree]
 
 
 def yannakakis_join(
@@ -102,11 +99,13 @@ def yannakakis_join(
 
     The tables must form a connected alpha-acyclic scheme with distinct
     attribute orders (exactly what :class:`~repro.database.Database`
-    routes here).  ``tree`` is a join tree of that scheme as edges
-    between table positions, rooted at position 0; by default it is
-    built from the tables.  The result is a :class:`ColumnarTable` over
-    the sorted union order -- the same layout (and therefore the same
-    bytes) the vector kernel produces for the same join.
+    routes here).  ``tree`` is a join tree of that scheme as
+    :meth:`~repro.schemegraph.index.SubsetIndex.join_tree` returns it:
+    ``(child, parent)`` edges between table positions, rooted at
+    position 0, in BFS order; by default it is built from the tables.
+    The result is a :class:`ColumnarTable` over the sorted union order
+    -- the same layout (and therefore the same bytes) the vector kernel
+    produces for the same join.
 
     Raises :class:`~repro.runtime.KernelExhausted` when ``runtime``
     trips mid-pipeline.

@@ -32,7 +32,10 @@ _SEMIJOINS = _METRICS.counter(
 def bfs_order(
     adjacency: Dict[int, Set[int]], root: int
 ) -> List[Tuple[int, Optional[int]]]:
-    """A (node, parent) listing of the join tree in BFS order."""
+    """A (node, parent) listing of the join tree in BFS order, each
+    node's children in ascending order: from root 0, the listing
+    :meth:`~repro.schemegraph.index.SubsetIndex.join_tree` returns its
+    edges in."""
     order: List[Tuple[int, Optional[int]]] = [(root, None)]
     seen = {root}
     queue = [root]
@@ -53,7 +56,8 @@ def full_reduce(
 ) -> bool:
     """Run both sweeps over ``tables`` in place.
 
-    ``order`` is the rooted BFS listing from :func:`bfs_order`.  Returns
+    ``order`` is a rooted ``(node, parent)`` listing with every parent
+    before its children, such as :func:`bfs_order`'s.  Returns
     ``False`` when some state emptied (the join is empty -- the caller
     should not bother joining).  ``charge`` (rows -> None) is invoked
     with each semijoin's input size so the runtime can meter the work.

@@ -120,6 +120,85 @@ class TestThreeEngineEquivalence:
         oracle.assert_matches(acc, oracle.join_all(raw for _, raw in pairs))
 
 
+def _columns_are_tuples(result):
+    return all(type(col) is tuple for col in result._table().columns().values())
+
+
+class TestGatherSizes:
+    """The output gather, one ``itemgetter`` per side, at the output
+    sizes it treats apart (none, one) and just past them, and on
+    fan-out, composite keys, chains and products -- against the oracle."""
+
+    LEFT = [(1, 2), (3, 4), (5, 6), (7, 4)]
+
+    @pytest.mark.parametrize(
+        "right_rows,size",
+        [
+            ([(9, 1), (8, 2), (0, 3)], 0),
+            ([(2, 1), (8, 2), (0, 3)], 1),
+            ([(2, 1), (6, 2), (0, 3)], 2),
+        ],
+    )
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_multi_row_inputs_joining_to_few_rows(self, right_rows, size, swap):
+        left, lraw = _relation("AB", self.LEFT)
+        right, rraw = _relation("BC", right_rows)
+        if swap:  # the other side builds the hash table
+            left, lraw, right, rraw = right, rraw, left, lraw
+        result = left.join(right)
+        oracle.assert_matches(result, oracle.join(lraw, rraw))
+        assert len(result) == size
+        assert _columns_are_tuples(result)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_fan_out_on_both_sides(self, swap):
+        # B = 4: two left rows meet three right rows; B = 2: two meet two.
+        left, lraw = _relation("AB", self.LEFT + [(9, 2)])
+        right, rraw = _relation(
+            "BC", [(4, 1), (4, 2), (4, 3), (2, 5), (2, 6), (8, 7)]
+        )
+        if swap:
+            left, lraw, right, rraw = right, rraw, left, lraw
+        result = left.join(right)
+        oracle.assert_matches(result, oracle.join(lraw, rraw))
+        assert len(result) == 2 * 3 + 2 * 2
+
+    def test_composite_keys_with_fan_out(self):
+        left, lraw = _relation(
+            "ABC", [(1, 1, 1), (2, 1, 1), (3, 1, 2), (4, 2, 2), (5, 2, 2)]
+        )
+        right, rraw = _relation(
+            "BCD", [(1, 1, 7), (1, 1, 8), (2, 2, 9), (1, 2, 6), (3, 3, 5)]
+        )
+        result = left.join(right)
+        oracle.assert_matches(result, oracle.join(lraw, rraw))
+        assert len(result) == 2 * 2 + 2 * 1 + 1 * 1
+
+    def test_three_joins_fed_by_tuple_columns(self):
+        rng = random.Random(77)
+        pairs = [
+            _relation(
+                chr(65 + i) + chr(66 + i),
+                [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(8)],
+            )
+            for i in range(4)
+        ]
+        acc = pairs[0][0]
+        for nxt, _ in pairs[1:]:
+            acc = acc.join(nxt)
+            assert _columns_are_tuples(acc)
+        assert len(acc) > 1
+        oracle.assert_matches(acc, oracle.join_all(raw for _, raw in pairs))
+
+    def test_cartesian_product(self):
+        left, lraw = _relation("AB", self.LEFT[:3])
+        right, rraw = _relation("CD", [(1, 2), (3, 4)])
+        result = left.join(right)
+        oracle.assert_matches(result, oracle.join(lraw, rraw))
+        assert len(result) == 6
+        assert _columns_are_tuples(result)
+
+
 def _table(order, tuples):
     """A columnar table over ``order`` holding the interned ``tuples``."""
     return ColumnarTable(order, [tuple(map(intern_value, values)) for values in tuples])

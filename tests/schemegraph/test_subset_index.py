@@ -10,7 +10,8 @@ in the same order.  On a connected subset it must find a join tree
 exactly when GYO calls the subset alpha-acyclic (GYO stays the oracle),
 and the tree it finds must pass :class:`JoinTree`'s running-intersection
 check and equal the tree :func:`build_join_tree` builds for the subset
-on its own.  The DP is checked against the exhaustive optimizer on
+on its own, its edges listed as the reducer's :func:`bfs_order` lists
+them.  The DP is checked against the exhaustive optimizer on
 small random databases of the same shapes.
 
 The pinned plans and trees were recorded before the DP and the join-tree
@@ -47,6 +48,7 @@ from repro.workloads.generators import (
     random_tree_scheme,
     star_scheme,
 )
+from repro.yannakakis.reducer import bfs_order
 
 #: Shape -> the fewest relations it can have.
 _SHAPES = {
@@ -123,6 +125,24 @@ def test_the_index_agrees_with_the_scheme_on_every_subset(drawn):
         if tree is not None:
             edges = [(members[a], members[b]) for a, b in tree]
             assert JoinTree(subset, edges) == build_join_tree(subset)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(schemes())
+def test_join_trees_come_rooted_in_bfs_order(drawn):
+    # The Yannakakis sweeps and joins walk the tree's edges as they
+    # come: (child, parent) pairs in the reducer's BFS order from
+    # position 0, children in ascending position.
+    index = DatabaseScheme(drawn).subset_index()
+    for mask in range(1, index.full + 1):
+        tree = index.join_tree(mask)
+        if tree is None:
+            continue
+        adjacency = {node: set() for node in range(bin(mask).count("1"))}
+        for child, parent in tree:
+            adjacency[child].add(parent)
+            adjacency[parent].add(child)
+        assert [(0, None), *tree] == bfs_order(adjacency, 0)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -250,9 +250,9 @@ class TestJoinMemoConnectivity:
 
 class TestResultLength:
     """``len`` of a join result reads the kernel table's row count: it
-    builds no row set.  Vector and Yannakakis results are born as columns
-    and stay so; Generic Join's result is born as a frozenset, which
-    ``len`` reuses."""
+    builds no row set.  Vector and Yannakakis results are born as
+    columns, Generic Join's as a row list, and none is born as a row
+    set."""
 
     @staticmethod
     def _database(schemes, engine):
@@ -283,7 +283,7 @@ class TestResultLength:
         result = db.evaluate()
         table = result._columnar
         born = table._rows
-        assert (born is None) == (engine != "wcoj")
+        assert born is None
         expected = len(oracle.join_all(operands)[1])
         assert expected > 0
         assert len(result) == expected
