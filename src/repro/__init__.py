@@ -65,15 +65,9 @@ from repro.conditions import (
     check_c4,
     check_condition,
 )
-from repro.relational import (
-    FDSet,
-    FunctionalDependency,
-    Relation,
-    Row,
-    fd,
-    relation,
-)
+from repro.relational import FDSet, FunctionalDependency, Relation, Row, fd
 from repro.relational.attributes import AttributeSet, attrs
+from repro.relational.relation import relation
 from repro.schemegraph import DatabaseScheme
 from repro.strategy import (
     Strategy,
@@ -89,7 +83,7 @@ from repro.runtime import CancelToken, Deadline, Runtime, WorkBudget
 from repro.errors import OperationCancelled
 from repro.theorems import check_theorem1, check_theorem2, check_theorem3
 
-__version__ = "7.1.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "Database",

@@ -13,18 +13,20 @@ Seven commands, each a small window onto the reproduction:
 * ``explain`` -- the ``EXPLAIN ANALYZE`` profiler: plan the same
   synthetic workloads as ``optimize``, then execute the plan step by
   step and print per-step estimated vs actual tau, Q-error, wall time,
-  kernel counters, and cache hit rates; ``--profile-json`` /
-  ``--chrome-trace`` / ``--prometheus`` export the profile, the span
-  tree (Perfetto-loadable), and the metrics;
+  kernel counters, and cache hit rates; ``--trace-json PATH`` writes the
+  run ledger with the profile and one record per operator row, and
+  ``--chrome-trace PATH`` the span tree (Perfetto-loadable);
 * ``conditions --example N`` -- the C1/C1'/C2/C3 verdicts for a paper
   example;
 * ``sample`` -- the cost distribution of uniformly sampled strategies;
 * ``obs tail|report|diff`` -- inspect the run ledgers written by
-  ``optimize --trace-json`` and the flight-recorder bundles dumped on
-  anomalies: ``tail`` prints the last records one per line, ``report``
-  summarizes a ledger (or renders a bundle) down to wall time, tau,
-  Q-error, cache hit rate, resource peaks, and anomalies, and ``diff``
-  compares two runs side by side (see docs/observability.md).
+  ``optimize --trace-json`` and ``explain --trace-json`` and the
+  flight-recorder bundles dumped on anomalies: ``tail`` prints the last
+  records one per line, ``report`` summarizes a ledger (or renders a
+  bundle) down to wall time, tau, Q-error, cache hit rate, resource
+  peaks, and anomalies, and reprints an ``explain`` ledger's ``EXPLAIN
+  ANALYZE`` table, and ``diff`` compares two runs side by side (see
+  docs/observability.md).
 
 ``optimize``, ``explain``, and ``conditions`` accept ``--timeout-ms``
 and ``--budget``: the run then executes under a
@@ -137,6 +139,26 @@ def build_parser() -> argparse.ArgumentParser:
             "--timeout-ms",
         )
 
+    def add_export_flags(command: argparse.ArgumentParser) -> None:
+        """The run-export flags shared by optimize and explain."""
+        command.add_argument(
+            "--trace-json",
+            metavar="PATH",
+            default=None,
+            help="write the run ledger (run header, spans, metrics, "
+            "resource samples, events, explain's profile and operator "
+            "rows, outcome) as JSONL to PATH, readable by 'repro obs'; "
+            "on optimize it implies --trace",
+        )
+        command.add_argument(
+            "--chrome-trace",
+            metavar="PATH",
+            default=None,
+            help="write the recorded span tree as a Chrome Trace Event "
+            "file, loadable in Perfetto / chrome://tracing; on optimize "
+            "it implies --trace",
+        )
+
     optimize = sub.add_parser("optimize", help="plan a synthetic database")
     add_workload_flags(optimize)
     optimize.add_argument(
@@ -145,21 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="record the run through repro.obs and print the stats "
         "section, span tree, and metrics",
     )
-    optimize.add_argument(
-        "--trace-json",
-        metavar="PATH",
-        default=None,
-        help="write the run ledger (run header, spans, metrics, resource "
-        "samples, events, outcome) as JSONL to PATH (implies --trace; "
-        "readable by 'repro obs')",
-    )
-    optimize.add_argument(
-        "--chrome-trace",
-        metavar="PATH",
-        default=None,
-        help="write the recorded span tree as a Chrome Trace Event file "
-        "(implies --trace)",
-    )
+    add_export_flags(optimize)
 
     explain = sub.add_parser(
         "explain",
@@ -168,26 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         "rates (docs/observability.md)",
     )
     add_workload_flags(explain)
-    explain.add_argument(
-        "--profile-json",
-        metavar="PATH",
-        default=None,
-        help="write the full RunReport profile as JSON to PATH",
-    )
-    explain.add_argument(
-        "--chrome-trace",
-        metavar="PATH",
-        default=None,
-        help="write the recorded span tree as a Chrome Trace Event file "
-        "(loadable in Perfetto / chrome://tracing)",
-    )
-    explain.add_argument(
-        "--prometheus",
-        metavar="PATH",
-        default=None,
-        help="write the recorded metrics in Prometheus text exposition "
-        "format to PATH",
-    )
+    add_export_flags(explain)
     explain.add_argument(
         "--no-memory",
         action="store_true",
@@ -218,11 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     tail = obs_sub.add_parser(
         "tail", help="print the last records of a run ledger, one per line"
     )
-    tail.add_argument("path", help="a ledger JSONL file (optimize --trace-json)")
+    tail.add_argument("path", help="a ledger JSONL file (--trace-json)")
     tail.add_argument("--limit", type=int, default=20, metavar="N")
     report = obs_sub.add_parser(
         "report",
-        help="summarize a run ledger, or render a flight-recorder bundle",
+        help="summarize a run ledger (and reprint an explain ledger's "
+        "EXPLAIN ANALYZE table), or render a flight-recorder bundle",
     )
     report.add_argument("path", help="a ledger JSONL file or a flight bundle")
     diff = obs_sub.add_parser(
@@ -340,6 +330,19 @@ def _safety_pairs(query: JoinQuery):
     return pairs
 
 
+def _ledger(name: str, args: argparse.Namespace, spec: WorkloadSpec):
+    """The :class:`~repro.obs.ledger.RunLedger` that brackets a traced
+    command: it mints the trace id, opens the root span, samples
+    resources, and stamps the flight-recorder context."""
+    from repro.obs.ledger import RunLedger
+
+    return RunLedger(
+        name,
+        workload=spec,
+        attrs={"shape": args.shape, "relations": args.relations, "space": args.space},
+    )
+
+
 def _cmd_optimize(args: argparse.Namespace) -> int:
     tracing = (
         args.trace
@@ -356,24 +359,12 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         print(render_kv(_safety_pairs(query)))
         return 0
 
-    from repro.obs.ledger import RunLedger
     from repro.optimizer.estimate import qerror_profile
 
     obs.reset()
     obs.enable()
     try:
-        # The ledger brackets the run: it mints the trace id, opens the
-        # root span, samples resources, and stamps the flight-recorder
-        # context.
-        with RunLedger(
-            "cli.optimize",
-            workload=spec,
-            attrs={
-                "shape": args.shape,
-                "relations": args.relations,
-                "space": args.space,
-            },
-        ) as ledger:
+        with _ledger("cli.optimize", args, spec) as ledger:
             ledger.sampler.watch_database(db)
             plan = _plan(args, query)
             # The paper's per-step accounting, as join.step events ...
@@ -411,27 +402,28 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     db = _with_engine(spec.build(), args)
     # A clean slate so the exports below carry exactly this run.
     obs.reset()
+    obs.enable()
     try:
-        report = RunReport.capture(
-            db,
-            _space_of(args),
-            workload=spec,
-            track_memory=not args.no_memory,
-            planner=(
-                optimize_exhaustive if args.space == "exhaustive" else optimize_dp
-            ),
-            runtime=_runtime_from(args),
-        )
+        # One trace id names the spans, the metrics, and the operator rows.
+        with _ledger("cli.explain", args, spec) as ledger:
+            report = RunReport.capture(
+                db,
+                _space_of(args),
+                workload=spec,
+                track_memory=not args.no_memory,
+                planner=(
+                    optimize_exhaustive if args.space == "exhaustive" else optimize_dp
+                ),
+                runtime=_runtime_from(args),
+            )
+        ledger.extend(report.records())
         print(report.render())
-        if args.profile_json is not None:
-            report.write_json(args.profile_json)
-            print(f"\nwrote profile JSON to {args.profile_json}")
+        if args.trace_json is not None:
+            lines = ledger.write(args.trace_json)
+            print(f"\nwrote {lines} ledger records to {args.trace_json}")
         if args.chrome_trace is not None:
             events = obs.write_chrome_trace(args.chrome_trace)
             print(f"wrote {events} Chrome-trace events to {args.chrome_trace}")
-        if args.prometheus is not None:
-            lines = obs.write_prometheus(args.prometheus)
-            print(f"wrote {lines} Prometheus exposition lines to {args.prometheus}")
     finally:
         obs.disable()
         obs.reset()
@@ -493,8 +485,11 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         kind, loaded = obs_ledger.load(args.path)
         if kind == "bundle":
             print(obs_ledger.render_bundle(loaded))
-        else:
-            print(obs_ledger.render_summary(obs_ledger.summarize(loaded)))
+            return 0
+        print(obs_ledger.render_summary(obs_ledger.summarize(loaded)))
+        if any(record.get("type") == "profile" for record in loaded):
+            print()
+            print(obs_ledger.render_profile(loaded))
         return 0
     if args.obs_command == "diff":
         summary_a = obs_ledger.summarize(obs_ledger.load(args.a)[1])

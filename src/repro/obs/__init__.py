@@ -8,8 +8,8 @@ The subsystem has eight small parts:
 * :mod:`repro.obs.metrics` -- a process-wide registry of counters,
   gauges, and histograms (with p50/p95/p99 percentiles) and label
   support;
-* :mod:`repro.obs.export` -- Chrome-trace (Perfetto) and Prometheus
-  export plus human-readable rendering;
+* :mod:`repro.obs.export` -- Chrome-trace (Perfetto) export plus
+  human-readable rendering;
 * :mod:`repro.obs.profile` -- the ``EXPLAIN ANALYZE``-style
   :class:`~repro.obs.profile.RunReport` profiler (per-step estimated vs
   actual tau, Q-error, wall time, kernel counters, cache hit rates,
@@ -21,8 +21,9 @@ The subsystem has eight small parts:
 * :mod:`repro.obs.sampler` -- the daemon-thread resource sampler (RSS,
   CPU, tau-cache hit rate), published as ``resource.*`` metrics;
 * :mod:`repro.obs.ledger` -- the unified run ledger: one JSONL stream
-  per run (header, spans, metrics, resources, events, outcome) plus the
-  aggregation behind the ``repro obs`` CLI family;
+  per run (header, spans, metrics, resources, events, a profiled run's
+  ``profile`` and ``operator`` records, outcome) plus the aggregation
+  behind the ``repro obs`` CLI family;
 * :mod:`repro.obs.regress` -- the perf-regression sentinel that diffs
   fresh ``BENCH_*.json`` runs against ``benchmarks/baselines/``.
 
@@ -55,13 +56,11 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from repro.obs.export import (
-    metrics_to_prometheus,
     record_strategy_steps,
     render_metrics,
     render_span_tree,
     spans_to_chrome_trace,
     write_chrome_trace,
-    write_prometheus,
 )
 from repro.obs.metrics import (
     Counter,
@@ -91,8 +90,6 @@ __all__ = [
     "get_registry",
     "spans_to_chrome_trace",
     "write_chrome_trace",
-    "metrics_to_prometheus",
-    "write_prometheus",
     "render_span_tree",
     "render_metrics",
     "record_strategy_steps",

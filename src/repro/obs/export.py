@@ -1,15 +1,11 @@
 """Exporting and rendering spans and metrics.
 
-Several consumers, several formats (machines get JSONL from the run
-ledger, :meth:`repro.obs.ledger.RunLedger.write`):
+Two consumers besides machines, which get JSONL from the run ledger
+(:meth:`repro.obs.ledger.RunLedger.write`):
 
 * trace viewers get the **Chrome Trace Event format**
   (:func:`spans_to_chrome_trace` / :func:`write_chrome_trace`) --
   loadable in Perfetto or ``chrome://tracing``;
-* scrapers get the **Prometheus text exposition format**
-  (:func:`metrics_to_prometheus` / :func:`write_prometheus`), with
-  histogram series exported as summaries carrying p50/p95/p99
-  quantiles;
 * humans get plain text -- the span forest indented by parentage with
   millisecond durations, and metrics through the same
   :class:`repro.report.Table` every benchmark uses.
@@ -22,18 +18,15 @@ tau -- the per-step quantity the paper's whole argument is about.
 from __future__ import annotations
 
 import json
-import re
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.metrics import HistogramSummary, MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import Span, Tracer, get_tracer
 from repro.report import Table
 
 __all__ = [
     "spans_to_chrome_trace",
     "write_chrome_trace",
-    "metrics_to_prometheus",
-    "write_prometheus",
     "render_span_tree",
     "render_metrics",
     "record_strategy_steps",
@@ -106,109 +99,6 @@ def write_chrome_trace(
         json.dump(document, handle, sort_keys=True)
         handle.write("\n")
     return len(document["traceEvents"]) - 1
-
-
-# -- Prometheus text exposition format -----------------------------------------
-
-_PROM_INVALID = re.compile(r"[^a-zA-Z0-9_:]")
-
-#: The quantiles exported for every histogram series.
-PROMETHEUS_QUANTILES = ((0.5, 50.0), (0.95, 95.0), (0.99, 99.0))
-
-
-def _prom_name(name: str) -> str:
-    return _PROM_INVALID.sub("_", name)
-
-
-def _escape_help(value: str) -> str:
-    # Exposition format: HELP text escapes backslash and newline ONLY --
-    # double quotes appear verbatim (HELP is not a quoted string).
-    return value.replace("\\", r"\\").replace("\n", r"\n")
-
-
-def _escape_label_value(value: str) -> str:
-    # Label values are double-quoted strings: backslash, double quote,
-    # and newline must all be escaped.
-    return value.replace("\\", r"\\").replace('"', r'\"').replace("\n", r"\n")
-
-
-def _prom_labels(labels: Dict[str, str]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{_prom_name(key)}="{_escape_label_value(str(value))}"'
-        for key, value in sorted(labels.items())
-    )
-    return "{" + inner + "}"
-
-
-def _prom_number(value: Any) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def metrics_to_prometheus(
-    registry: Optional[MetricsRegistry] = None, prefix: str = "repro_"
-) -> str:
-    """The registry snapshot in the Prometheus text exposition format.
-
-    Counters export as ``<prefix><name>_total``, gauges as
-    ``<prefix><name>``, and histograms as *summaries*: one sample per
-    quantile in :data:`PROMETHEUS_QUANTILES` (``quantile`` label), plus
-    ``_sum`` and ``_count`` samples.  Metric names are sanitized to the
-    Prometheus charset (dots become underscores) and label values are
-    escaped per the exposition format.  Only nonempty series are
-    exported; the result ends with a newline when nonempty.
-    """
-    chosen = registry if registry is not None else get_registry()
-    lines: List[str] = []
-    for instrument in chosen.instruments():
-        series = instrument.series()
-        if not series:
-            continue
-        base = prefix + _prom_name(instrument.name)
-        if instrument.kind == "counter":
-            name, prom_type = base + "_total", "counter"
-        elif instrument.kind == "gauge":
-            name, prom_type = base, "gauge"
-        else:
-            name, prom_type = base, "summary"
-        if instrument.description:
-            lines.append(f"# HELP {name} {_escape_help(instrument.description)}")
-        lines.append(f"# TYPE {name} {prom_type}")
-        for key, value in sorted(series.items()):
-            labels = dict(key)
-            if isinstance(value, HistogramSummary):
-                for quantile, percentile in PROMETHEUS_QUANTILES:
-                    with_quantile = dict(labels)
-                    with_quantile["quantile"] = str(quantile)
-                    lines.append(
-                        f"{name}{_prom_labels(with_quantile)} "
-                        f"{_prom_number(value.percentile(percentile))}"
-                    )
-                lines.append(
-                    f"{name}_sum{_prom_labels(labels)} {_prom_number(value.total)}"
-                )
-                lines.append(
-                    f"{name}_count{_prom_labels(labels)} {value.count}"
-                )
-            else:
-                lines.append(f"{name}{_prom_labels(labels)} {_prom_number(value)}")
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
-
-
-def write_prometheus(
-    path: str, registry: Optional[MetricsRegistry] = None, prefix: str = "repro_"
-) -> int:
-    """Write the Prometheus exposition to ``path``; returns the number of
-    lines written."""
-    body = metrics_to_prometheus(registry, prefix=prefix)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(body)
-    return body.count("\n")
 
 
 def _format_attributes(attributes: Dict[str, Any]) -> str:

@@ -18,16 +18,18 @@ and on the way through:
 
 :meth:`RunLedger.records` (and :meth:`write`) then emit one JSONL
 stream: a ``run`` header, every span, every metric row, the resource
-rows, the recorder events that happened during the run, and an
-``outcome`` footer.  Every record self-describes through its ``"type"``
-field, so a reader skips the rows it does not know; :func:`load` reads
-a ledger back.
+rows, the recorder events that happened during the run, the records
+appended with :meth:`RunLedger.extend` (an ``explain`` run's ``profile``
+and ``operator`` rows), and an ``outcome`` footer.  Every record
+self-describes through its ``"type"`` field, so a reader skips the rows
+it does not know; :func:`load` reads a ledger back.
 
 The read side aggregates ledgers for the ``repro obs`` CLI family:
 :func:`summarize` boils a ledger down to the run's headline numbers
 (wall time, tau, Q-error, cache hit rate, resource peaks, anomalies),
 :func:`diff_summaries` compares two runs, and the ``render_*`` helpers
-produce the human tables.
+produce the human tables -- :func:`render_profile` the ``EXPLAIN
+ANALYZE`` table that ``repro explain`` prints.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import get_registry
 from repro.obs.recorder import get_recorder
@@ -49,6 +51,7 @@ __all__ = [
     "summarize",
     "diff_summaries",
     "render_summary",
+    "render_profile",
     "render_diff",
     "render_tail",
     "render_bundle",
@@ -71,6 +74,7 @@ class RunLedger:
         "attrs",
         "trace_id",
         "sampler",
+        "_appended",
         "_sample",
         "_span_cm",
         "_event_floor",
@@ -95,6 +99,7 @@ class RunLedger:
         self.attrs = dict(attrs or {})
         self.trace_id: Optional[str] = None
         self.sampler = ResourceSampler(interval=sample_interval)
+        self._appended: List[Dict[str, Any]] = []
         self._sample = sample
         self._span_cm = None
         self._event_floor = 0
@@ -149,9 +154,16 @@ class RunLedger:
             if event["seq"] > self._event_floor
         ]
 
+    def extend(self, records: Iterable[Dict[str, Any]]) -> None:
+        """Append JSON-ready records (each with its ``"type"``), written
+        after the events and before the outcome -- how an ``explain``
+        run's :meth:`repro.obs.profile.RunReport.records` join the
+        ledger."""
+        self._appended.extend(records)
+
     def records(self) -> List[Dict[str, Any]]:
         """The full ledger, JSON-ready: header, spans, metrics,
-        resources, events, outcome."""
+        resources, events, appended records, outcome."""
         events = self._run_events()
         anomalies = [e for e in events if e["kind"] == "anomaly"]
         header = {
@@ -176,6 +188,7 @@ class RunLedger:
         if self._sample:
             records.extend(dict(row) for row in self.sampler.rows())
         records.extend(events)
+        records.extend(self._appended)
         records.append(outcome)
         return records
 
@@ -232,28 +245,23 @@ def summarize(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     """One ledger's headline numbers, ready for :func:`render_summary`
     and :func:`diff_summaries`.
 
-    Works on a full :class:`RunLedger` stream and degrades gracefully on
-    a bare span-and-metric file, as the removed ``obs.write_jsonl`` wrote
-    (missing sections summarize to ``None``/0).
+    Sections a ledger lacks summarize to ``None``/0.  ``tau`` is the
+    ``profile`` record's plan tau on an ``explain`` ledger, and the sum
+    of the ``join.step`` events otherwise.
     """
-    header = next((r for r in records if r.get("type") == "run"), None)
-    outcome = next((r for r in records if r.get("type") == "outcome"), None)
+    header = next((r for r in records if r.get("type") == "run"), {})
+    outcome = next((r for r in records if r.get("type") == "outcome"), {})
+    profile = next((r for r in records if r.get("type") == "profile"), None)
     spans = [r for r in records if r.get("type") == "span"]
     resources = [r for r in records if r.get("type") == "resource"]
     events = [r for r in records if r.get("type") == "event"]
     metrics = _metric_rows(records)
 
-    roots = [s for s in spans if s.get("parent_id") is None]
-    wall_ms: Optional[float] = None
-    if outcome is not None and outcome.get("wall_ms") is not None:
-        wall_ms = outcome["wall_ms"]
-    elif roots:
-        wall_ms = max(r["duration_ns"] for r in roots) / 1e6
-
     steps = [s for s in spans if s["name"] == "join.step"]
-    tau = (
-        sum(s["attributes"].get("tau", 0) for s in steps) if steps else None
-    )
+    if profile is not None:
+        tau = profile["tau"]
+    else:
+        tau = sum(s["attributes"].get("tau", 0) for s in steps) if steps else None
 
     qerror = metrics.get("estimator.qerror")
     qerror_max = qerror_p50 = None
@@ -281,14 +289,10 @@ def summarize(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         return max(values) if values else None
 
     return {
-        "run": header.get("name") if header else (roots[0]["name"] if roots else None),
-        "trace_id": (
-            header.get("trace_id")
-            if header
-            else next((s.get("trace_id") for s in spans if s.get("trace_id")), None)
-        ),
-        "workload": header.get("workload") if header else None,
-        "wall_ms": wall_ms,
+        "run": header.get("name"),
+        "trace_id": header.get("trace_id"),
+        "workload": header.get("workload"),
+        "wall_ms": outcome.get("wall_ms"),
         "spans": len(spans),
         "tau": tau,
         "qerror_max": qerror_max,
@@ -369,6 +373,45 @@ def render_summary(summary: Dict[str, Any]) -> str:
             )
         )
     return render_kv(pairs)
+
+
+def render_profile(records: Sequence[Dict[str, Any]]) -> str:
+    """The ``EXPLAIN ANALYZE`` table and its summary, from a ledger's
+    ``profile`` record and its ``operator`` records in execution order.
+    :meth:`repro.obs.profile.RunReport.render` prints a report through
+    this function and ``repro obs report`` reprints a ledger through it,
+    so the two texts cannot drift apart."""
+    profile = next(r for r in records if r.get("type") == "profile")
+    table = Table(
+        [
+            "step",
+            "operator",
+            "est tau",
+            "actual tau",
+            "q-error",
+            "time (ms)",
+            "probes",
+            "cmps",
+            "out",
+            "cache hit",
+        ],
+        title=f"EXPLAIN ANALYZE: {profile['plan']}",
+    )
+    operators = (r for r in records if r.get("type") == "operator")
+    for index, row in enumerate(operators, start=1):
+        table.add_row(
+            f"{index}. {row['step']}" + (" [CP]" if row["cartesian"] else ""),
+            row["operator"],
+            f"{row['estimated']:.1f}",
+            row["actual"],
+            f"{row['q_error']:.2f}",
+            f"{row['wall_ms']:.3f}",
+            row["probes"],
+            row["comparisons"],
+            row["output_tuples"],
+            f"{row['cache_hit_rate'] * 100:.0f}%",
+        )
+    return table.render() + "\n\n" + render_kv(profile["summary"])
 
 
 def render_diff(a: Dict[str, Any], b: Dict[str, Any]) -> str:

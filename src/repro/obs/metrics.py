@@ -16,8 +16,7 @@ single flag check::
         _COMPARISONS.inc(n)
 
 Instruments support **labels** (keyword arguments on the observation
-call); each distinct label set is an independent series, as in
-Prometheus::
+call); each distinct label set is an independent series::
 
     STATES.inc(17, space="linear")
     STATES.inc(23, space="all")
@@ -116,7 +115,7 @@ class HistogramSummary:
     (these are per-run telemetry series, not unbounded server streams) so
     exact percentiles are available: :meth:`percentile` answers any
     quantile, and ``to_dict`` carries the p50/p95/p99 trio the exporters
-    surface (JSONL, ``render_metrics``, Prometheus summaries).
+    surface (the run ledger's metric rows and ``render_metrics``).
     """
 
     __slots__ = ("count", "total", "min", "max", "_samples")

@@ -28,31 +28,32 @@ Around the steps it records per-phase wall time and peak memory
 the planner's own cache statistics, and the aggregate Q-error trio
 (max / mean / geometric mean).
 
-The report renders as an ``EXPLAIN ANALYZE``-style table through
-:class:`repro.report.Table` (``repro explain`` on the command line) and
-exports as JSON (:meth:`RunReport.to_json` / :meth:`RunReport.write_json`)
-for the CI perf-regression artifacts.  Because capture runs inside
-``obs.observed()``, the recorded span tree is also available afterwards
-for Chrome-trace export (:func:`repro.obs.export.write_chrome_trace`).
+:meth:`RunReport.records` turns the report into run-ledger records --
+one ``profile`` record and one ``operator`` record per row -- and the
+``EXPLAIN ANALYZE`` table (``repro explain`` on the command line) is
+rendered from those records by :func:`repro.obs.ledger.render_profile`,
+the function ``repro obs report`` reprints a ledger with.  Because
+capture runs inside ``obs.observed()``, the recorded span tree is also
+available afterwards for Chrome-trace export
+(:func:`repro.obs.export.write_chrome_trace`).
 """
 
 from __future__ import annotations
 
-import json
 import time
 import tracemalloc
 from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import repro.obs as obs
 from repro.database import CacheStats, Database
+from repro.obs.ledger import render_profile
 from repro.obs.metrics import get_registry
 from repro.optimizer.dp import optimize_dp
 from repro.optimizer.estimate import CardinalityEstimator, aggregate_qerror
 from repro.optimizer.spaces import OptimizationResult, SearchSpace
 from repro.query import JoinQuery, Plan, _run
-from repro.report import Table, render_kv
 from repro.runtime.core import using_runtime
 from repro.strategy.cost import tau_cost
 
@@ -62,7 +63,7 @@ __all__ = ["StepProfile", "RunReport"]
 KERNEL_COUNTERS = ("join.probes", "join.comparisons", "join.output_tuples")
 
 # The same per-step Q-error histogram qerror_profile feeds, so a profiled
-# run's Prometheus exposition carries the p50/p95/p99 summary.
+# run's ledger carries the p50/p95/p99 summary.
 _QERROR = get_registry().histogram(
     "estimator.qerror", "per-step Q-error of the cardinality estimator"
 )
@@ -152,7 +153,8 @@ class StepProfile:
         return self.cache_hits / self.cache_lookups
 
     def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready dict (one row of the profile export)."""
+        """A JSON-ready dict: the fields of the row's ``operator`` ledger
+        record."""
         return {
             "step": self.step,
             "operator": self.operator,
@@ -260,8 +262,8 @@ class _OperatorClock:
 class RunReport:
     """A full ``EXPLAIN ANALYZE`` profile of one optimized-and-executed run.
 
-    Build one with :meth:`capture`; render it with :meth:`render`; export
-    it with :meth:`to_dict` / :meth:`to_json` / :meth:`write_json`.
+    Build one with :meth:`capture`; export it as run-ledger records with
+    :meth:`records`; render it, from those records, with :meth:`render`.
     """
 
     __slots__ = (
@@ -440,40 +442,13 @@ class RunReport:
         """Total execution wall time across the rows, in milliseconds."""
         return sum(step.wall_ns for step in self.steps) / 1e6
 
-    # -- presentation ------------------------------------------------------
+    # -- export and presentation -------------------------------------------
 
-    def render(self) -> str:
-        """The ``EXPLAIN ANALYZE`` table plus the run-level summary."""
-        table = Table(
-            [
-                "step",
-                "operator",
-                "est tau",
-                "actual tau",
-                "q-error",
-                "time (ms)",
-                "probes",
-                "cmps",
-                "out",
-                "cache hit",
-            ],
-            title=f"EXPLAIN ANALYZE: {self.strategy.describe()}",
-        )
-        for index, step in enumerate(self.steps, start=1):
-            table.add_row(
-                f"{index}. {step.step}" + (" [CP]" if step.cartesian else ""),
-                step.operator,
-                f"{step.estimated:.1f}",
-                step.actual,
-                f"{step.q_error:.2f}",
-                f"{step.wall_ms:.3f}",
-                step.probes,
-                step.comparisons,
-                step.output_tuples,
-                f"{step.cache_hit_rate * 100:.0f}%",
-            )
+    def _summary(self) -> List[Tuple[str, Any]]:
+        """The run-level summary as the ``(key, value)`` pairs rendered
+        under the table."""
         aggregates = self.qerror
-        pairs = [
+        pairs: List[Tuple[str, Any]] = [
             ("space", self.space),
             ("optimizer", self.optimizer),
         ]
@@ -517,12 +492,15 @@ class RunReport:
             if peak is not None:
                 detail += f", peak {peak:.1f} KiB"
             pairs.append((f"phase[{name}]", detail))
-        return table.render() + "\n\n" + render_kv(pairs)
+        return pairs
 
-    def to_dict(self) -> Dict[str, Any]:
-        """The whole profile as one JSON-ready dict (the schema the CI
-        artifact and the regress tooling consume)."""
-        return {
+    def records(self) -> List[Dict[str, Any]]:
+        """The run as JSON-ready run-ledger records: one ``profile``
+        record (the run-level fields and the summary pairs as rendered),
+        then one ``operator`` record per row, in execution order
+        (:meth:`repro.obs.ledger.RunLedger.extend` appends them)."""
+        profile = {
+            "type": "profile",
             "plan": self.strategy.describe(),
             "space": self.space,
             "optimizer": self.optimizer,
@@ -539,22 +517,20 @@ class RunReport:
             "execution": [record.to_dict() for record in self.execution],
             "tau": self.tau,
             "workload": dict(self.workload),
-            "steps": [step.to_dict() for step in self.steps],
             "qerror": self.qerror,
             "execute_wall_ms": self.execute_wall_ms,
             "phases": {name: dict(numbers) for name, numbers in self.phases.items()},
             "planner_cache": self.planner_cache.to_dict(),
             "executor_cache": self.executor_cache.to_dict(),
+            "summary": self._summary(),
         }
+        operators = [dict(step.to_dict(), type="operator") for step in self.steps]
+        return [profile] + operators
 
-    def to_json(self, indent: int = 2) -> str:
-        """The profile as a JSON document."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def write_json(self, path: str) -> None:
-        """Write the JSON profile to ``path``."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json() + "\n")
+    def render(self) -> str:
+        """The ``EXPLAIN ANALYZE`` table plus the run-level summary,
+        rendered from :meth:`records`."""
+        return render_profile(self.records())
 
     def __repr__(self) -> str:
         return (

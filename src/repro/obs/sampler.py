@@ -16,10 +16,9 @@ on a daemon thread and records one row of:
 
 Every row lands in a bounded deque (the ledger and flight bundles read
 it back), and -- while the metrics registry is enabled -- each value is
-also published as a ``resource.<name>`` gauge (the current value, what
-the Prometheus exposition scrapes) and a ``resource.<name>.series``
-histogram (the distribution, so JSONL exports carry min/max/p95 without
-shipping every row twice).
+also published as a ``resource.<name>`` gauge (the current value) and a
+``resource.<name>.series`` histogram (the distribution, so JSONL exports
+carry min/max/p95 without shipping every row twice).
 
 The sampler thread holds no locks shared with the engine.
 """

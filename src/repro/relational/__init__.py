@@ -26,12 +26,7 @@ from repro.relational.attributes import (
     format_attrs,
 )
 from repro.relational.columnar import ColumnarTable
-from repro.relational.relation import (
-    Relation,
-    RelationSchema,
-    Row,
-    relation,
-)
+from repro.relational.relation import Relation, RelationSchema, Row
 from repro.relational.dependencies import (
     FDSet,
     FunctionalDependency,
@@ -57,7 +52,6 @@ __all__ = [
     "Relation",
     "RelationSchema",
     "Row",
-    "relation",
     "FDSet",
     "FunctionalDependency",
     "fd",

@@ -138,20 +138,18 @@ class TestSummarize:
             s["attributes"]["tau"] for s in steps
         )
 
-    def test_summarize_tolerates_bare_span_metric_files(self):
-        # A file of bare spans and metric rows (what the removed
-        # obs.write_jsonl wrote) has no run/outcome/resource records.
+    def test_explain_ledger_tau_is_the_profile_tau(self):
+        # An explain run records no join.step events; its profile record
+        # carries the plan's tau.
         records = [
-            {"type": "span", "name": "root", "span_id": 1, "parent_id": None,
-             "start_ns": 0, "duration_ns": 5_000_000, "attributes": {}},
-            {"type": "metric", "kind": "counter", "name": "c",
-             "labels": {}, "value": 3},
+            {"type": "run", "name": "cli.explain", "trace_id": "t"},
+            {"type": "profile", "tau": 306},
+            {"type": "outcome", "trace_id": "t", "wall_ms": 1.5},
         ]
         summary = summarize(records)
-        assert summary["run"] == "root"
-        assert summary["wall_ms"] == pytest.approx(5.0)
-        assert summary["tau"] is None
-        assert summary["resource_samples"] == 0
+        assert (summary["run"], summary["tau"], summary["wall_ms"]) == (
+            "cli.explain", 306, 1.5
+        )
 
     def test_summarize_tolerates_removed_resource_columns(self):
         # Ledgers written before 4.0.0 carry shm_bytes/pool_queue_depth.

@@ -1,5 +1,5 @@
 """The EXPLAIN ANALYZE profiler: capture invariants, the rows of the
-operators that ran, rendering, export."""
+operators that ran, rendering, and the run-ledger records."""
 
 import json
 import random
@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.obs as obs
 from repro.database import Database
+from repro.obs.ledger import RunLedger, load, render_profile
 from repro.obs.profile import KERNEL_COUNTERS, RunReport, StepProfile
 from repro.optimizer.dp import optimize_dp
 from repro.optimizer.spaces import SearchSpace
@@ -194,23 +195,34 @@ class TestRendering:
 
 
 class TestExport:
-    def test_to_json_roundtrip(self, report):
-        payload = json.loads(report.to_json())
-        assert payload["tau"] == report.tau
-        assert payload["space"] == "all"
-        assert payload["workload"] == {"shape": "chain", "seed": 0}
-        assert len(payload["steps"]) == len(report.steps)
-        for row in payload["steps"]:
+    def test_records_are_a_profile_then_one_operator_row_per_step(self, report):
+        profile, *operators = json.loads(json.dumps(report.records()))
+        assert profile["type"] == "profile"
+        assert profile["tau"] == report.tau
+        assert profile["space"] == "all"
+        assert profile["workload"] == {"shape": "chain", "seed": 0}
+        assert set(profile["phases"]) == {"plan", "statistics", "execute"}
+        assert "hit_rate" in profile["planner_cache"]
+        assert ["plan tau", report.tau] in profile["summary"]
+        assert len(operators) == len(report.steps)
+        for row, step in zip(operators, report.steps):
+            assert row == dict(step.to_dict(), type="operator")
             assert {"step", "operator", "estimated", "actual", "q_error", "wall_ms",
                     "probes", "comparisons", "output_tuples",
                     "cache_hit_rate", "cartesian"} <= set(row)
-        assert set(payload["phases"]) == {"plan", "statistics", "execute"}
-        assert "hit_rate" in payload["planner_cache"]
 
-    def test_write_json(self, report, tmp_path):
-        path = tmp_path / "profile.json"
-        report.write_json(str(path))
-        assert json.loads(path.read_text())["tau"] == report.tau
+    def test_written_ledger_renders_the_same_table(self, report, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with RunLedger("test.explain", sample=False) as ledger:
+            pass
+        ledger.extend(report.records())
+        ledger.write(str(path))
+        kind, records = load(str(path))
+        assert kind == "ledger"
+        assert [r["type"] for r in records[-len(report.steps) - 2:]] == (
+            ["profile"] + ["operator"] * len(report.steps) + ["outcome"]
+        )
+        assert render_profile(records) == report.render()
 
     def test_kernel_counter_names_are_the_documented_trio(self):
         assert KERNEL_COUNTERS == (
@@ -218,6 +230,19 @@ class TestExport:
             "join.comparisons",
             "join.output_tuples",
         )
+
+
+@pytest.mark.parametrize("engine", [None, "vector", "wcoj", "yannakakis"])
+@pytest.mark.parametrize(
+    "scheme", [chain_scheme(6), star_scheme(6)], ids=["chain6", "star6"]
+)
+def test_operator_rows_account_for_the_execute_phase(scheme, engine):
+    # Where operators do real work, their own wall times leave only the
+    # profiler's per-row bookkeeping outside the rows (docs/observability.md).
+    db = generate_database(scheme, random.Random(1), WorkloadSpec(size=60, domain=8))
+    report = _capture(db.with_engine(engine))
+    execute_ms = report.phases["execute"]["wall_s"] * 1e3
+    assert report.execute_wall_ms >= 0.9 * execute_ms
 
 
 class TestLazyImports:

@@ -1,5 +1,7 @@
 """Edge-path tests for Relation: operator protocols, naming, emptiness."""
 
+import types
+
 import pytest
 
 from repro.relational.attributes import attrs
@@ -93,3 +95,14 @@ class TestSchemeAccess:
         r = relation("AB", [(1, 1)])
         with pytest.raises(AttributeError):
             r.rows.add(Row({"A": 2, "B": 2}))  # frozenset has no add
+
+
+class TestModuleNames:
+    def test_submodule_import_binds_the_module(self):
+        # If repro.relational re-exported the relation() function under the
+        # submodule's name, this import would bind the function, and a patch
+        # of rel.join_tables would patch nothing.
+        import repro.relational.relation as rel
+
+        assert isinstance(rel, types.ModuleType)
+        assert rel.relation is relation

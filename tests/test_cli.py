@@ -220,9 +220,8 @@ class TestExplainCommand:
         assert args.shape == "chain"
         assert args.relations == 5
         assert args.space == "all"
-        assert args.profile_json is None
+        assert args.trace_json is None
         assert args.chrome_trace is None
-        assert args.prometheus is None
         assert args.no_memory is False
 
     def test_prints_explain_analyze_table(self, capsys):
@@ -234,25 +233,53 @@ class TestExplainCommand:
         assert "plan tau" in out
         assert "phase[execute]" in out
 
-    def test_profile_json_export(self, capsys, tmp_path):
-        path = tmp_path / "profile.json"
-        assert main(self._BASE + ["--profile-json", str(path)]) == 0
-        assert f"wrote profile JSON to {path}" in capsys.readouterr().out
-        payload = json.loads(path.read_text())
-        assert len(payload["steps"]) == 3
-        assert payload["tau"] == sum(s["actual"] for s in payload["steps"])
-        assert payload["workload"]["shape"] == "chain"
+    @staticmethod
+    def _records(path):
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    def test_trace_json_writes_the_run_ledger(self, capsys, tmp_path):
+        path = tmp_path / "run.jsonl"
+        assert main(self._BASE + ["--trace-json", str(path)]) == 0
+        records = self._records(path)
+        assert f"wrote {len(records)} ledger records to {path}" in (
+            capsys.readouterr().out
+        )
+        header, profile = records[0], records[-5]
+        assert (header["type"], header["name"]) == ("run", "cli.explain")
+        assert profile["type"] == "profile"
+        operators = records[-4:-1]
+        assert [r["type"] for r in operators] == ["operator"] * 3
+        assert profile["tau"] == sum(r["actual"] for r in operators)
+        assert profile["workload"]["shape"] == "chain"
+        # One trace id names the run, its spans, and its outcome.
+        spans = [r for r in records if r["type"] == "span"]
+        assert {"cli.explain", "db.join"} <= {s["name"] for s in spans}
+        assert {s["trace_id"] for s in spans} == {header["trace_id"]}
+        assert records[-1]["trace_id"] == header["trace_id"]
 
     def test_exhaustive_space_profiles_the_exhaustive_plan(self, capsys, tmp_path):
-        path = tmp_path / "profile.json"
+        path = tmp_path / "run.jsonl"
         argv = self._BASE + ["--space", "exhaustive", "--no-memory"]
-        assert main(argv + ["--profile-json", str(path)]) == 0
+        assert main(argv + ["--trace-json", str(path)]) == 0
         out = capsys.readouterr().out
         assert re.search(r"^optimizer +: exhaustive$", out, re.MULTILINE)
-        payload = json.loads(path.read_text())
-        assert payload["optimizer"] == "exhaustive"
+        (profile,) = [r for r in self._records(path) if r["type"] == "profile"]
+        assert profile["optimizer"] == "exhaustive"
         spec = WorkloadSpec(size=10, domain=6, shape="chain", relations=4, seed=0)
-        assert payload["tau"] == optimize_dp(spec.build()).cost
+        assert profile["tau"] == optimize_dp(spec.build()).cost
+
+    @pytest.mark.parametrize("engine", ["vector", "wcoj"])
+    @pytest.mark.parametrize("shape", ["chain", "cycle"])
+    def test_obs_report_reprints_the_explain_output(
+        self, capsys, tmp_path, shape, engine
+    ):
+        path = tmp_path / "run.jsonl"
+        argv = ["--engine", engine, "explain", "--shape", shape, "--relations", "4"]
+        assert main(argv + ["--trace-json", str(path)]) == 0
+        printed = capsys.readouterr().out.split("\n\nwrote ")[0]
+        assert printed.startswith("EXPLAIN ANALYZE: ")
+        assert main(["obs", "report", str(path)]) == 0
+        assert printed + "\n" in capsys.readouterr().out
 
     def test_chrome_trace_export(self, capsys, tmp_path):
         path = tmp_path / "trace.json"
@@ -262,13 +289,6 @@ class TestExplainCommand:
         assert "traceEvents" in document
         phases = {e["ph"] for e in document["traceEvents"]}
         assert phases == {"M", "X"}
-
-    def test_prometheus_export(self, capsys, tmp_path):
-        path = tmp_path / "metrics.prom"
-        assert main(self._BASE + ["--prometheus", str(path)]) == 0
-        assert "Prometheus exposition lines" in capsys.readouterr().out
-        body = path.read_text()
-        assert "repro_join_probes_total" in body
 
     def test_leaves_observability_dormant(self, capsys):
         assert main(self._BASE + ["--no-memory"]) == 0

@@ -163,17 +163,22 @@ class TestCLI:
         assert "cyclic" in out
 
     def test_explain_profile_json_carries_routing(self, capsys, tmp_path):
-        path = tmp_path / "profile.json"
+        # The routing rides in the run ledger's profile record.
+        path = tmp_path / "run.jsonl"
         assert (
             main(
                 ["explain", "--shape", "cycle", "--relations", "3",
                  "--size", "15", "--domain", "4", "--no-memory",
-                 "--profile-json", str(path)]
+                 "--trace-json", str(path)]
             )
             == 0
         )
         capsys.readouterr()
-        payload = json.loads(path.read_text())
+        (payload,) = [
+            record
+            for record in map(json.loads, path.read_text().splitlines())
+            if record["type"] == "profile"
+        ]
         assert payload["engine"] == "wcoj"
         assert payload["routing"]["effective"] == "wcoj"
         assert payload["routing"]["cyclic"] is True
