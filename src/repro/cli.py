@@ -333,12 +333,15 @@ def _safety_pairs(query: JoinQuery):
 def _ledger(name: str, args: argparse.Namespace, spec: WorkloadSpec):
     """The :class:`~repro.obs.ledger.RunLedger` that brackets a traced
     command: it mints the trace id, opens the root span, samples
-    resources, and stamps the flight-recorder context."""
+    resources, and stamps the flight-recorder context.  Its header
+    records the arguments :func:`main` parsed (the process's own when
+    ``main`` was given none)."""
     from repro.obs.ledger import RunLedger
 
     return RunLedger(
         name,
         workload=spec,
+        argv=args.argv,
         attrs={"shape": args.shape, "relations": args.relations, "space": args.space},
     )
 
@@ -503,6 +506,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = argv
     if args.command == "examples":
         return _cmd_examples(args)
     if args.command == "census":

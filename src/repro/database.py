@@ -657,6 +657,12 @@ class Database:
             tau_entries=len(self._tau_cache),
         )
 
+    def cache_counts(self) -> Tuple[int, int]:
+        """``(hits, computed)`` as :meth:`cache_stats` would report them,
+        read without building a snapshot (the profiler's per-call
+        read)."""
+        return self._join_hits + self._tau_hits, self._computed
+
     def reset_cache_stats(self) -> None:
         """Zero the hit/computed counters (cache contents are untouched)."""
         self._join_hits = 0

@@ -20,8 +20,9 @@ carrying:
   output tuples (``join.probes`` / ``join.comparisons`` /
   ``join.output_tuples``, see docs/performance.md), children excluded;
 * **cache traffic** -- subset-join/tau-cache hits vs computed joins,
-  charged to the operator via :meth:`repro.database.Database.cache_stats`
-  snapshots.
+  charged to the operator from
+  :meth:`repro.database.Database.cache_counts`, the ints behind
+  :meth:`~repro.database.Database.cache_stats`.
 
 Around the steps it records per-phase wall time and peak memory
 (``tracemalloc``) for the *plan*, *statistics*, and *execute* phases,
@@ -67,15 +68,6 @@ KERNEL_COUNTERS = ("join.probes", "join.comparisons", "join.output_tuples")
 _QERROR = get_registry().histogram(
     "estimator.qerror", "per-step Q-error of the cardinality estimator"
 )
-
-
-def _kernel_counts() -> Dict[str, int]:
-    """The current process-wide totals of the join-kernel counters."""
-    registry = get_registry()
-    return {
-        name: sum(registry.counter(name).series().values())
-        for name in KERNEL_COUNTERS
-    }
 
 
 class StepProfile:
@@ -231,17 +223,25 @@ class _OperatorClock:
     own work.
     """
 
-    __slots__ = ("_db", "rows", "_nested")
+    __slots__ = ("_db", "_counters", "rows", "_nested")
 
     def __init__(self, db: Database):
         self._db = db
+        registry = get_registry()
+        self._counters = [registry.counter(name) for name in KERNEL_COUNTERS]
         self.rows: List[tuple] = []
         # Per open call: the totals of the calls nested inside it.
         self._nested: List[List[int]] = [[0] * 6]
 
     def _counts(self) -> List[int]:
-        stats = self._db.cache_stats()
-        return [*_kernel_counts().values(), stats.hits, stats.computed]
+        """The join-kernel counter totals and the database's cache
+        hits and computed entries, read straight off the instruments
+        and :meth:`Database.cache_counts` (no snapshot object per
+        call)."""
+        return [
+            *[sum(counter.series().values()) for counter in self._counters],
+            *self._db.cache_counts(),
+        ]
 
     def __call__(self, db: Database, key, compute=None):
         enter = time.perf_counter_ns()

@@ -16,20 +16,21 @@ evaluating many overlapping natural joins).  The kernel removes that cost:
   async server) cannot race an id.
 * **Columnar tables** -- a :class:`ColumnarTable` is a relation state
   encoded as positional tuples of value ids over a fixed, sorted
-  attribute order.  Internally a table holds whichever of three
-  synchronized representations it was born with, converting lazily:
+  attribute order.  A table is born as one of two representations and
+  derives the others lazily:
 
   - a ``frozenset`` of id tuples (canonical for set ops and equality),
-  - an ordered, duplicate-free *row list* (what Generic Join emits),
-  - position-aligned *columns*, tuples of ids (what the vector kernel,
-    and so the Yannakakis join phase, emits, so a chain of joins never
-    transposes to rows).
+  - position-aligned *columns* of ids (what every join kernel emits:
+    the vector kernel, and so the Yannakakis join phase, as tuples,
+    Generic Join as lists), so a chain of joins never transposes to
+    rows.
 
-  Join outputs are born as columns or a row list: they are provably
-  duplicate-free, so the row set is built lazily, only when someone
-  actually needs set semantics.  Because the attribute order is always
-  the sorted scheme, two tables over the same scheme are positionally
-  aligned and set operations are raw ``frozenset`` ops on id tuples.
+  Join outputs are born as columns: they are provably duplicate-free,
+  so the ordered row list and the row set are built lazily, only when
+  someone actually reads rows or needs set semantics.  Because the
+  attribute order is always the sorted scheme, two tables over the
+  same scheme are positionally aligned and set operations are raw
+  ``frozenset`` ops on id tuples.
 * **Vector kernel operators** -- the one binary kernel:
   :func:`join_tables`, :func:`semijoin_tables`,
   :func:`antijoin_tables`, and :func:`project_table` batch-at-a-time
@@ -181,16 +182,14 @@ class ColumnarTable:
     positionally aligned.  ``rows`` is a frozenset of id tuples; its size
     is the paper's ``tau`` without any Row object ever existing.
 
-    A table is born in one of three representations and converts lazily
+    A table is born in one of two representations and converts lazily
     (each conversion cached; tables are immutable):
 
     * ``ColumnarTable(order, rows)`` -- from any iterable of id tuples
       (deduplicated into a frozenset, the historical constructor);
-    * :meth:`from_rowlist` -- from an ordered, *already duplicate-free*
-      row list (Generic Join's outputs: no hashing until set semantics
-      are actually demanded);
     * :meth:`from_columns` -- from position-aligned, duplicate-free id
-      columns (vector-kernel outputs built column-at-a-time).
+      columns (every join kernel's output, built column-at-a-time: no
+      row tuple and no hashing until rows are actually read).
     """
 
     __slots__ = ("order", "_rows", "_rowlist", "_nrows", "_columns", "_decoded")
@@ -206,27 +205,14 @@ class ColumnarTable:
         self._decoded: Optional[Dict[str, Tuple[Hashable, ...]]] = None
 
     @classmethod
-    def from_rowlist(cls, order: Iterable[str], rowlist: List[IdRow]) -> "ColumnarTable":
-        """Wrap an ordered row list that is guaranteed duplicate-free
-        (Generic Join's output contract).  No frozenset is built
-        until :attr:`rows` is actually read."""
-        table = object.__new__(cls)
-        table.order = tuple(order)
-        table._rows = None
-        table._rowlist = rowlist
-        table._nrows = len(rowlist)
-        table._columns = None
-        table._decoded = None
-        return table
-
-    @classmethod
     def from_columns(
         cls, order: Iterable[str], cols: Dict[str, Sequence[int]], nrows: int
     ) -> "ColumnarTable":
-        """Wrap already-built, position-aligned columns whose implied
-        rows are duplicate-free (the vector kernel's output contract).
-        Neither row tuples nor a frozenset exist until demanded, so a
-        chain of joins never transposes back and forth."""
+        """Wrap already-built, position-aligned columns (tuples or lists
+        of ids) whose implied rows are duplicate-free (the join kernels'
+        output contract).  Neither row tuples nor a frozenset exist
+        until demanded, so a chain of joins never transposes back and
+        forth."""
         table = object.__new__(cls)
         table.order = tuple(order)
         table._rows = None
@@ -238,8 +224,7 @@ class ColumnarTable:
 
     @property
     def rows(self) -> FrozenSet[IdRow]:
-        """The tuple set (built lazily from the row list or the columns
-        on first use)."""
+        """The tuple set (built lazily from the columns on first use)."""
         r = self._rows
         if r is None:
             r = self._rows = frozenset(self.row_list())

@@ -334,8 +334,11 @@ class KernelExhausted(Exception):
 
 
 class Charger:
-    """Batches :meth:`Runtime.charge` calls over a kernel's unit work,
-    one call per :data:`CHARGE_CHUNK` units; free without a runtime."""
+    """Batches :meth:`Runtime.charge` calls over a kernel's unit work:
+    one call as soon as :data:`CHARGE_CHUNK` units are pending, so a
+    caller that spends a batch at once (Generic Join spends a whole
+    slice of frontier rows plus their candidates) gets a charge that
+    covers the batch; free without a runtime."""
 
     __slots__ = ("runtime", "pending")
 

@@ -16,8 +16,10 @@ fractional-edge-cover bound).  This subpackage is the kernel behind
   solved exactly by a small primal simplex on its dual (no external
   solver), surfaced in ``explain`` next to the binary plan's cost;
 * :mod:`join` -- the Generic-Join kernel: breadth-first
-  attribute-at-a-time expansion, intersecting the participating
-  relations' candidate sets smallest-first, charging the ambient
+  attribute-at-a-time expansion over a frontier held column by column,
+  each level a few batch passes in C per slice of rows: intersecting
+  the participating relations' candidate sets smallest-first, gathering
+  the survivors' columns, charging the ambient
   :class:`~repro.runtime.Runtime` and emitting ``wcoj.*`` counters and
   one span per attribute level.  One expansion loop has two entry
   points: :func:`generic_join` materializes the join, and
@@ -32,8 +34,8 @@ components) stays on the vector kernel, which is already optimal there.
 proper cyclic subset's ``tau`` with :func:`generic_count`.  Results are
 byte-identical to the vector engine by construction: both produce
 duplicate-free process-interned id tuples over the sorted attribute
-order, born as a row list here and as columns there, and either builds
-its row set only when asked (see tests/wcoj/test_generic_join.py).
+order, born as columns (lists here, tuples there), and either builds
+its rows only when asked (see tests/wcoj/test_generic_join.py).
 """
 
 from repro.wcoj.agm import FractionalEdgeCover, fractional_edge_cover

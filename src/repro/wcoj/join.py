@@ -30,36 +30,47 @@ One expansion loop serves two entry points:
   of 6 and never builds its output.
 
 This breadth-first shape (rather than the recursive depth-first
-presentation) keeps the inner loop batch-like -- one Python-level pass
-per attribute, with dict probes doing the per-value work -- and gives
-the run ledger a natural phase structure: one ``wcoj.attr`` span per
-level, with the frontier sizes on its attributes.
+presentation) lets a level run as a few batch passes in C: the
+frontier is held column by column -- one list per bound attribute (or
+the weights, when counting) and one per open relation's nodes -- and
+each level walks it in slices of at most
+:data:`~repro.runtime.core.CHARGE_CHUNK` rows.  A slice intersects its
+participants' node columns with one ``map`` per participant, takes the
+fan-outs, builds one position getter from them, and gathers every
+column through it; nodes descend, and leaves are weighed, by one
+``map(dict.__getitem__, ...)`` over the flattened candidates.  No
+Python-level loop runs per row.  The level structure also gives the
+run ledger its phases: one ``wcoj.attr`` span per level, with the
+frontier sizes on its attributes.
 
-Runtime integration: the expansion charges the supplied
-:class:`~repro.runtime.Runtime` through a
-:class:`~repro.runtime.core.Charger`, once per
-:data:`~repro.runtime.core.CHARGE_CHUNK` units of work, and raises
-:class:`~repro.runtime.KernelExhausted` on a deadline/budget trigger;
+Runtime integration: each slice charges the supplied
+:class:`~repro.runtime.Runtime` its rows plus its candidates through a
+:class:`~repro.runtime.core.Charger`, and every level ends with a
+flush, so at most ``CHARGE_CHUNK`` frontier rows pass between two
+charges.  A deadline/budget trigger raises
+:class:`~repro.runtime.KernelExhausted`;
 :class:`~repro.database.Database` catches it and falls back to the
 binary pipeline with degradation provenance.
 
 Telemetry: ``wcoj.joins`` (labelled ``mode="join"`` or ``"count"``) /
 ``wcoj.intersections`` / ``wcoj.candidates`` / ``wcoj.output_tuples``
-count the kernel's work -- on a count run the output is the counted
-tau; ``wcoj.fallback`` counts abandoned runs (bumped by the caller that
-falls back).
+count the kernel's work -- the per-attribute intersection and
+candidate counts land slice by slice, and on a count run the output is
+the counted tau; ``wcoj.fallback`` counts abandoned runs (bumped by the
+caller that falls back).
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import prod
-from operator import itemgetter
+from operator import and_, mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.relational.attributes import AttributeSet
-from repro.relational.columnar import ColumnarTable
+from repro.relational.columnar import ColumnarTable, _picker
 from repro.runtime.core import CHARGE_CHUNK, Charger
 from repro.wcoj.order import choose_order
 from repro.wcoj.trie import build_trie
@@ -105,11 +116,12 @@ def generic_join(
     ``order`` overrides the expansion order (it must cover every
     attribute exactly once); by default :func:`~repro.wcoj.order
     .choose_order` picks it.  The result is a :class:`ColumnarTable`
-    over the *sorted* attribute order, born as a row list: the bindings
-    are duplicate-free by construction (a row forks once per distinct
-    candidate), so no row set is hashed until one is asked for.  Its
-    rows are the same id tuples (and therefore the same bytes) the
-    vector kernel produces for the same join.
+    over the *sorted* attribute order, born as the columns the
+    expansion built, one list per attribute: the bindings are
+    duplicate-free by construction (a row forks once per distinct
+    candidate), so no row tuple and no row set exists until one is
+    asked for.  Its rows are the same id tuples (and therefore the same
+    bytes) the vector kernel produces for the same join.
 
     Raises :class:`~repro.runtime.KernelExhausted` when ``runtime``
     trips mid-expansion.
@@ -117,16 +129,13 @@ def generic_join(
     attr_sets, pi, sorted_order = _schemes_and_order(tables, order)
     if _METRICS.enabled:
         _WCOJ_JOINS.inc(mode="join")
-    if any(len(t) == 0 for t in tables):
-        return ColumnarTable.from_rowlist(sorted_order, [])
-    frontier = _expand(tables, attr_sets, pi, runtime, count=False)
-    if frontier and pi != sorted_order:
-        # Permute the pi-ordered bindings into the canonical sorted
-        # layout.  pi is a permutation of two or more attributes here,
-        # so the getter returns tuples.
-        pick = itemgetter(*map(pi.index, sorted_order))
-        frontier = list(map(pick, frontier))
-    return ColumnarTable.from_rowlist(sorted_order, frontier)
+    columns: Dict[str, list] = {}
+    if all(len(t) for t in tables):
+        columns = _expand(tables, attr_sets, pi, runtime, count=False)
+    if len(columns) < len(pi):
+        # An empty input, or a frontier that died before the last level.
+        columns = dict.fromkeys(pi, ())
+    return ColumnarTable.from_columns(sorted_order, columns, len(columns[pi[-1]]))
 
 
 def generic_count(
@@ -163,16 +172,19 @@ def _expand(
     levels: Tuple[str, ...],
     runtime,
     count: bool,
-) -> Union[List[Tuple[int, ...]], int]:
-    """The expansion loop behind both entry points: the bindings along
-    ``levels`` (materializing), or the join's tuple count (``count``).
+) -> Union[Dict[str, list], int]:
+    """The expansion loop behind both entry points: the id columns of
+    the bindings along ``levels`` (materializing; a frontier that dies
+    early leaves the later attributes out), or the join's tuple count
+    (``count``).
 
-    Frontier row ``i`` is ``tags[i]`` -- its binding so far, or when
-    counting, the product of the leaf weights it has reached -- plus
-    ``open_nodes[r][i]`` for every relation ``r`` with attributes both
-    bound and unbound.  A relation not yet reached sits at its root, and
-    one whose attributes are all bound is never read again, so neither
-    is carried row by row.
+    The frontier is held column by column: ``bound[attr]`` for every
+    bound attribute when materializing, or ``weights`` -- the product
+    of the leaf weights each row has reached -- when counting, plus
+    ``open_nodes[r]`` for every relation ``r`` with attributes both
+    bound and unbound.  A relation not yet reached sits at its root,
+    and one whose attributes are all bound is never read again, so
+    neither is carried row by row.
     """
     charger = Charger(runtime)
     depth = {attr: level for level, attr in enumerate(levels)}
@@ -183,17 +195,14 @@ def _expand(
         charger.spend(len(table))
         tries.append(build_trie(table, path, weighted=count))
         finish.append(depth[path[-1]] if path else -1)
-    if count:
-        # A relation sharing no attribute is a weight from the start.
-        tags: list = [prod(t for t, at in zip(tries, finish) if at < 0)]
-    else:
-        tags = [()]
+    bound: Dict[str, list] = {}
+    # A relation sharing no attribute is a weight from the start.
+    weights = [prod(t for t, at in zip(tries, finish) if at < 0)]
+    width = 1
     open_nodes: Dict[int, list] = {}
     tracing = _TRACER.enabled
     metering = _METRICS.enabled
-    last = len(levels) - 1
     for level, attr in enumerate(levels):
-        width = len(tags)
         active = (
             _TRACER.span("wcoj.attr", attribute=attr, level=level, frontier=width)
             if tracing
@@ -201,7 +210,6 @@ def _expand(
         )
         span = active.__enter__() if active is not None else None
         try:
-            final = level == last
             # Participants whose last attribute this is come first: their
             # children are leaves.  The others descend into open_nodes.
             participants = sorted(
@@ -209,84 +217,85 @@ def _expand(
                 key=lambda r: finish[r] != level,
             )
             leaves = sum(1 for r in participants if finish[r] == level)
-            columns = [
+            nodes = [
                 open_nodes.pop(r) if r in open_nodes else [tries[r]] * width
                 for r in participants
             ]
-            carried_from = list(open_nodes.values())
-            # A row is (tag, participant nodes..., carried open nodes...);
-            # these are the row positions each loop below reads.
-            n_part = len(participants)
-            more = range(3, 1 + n_part)  # participants past the second
-            weigh = range(1, 1 + leaves)  # participants reaching a leaf
-            outputs: Dict[int, list] = {
-                r: [] for r in [*open_nodes, *participants[leaves:]]
-            }
-            carried = [(1 + n_part + k, outputs[r]) for k, r in enumerate(open_nodes)]
+            # Every column a slice only gathers, paired with its output.
+            carried_from = [*bound.values(), *open_nodes.values()]
+            bound = {a: [] for a in bound}
+            open_nodes = {r: [] for r in open_nodes}
+            carried = list(
+                zip(carried_from, [*bound.values(), *open_nodes.values()])
+            )
+            # The descending participants' node columns, and the column
+            # this level emits (its ids, or the new weights).
             descents = [
-                (1 + k, outputs[participants[k]]) for k in range(leaves, n_part)
+                (col, open_nodes.setdefault(r, []))
+                for r, col in zip(participants[leaves:], nodes[leaves:])
             ]
-            open_nodes = outputs
-            new_tags: list = []
-            probed = 0
-            units = 0
-            for row in zip(tags, *columns, *carried_from):
-                # Key-view intersection iterates the smaller node and
-                # probes the larger, in C.
-                if n_part == 2:
-                    candidates = row[1].keys() & row[2].keys()
-                elif n_part == 1:
-                    candidates = row[1]
-                else:
-                    candidates = row[1].keys() & row[2].keys()
-                    for k in more:
-                        candidates &= row[k].keys()
+            emitted: list = [] if count else bound.setdefault(attr, [])
+            for lo in range(0, width, CHARGE_CHUNK):
+                hi = lo + CHARGE_CHUNK
+                heads = [col[lo:hi] for col in nodes]
+                # Key-view intersections iterate the smaller node and
+                # probe the larger, in C; a lone participant's node is
+                # its own candidate set.
+                cands = heads[0]
+                if len(heads) > 1:
+                    keys = [map(dict.keys, head) for head in heads]
+                    cands = map(and_, keys[0], keys[1])
+                    for more in keys[2:]:
+                        cands = map(and_, cands, more)
+                    cands = list(cands)
+                fan = list(map(len, cands))
+                size = sum(fan)
                 if metering:
-                    probed += min(map(len, row[1 : 1 + n_part]))
-                units += 1 + len(candidates)
-                if units >= CHARGE_CHUNK:
-                    charger.spend(units)
-                    units = 0
-                if not candidates:
+                    _WCOJ_INTERSECTIONS.inc(len(fan), attribute=attr)
+                    _WCOJ_CANDIDATES.inc(
+                        sum(map(min, *(map(len, head) for head in heads)))
+                        if len(heads) > 1
+                        else sum(map(len, heads[0])),
+                        attribute=attr,
+                    )
+                charger.spend(len(fan) + size)
+                if not size:
                     continue
-                tag = row[0]
+                # Row lo + i forks fan[i] times: one getter gathers every
+                # column of the slice's survivors.
+                take = _picker(
+                    chain.from_iterable(map(mul, zip(range(lo, hi)), fan)), size
+                )
+                flat = list(chain.from_iterable(cands))
+                for col, out in carried:
+                    out.extend(take(col))
+                for col, out in descents:
+                    out.extend(map(dict.__getitem__, take(col), flat))
                 if count:
-                    for v in candidates:
-                        weight = tag
-                        for k in weigh:
-                            weight *= row[k][v]
-                        new_tags.append(weight)
+                    weighed = take(weights)
+                    for col in nodes[:leaves]:
+                        leaf = map(dict.__getitem__, take(col), flat)
+                        weighed = map(mul, weighed, leaf)
+                    emitted.extend(weighed)
                 else:
-                    for v in candidates:
-                        new_tags.append(tag + (v,))
-                if final:
-                    continue
-                for k, out in descents:
-                    node = row[k]
-                    for v in candidates:
-                        out.append(node[v])
-                for k, out in carried:
-                    node = row[k]
-                    for _ in candidates:
-                        out.append(node)
-            charger.spend(units)
-            if metering:
-                _WCOJ_INTERSECTIONS.inc(width, attribute=attr)
-                _WCOJ_CANDIDATES.inc(probed, attribute=attr)
-            tags = new_tags
+                    emitted.extend(flat)
+            charger.flush()
+            if count:
+                weights = emitted
+            width = len(emitted)
             if span is not None:
-                span.set_attribute("expanded", len(tags))
-            if not tags:
+                span.set_attribute("expanded", width)
+            if not width:
                 break
         finally:
             if active is not None:
                 active.__exit__(None, None, None)
     charger.flush()
     if count:
-        total = sum(tags)
+        total = sum(weights)
         if metering:
             _WCOJ_OUTPUT.inc(total)
         return total
     if metering:
-        _WCOJ_OUTPUT.inc(len(tags))
-    return tags
+        _WCOJ_OUTPUT.inc(width)
+    return bound

@@ -49,7 +49,10 @@ def build_trie(
     sum to ``len(table)``), and an empty path yields ``len(table)``
     itself.  The build is one pass over the id columns
     (O(rows × arity) dict upserts); sibling rows share prefixes, so
-    repeated prefixes cost a lookup, not an allocation.
+    repeated prefixes cost a lookup, not an allocation.  A two-attribute
+    path (a binary relation, as in the cycles and spiked cycles) runs a
+    loop with one probe of the root per row; longer paths (the cliques'
+    three- and four-attribute relations) walk each row's prefix tuple.
     """
     depth = len(path)
     if weighted and depth == 0:
@@ -63,18 +66,19 @@ def build_trie(
         if weighted:
             return dict(Counter(columns[0]))
         return dict.fromkeys(columns[0], True)
-    last = depth - 1
-    for row in zip(*columns):
+    if depth == 2:
+        for key, vid in zip(*columns):
+            node = root.get(key)
+            if node is None:
+                node = root[key] = {}
+            node[vid] = node.get(vid, 0) + 1 if weighted else True
+        return root
+    for prefix, vid in zip(zip(*columns[:-1]), columns[-1]):
         node = root
-        for level in range(last):
-            vid = row[level]
-            child = node.get(vid)
+        for key in prefix:
+            child = node.get(key)
             if child is None:
-                child = node[vid] = {}
+                child = node[key] = {}
             node = child
-        if weighted:
-            vid = row[last]
-            node[vid] = node.get(vid, 0) + 1  # type: ignore[operator]
-        else:
-            node[row[last]] = True
+        node[vid] = node.get(vid, 0) + 1 if weighted else True
     return root

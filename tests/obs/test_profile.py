@@ -77,6 +77,19 @@ class TestCaptureInvariants:
         # The planner memoizes heavily; the DP must have hit its caches.
         assert report.planner_cache.lookups > 0
 
+    def test_operator_clock_reads_the_snapshots_counts(self):
+        # The clock's per-call read is the (hits, computed) a snapshot
+        # reports, with both join-memo and tau-cache hits counted.
+        db = _db()
+        schemes = db.scheme.sorted_schemes()
+        db.tau_of(schemes[:1])
+        db.tau_of(schemes[:1])
+        db.join_of(schemes[:2])
+        db.join_of(schemes[:2])
+        stats = db.cache_stats()
+        assert stats.join_hits > 0 and stats.tau_hits > 0
+        assert db.cache_counts() == (stats.hits, stats.computed)
+
     def test_observability_state_restored(self):
         assert not obs.is_enabled()
         RunReport.capture(_db(), track_memory=False)

@@ -257,6 +257,15 @@ class TestExplainCommand:
         assert {s["trace_id"] for s in spans} == {header["trace_id"]}
         assert records[-1]["trace_id"] == header["trace_id"]
 
+    def test_ledger_header_records_mains_own_arguments(self, capsys, tmp_path):
+        path = tmp_path / "run.jsonl"
+        argv = ["explain", "--shape", "chain", "--relations", "3"]
+        argv += ["--trace-json", str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # Not the host process's sys.argv (pytest's, here).
+        assert self._records(path)[0]["argv"] == argv
+
     def test_exhaustive_space_profiles_the_exhaustive_plan(self, capsys, tmp_path):
         path = tmp_path / "run.jsonl"
         argv = self._BASE + ["--space", "exhaustive", "--no-memory"]

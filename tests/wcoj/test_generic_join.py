@@ -9,6 +9,7 @@ import repro.obs as obs
 from repro.database import Database
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
+from repro.relational.columnar import ColumnarTable
 from repro.schemegraph.acyclicity import is_alpha_acyclic
 from repro.wcoj import generic_count, generic_join
 from repro.workloads.generators import (
@@ -118,6 +119,31 @@ class TestTelemetry:
                 assert span.attributes["frontier"] >= 1
                 assert "expanded" in span.attributes
 
+    def test_exact_counts_per_attribute(self):
+        # A fixed 4-cycle; the figures are the 8.0.0 kernel's, which
+        # metered row by row.  Counting expands the same four levels.
+        db = generate_database(
+            cycle_scheme(4), random.Random(7), WorkloadSpec(size=40, domain=6)
+        )
+        tables = [rel._table() for rel in db.relations()]
+        registry = get_registry()
+
+        def per_attribute(name):
+            series = registry.counter(name).series()
+            return {dict(labels)["attribute"]: n for labels, n in series.items()}
+
+        for kernel in (generic_join, generic_count):
+            obs.reset()
+            with obs.observed():
+                kernel(tables)
+            assert per_attribute("wcoj.intersections") == {
+                "A": 1, "B": 6, "C": 22, "D": 84
+            }
+            assert per_attribute("wcoj.candidates") == {
+                "A": 6, "B": 22, "C": 84, "D": 283
+            }
+            assert registry.counter("wcoj.output_tuples").series() == {(): 222}
+
     def test_dormant_by_default(self):
         relations = generate_spiked_cycle(3, 11).relations()
         Database(relations, engine="wcoj").evaluate()
@@ -146,6 +172,47 @@ class TestTelemetry:
             # On a count run the output is the counted tau itself.
             assert registry.counter("wcoj.output_tuples").value() == tau
         assert tau == len(generic_join(tables).rows)
+
+
+class TestOutputIsBornAsColumns:
+    """The expansion hands over the columns it built: no row tuple and
+    no row set exists until one is asked for."""
+
+    @staticmethod
+    def _tables():
+        db = generate_database(
+            cycle_scheme(4), random.Random(7), WorkloadSpec(size=40, domain=6)
+        )
+        return [rel._table() for rel in db.relations()]
+
+    def test_columns_are_the_expansions_lists(self):
+        result = generic_join(self._tables())
+        assert result._rows is None and result._rowlist is None
+        columns = result.columns()
+        assert set(columns) == set(result.order) == set("ABCD")
+        assert all(type(col) is list and len(col) == 222 for col in columns.values())
+        # Nothing was derived by reading the columns.
+        assert result._rows is None and result._rowlist is None
+        rows = result.rows
+        assert len(rows) == len(result) == 222
+        assert result.row_list() == list(zip(*(columns[a] for a in result.order)))
+
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_an_empty_join_is_born_as_columns_too(self, empty):
+        tables = self._tables()
+        if empty:
+            # An empty input: the expansion never starts.
+            tables[0] = ColumnarTable(tables[0].order)
+        else:
+            # Disjoint values: the frontier dies at the second level.
+            first = tables[0]
+            tables[0] = ColumnarTable(
+                first.order, [(a, b + 10**6) for a, b in first.row_list()]
+            )
+        result = generic_join(tables)
+        assert len(result) == 0 and result._rows is None
+        assert result.order == ("A", "B", "C", "D")
+        assert result.rows == frozenset()
 
 
 class TestCountingMemoContract:

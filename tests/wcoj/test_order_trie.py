@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.relational.attributes import AttributeSet
+from repro.relational.columnar import ColumnarTable
 from repro.relational.relation import Relation
 from repro.wcoj import build_trie, choose_order, generic_join
 
@@ -74,6 +75,38 @@ class TestBuildTrie:
     def test_empty_table_gives_an_empty_trie(self):
         rel = Relation.from_tuples(AttributeSet("AB"), [], order=("A", "B"))
         assert build_trie(rel._table(), ("A", "B")) == {}
+
+
+def _reference_trie(table, path, weighted):
+    """The plain nested-dict trie: one ``setdefault`` walk per row."""
+    if not path:
+        return len(table) if weighted else {}
+    positions = [table.order.index(attr) for attr in path]
+    root = {}
+    for row in table.row_list():
+        keys = [row[p] for p in positions]
+        node = root
+        for key in keys[:-1]:
+            node = node.setdefault(key, {})
+        node[keys[-1]] = node.get(keys[-1], 0) + 1 if weighted else True
+    return root
+
+
+class TestBuildTrieAgainstAReference:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), weighted=st.booleans())
+    def test_matches_the_reference(self, data, weighted):
+        arity = data.draw(st.integers(1, 4))
+        order = tuple(_ATTRS[:arity])
+        rows = data.draw(
+            st.lists(st.tuples(*[st.integers(0, 3)] * arity), max_size=40)
+        )
+        table = ColumnarTable(order, rows)
+        depth = data.draw(st.integers(0, arity))
+        path = tuple(data.draw(st.permutations(order))[:depth])
+        assert build_trie(table, path, weighted) == _reference_trie(
+            table, path, weighted
+        )
 
 
 class TestGenericJoinOrderContract:
