@@ -43,8 +43,14 @@ it wins (:data:`~repro.optimizer.route.RHO_STAR`).  ``auto_vs_best`` is
 its time over the faster of the other two; full runs assert it stays
 within ``AUTO_SLACK``.
 
+Each round runs a leg's sides one after another, after a full
+collection each, in an order that rotates from round to round; each
+ratio is the median of its per-round ratios (:mod:`alternating`), so a
+slow spell of the host hits both sides of a ratio alike.
+
 Results go to ``BENCH_yannakakis.json`` at the repository root and
-``benchmarks/results/E-YAN_yannakakis.txt``.  CI's ``yannakakis-smoke``
+``benchmarks/results/E-YAN_yannakakis.txt``, both written by
+:func:`write` from the script and the pytest entry alike.  CI's ``yannakakis-smoke``
 job runs ``python benchmarks/bench_yannakakis.py --quick`` and then the
 regression sentinel over ``selective_star.speedup`` / ``star4.speedup``.
 """
@@ -54,7 +60,6 @@ import json
 import os
 import pathlib
 import random
-import statistics
 import sys
 import time
 
@@ -62,6 +67,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:  # standalone-script entry
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+import alternating  # noqa: E402
 from repro.database import Database  # noqa: E402
 from repro.optimizer.dp import optimize_dp  # noqa: E402
 from repro.optimizer.spaces import SearchSpace  # noqa: E402
@@ -79,12 +85,13 @@ from repro.workloads.generators import (  # noqa: E402
 SPEEDUP_TARGET = 3.0  # selective_star, at SIZE -- enforced everywhere
 AUTO_SLACK = 1.10  # auto over the faster side, every leg -- full runs
 SIZE = 301  # tuples per satellite (m = 300 doomed rows per hub block)
-ROUNDS_FULL = 11
+ROUNDS_FULL = 21
 ROUNDS_QUICK = 3
 STAR4_SPEC_FULL = dict(size=120, domain=4, seed=17)
 STAR4_SPEC_QUICK = dict(size=60, domain=4, seed=17)
 FK_CHAIN_SPEC = dict(n=6, size=400, seed=23)
 LEGS = ("selective_star", "star4", "fk_chain")
+RESULTS = REPO_ROOT / "benchmarks" / "results" / "E-YAN_yannakakis.txt"
 
 
 def _visible_cpus() -> int:
@@ -149,33 +156,32 @@ def _time_yannakakis(relations) -> float:
 def _bench_workload(name: str, db: Database, rounds: int) -> dict:
     relations = db.relations()
     best = _best_binary_plan(relations)
-    binary_times, yan_times, auto_times = [], [], []
-    for _ in range(rounds):
-        seconds, binary_state = _time_binary(relations, best)
-        binary_times.append(seconds)
-        seconds, yan_state = _time_yannakakis(relations)
-        yan_times.append(seconds)
-        seconds, auto_state = _time_auto(relations)
-        auto_times.append(seconds)
-        for state in (yan_state, auto_state):
+    runs = alternating.rounds(
+        {
+            "binary": lambda: _time_binary(relations, best),
+            "yannakakis": lambda: _time_yannakakis(relations),
+            "auto": lambda: _time_auto(relations),
+        },
+        rounds,
+    )
+    reference = runs["binary"][0][1]._table()
+    for side in runs.values():
+        for _, state in side:
             assert (
-                binary_state._table().order == state._table().order
-                and binary_state._table().rows == state._table().rows
+                reference.order == state._table().order
+                and reference.rows == state._table().rows
             ), f"{name}: a side diverged from the binary plan"
-    binary_s = statistics.median(binary_times)
-    yan_s = statistics.median(yan_times)
-    auto_s = statistics.median(auto_times)
     return {
         "relations": len(relations),
         "rows_per_relation": max(len(rel) for rel in relations),
-        "tau": len(yan_state),
+        "tau": len(reference),
         "plan": best.strategy.describe(),
         "plan_tau": best.cost,
-        "binary_seconds": binary_s,
-        "yannakakis_seconds": yan_s,
-        "auto_seconds": auto_s,
-        "speedup": binary_s / yan_s,
-        "auto_vs_best": auto_s / min(binary_s, yan_s),
+        "binary_seconds": alternating.median_seconds(runs, "binary"),
+        "yannakakis_seconds": alternating.median_seconds(runs, "yannakakis"),
+        "auto_seconds": alternating.median_seconds(runs, "auto"),
+        "speedup": alternating.median_ratio(runs, "binary", "yannakakis"),
+        "auto_vs_best": alternating.median_ratio(runs, "auto", ("binary", "yannakakis")),
     }
 
 
@@ -245,16 +251,17 @@ def _misses(payload: dict) -> list:
     return misses
 
 
-def _write_json(payload: dict) -> None:
+def write(payload: dict) -> None:
+    """Write ``BENCH_yannakakis.json`` and the E-YAN results table."""
     (REPO_ROOT / "BENCH_yannakakis.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
+    RESULTS.write_text(_render_table(payload).render() + "\n")
 
 
-def test_yannakakis_speedup(record):
+def test_yannakakis_speedup():
     payload = run_benchmark(quick=False)
-    _write_json(payload)
-    record("E-YAN_yannakakis", _render_table(payload).render())
+    write(payload)
     # Byte identity was asserted inside every leg; the speedup floor
     # binds only on the selective star (see the module docstring).
     assert not _misses(payload)
@@ -274,7 +281,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     payload = run_benchmark(quick=args.quick)
-    _write_json(payload)
+    write(payload)
     print(_render_table(payload).render())
     misses = _misses(payload)
     verdict = "targets met" if not misses else "TARGET MISSED (" + "; ".join(misses) + ")"

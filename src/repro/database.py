@@ -36,9 +36,15 @@ Generic Join counts every proper one
 shared attributes only, nothing materialized), while the whole database
 ``R_D`` is still joined and memoized, because ``Plan.execute`` reads it
 back; the subset DP asks for its tau last, once every proper subset is
-counted.  On the ``"vector"`` engine every cyclic subset is joined
-(binary joins, memoized) and its length taken.  The caches and the
-message memo are unbounded and live as long as the database.
+counted.  On a copy :class:`~repro.query.JoinQuery` moved to its engine
+(:attr:`Database.routing`), the DP instead hands each cyclic component
+``C`` of the scheme to the router when it asks for tau(R_C): the router
+picks Generic Join or the DP's plan for ``C``, that executor builds
+``R_C`` into the join memo, tau(R_C) is its length, and the decision is
+kept (:meth:`Database.decision`).  On the ``"vector"`` engine every
+cyclic subset is joined (binary joins, memoized) and its length taken.
+The caches and the message memo are unbounded and live as long as the
+database.
 
 Each database carries its own engine, ``Database(engine=...)`` with one
 of :data:`ENGINES`.  The default ``None`` leaves it unpinned: it runs as
@@ -54,8 +60,10 @@ relations for readable strategies.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import partial
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     FrozenSet,
@@ -78,6 +86,14 @@ from repro.schemegraph.index import bits_of
 from repro.schemegraph.scheme import DatabaseScheme
 from repro.wcoj.join import generic_count, generic_join
 from repro.yannakakis.join import _count_with_messages, yannakakis_join
+
+if TYPE_CHECKING:
+    from repro.optimizer.route import CyclicDecision, EngineRouting
+
+#: What the subset DP defers to a routed cyclic component's count: a
+#: call returning the router's decision and the build of the component's
+#: join that it picks.
+Decide = Callable[[], Tuple["CyclicDecision", Callable[[], Relation]]]
 
 __all__ = ["ENGINES", "CacheStats", "Database", "database"]
 
@@ -210,6 +226,9 @@ class Database:
         "_computed",
         "_connected",
         "_engine",
+        "_routing",
+        "_deferred",
+        "_decisions",
         # The resource sampler watches databases by weakref (a dropped
         # database must not be kept alive by telemetry).
         "__weakref__",
@@ -226,6 +245,7 @@ class Database:
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
         self._engine = engine
+        self._routing: Optional[EngineRouting] = None
         relations = tuple(relations)
         if not relations:
             raise SchemaError("a database must contain at least one relation")
@@ -248,6 +268,11 @@ class Database:
         self._join_cache: Dict[int, Relation] = {}
         self._tau_cache: Dict[int, int] = {}
         self._messages: Dict[Tuple[int, int, int], List[int]] = {}
+        # A routed copy's cyclic components: the DP's pending decision
+        # per mask while it asks for the component's tau, and the
+        # decision that built each one (see decision()).
+        self._deferred: Dict[int, Decide] = {}
+        self._decisions: Dict[int, CyclicDecision] = {}
         # Per-instance cache accounting behind Database.cache_stats().
         # Plain int bumps on paths that already do cache lookups -- cheap
         # enough to track unconditionally, so the snapshot API works with
@@ -356,19 +381,58 @@ class Database:
         :class:`~repro.optimizer.route.EngineRouter`)."""
         return self._engine
 
-    def with_engine(self, engine: Optional[str]) -> "Database":
+    def with_engine(
+        self, engine: Optional[str], routing: Optional[EngineRouting] = None
+    ) -> "Database":
         """A copy pinned to ``engine`` (``None`` unpins).
 
         The copy shares the relation states but starts with fresh
         caches: joins computed on one engine must not be served to
         another (the bytes agree, but provenance and telemetry would
-        lie about which kernel did the work).
+        lie about which kernel did the work).  ``routing`` is the
+        router's record when the router chose ``engine``
+        (:attr:`routing`).
         """
-        if engine == self._engine:
+        if engine == self._engine and routing is self._routing:
             return self
         copy = Database(self._relations.values(), engine=engine)
         copy._scheme = self._scheme  # immutable: one subset index serves both
+        copy._routing = routing
         return copy
+
+    @property
+    def routing(self) -> Optional[EngineRouting]:
+        """The :class:`~repro.optimizer.route.EngineRouting` record of
+        the router that moved this copy to its engine
+        (:class:`~repro.query.JoinQuery` passes it to
+        :meth:`with_engine`), or ``None``.  On such a copy the subset DP
+        routes each cyclic component on its plan's tau
+        (:meth:`~repro.optimizer.route.EngineRouter.decide_cyclic`)."""
+        return self._routing
+
+    def decision(self, mask: int) -> Optional[CyclicDecision]:
+        """The :class:`~repro.optimizer.route.CyclicDecision` whose
+        executor built the join of the cyclic component ``mask``, or
+        ``None`` when no subset DP routed it (its join, if built, came
+        from :meth:`join_of`'s kernel path).  The first DP that asks for
+        the component's tau decides; a later plan reads the same join
+        back from the memo."""
+        return self._decisions.get(mask)
+
+    @contextmanager
+    def deferring(self, mask: int, decide: Decide) -> Iterator[None]:
+        """Within the block, a count of the cyclic component ``mask``
+        runs ``decide()`` instead: it returns the decision and the build
+        of ``R_mask`` it picks, the build's result is memoized, tau is
+        its length, and the decision is kept (:meth:`decision`).  The
+        subset DP asks for the component's tau inside this block, so its
+        cost source reaches the count; a cost source that never reaches
+        this database leaves ``decide`` unrun."""
+        self._deferred[mask] = decide
+        try:
+            yield
+        finally:
+            self._deferred.pop(mask, None)
 
     def join_of(self, subset: Optional[Iterable[AttrsLike]] = None) -> Relation:
         """``R_E``: the natural join of the states of ``E ⊆ D``.
@@ -583,9 +647,11 @@ class Database:
         self._tau_cache[mask] = tau
         return tau
 
-    def _cached_tau(self, mask: int) -> int:
+    def cached_tau(self, mask: int) -> int:
         """tau of ``mask`` from the caches, or counted and cached (a
-        single relation is just read), moving no cache counter."""
+        single relation is just read), moving no cache counter: the read
+        for taus an earlier lookup already counted, such as the router's
+        of a component's proper subsets."""
         cached = self._join_cache.get(mask)
         if cached is not None:
             return len(cached)
@@ -600,20 +666,29 @@ class Database:
         """Count the subset ``mask``, which neither cache holds: a
         single relation's length; an unconnected subset's product of
         taus (its join is the Cartesian product of its components'
-        joins); a connected acyclic subset's
+        joins); a cyclic component :meth:`deferring` holds, built by
+        the executor its decision picks; a connected acyclic subset's
         :func:`~repro.yannakakis.join.yannakakis_count` sweep on the
         index's join tree (its tables in sorted-scheme order, rooted at
-        the lowest relation), with this database's message memo; a proper cyclic subset's
+        the lowest relation), with this database's message memo; a
+        proper cyclic subset's
         :func:`~repro.wcoj.join.generic_count` on the
         ``"wcoj"``/``"yannakakis"`` engines; or else the memoized
         join's length."""
         index = self._scheme.subset_index()
         if not mask & (mask - 1):
             return len(self._relations[index.schemes[mask.bit_length() - 1]])
+        decide = self._deferred.pop(mask, None)
+        if decide is not None:
+            # A routed cyclic component, built once by the executor its
+            # decision picks.
+            decision, build = decide()
+            self._decisions[mask] = decision
+            return len(build())
         lowest = index.component(mask)
         if lowest != mask:
-            tau = self._cached_tau(lowest)
-            return tau * self._cached_tau(mask ^ lowest) if tau else 0
+            tau = self.cached_tau(lowest)
+            return tau * self.cached_tau(mask ^ lowest) if tau else 0
         tree = index.join_tree(mask)
         if tree is not None:
             bits = bits_of(mask)

@@ -54,9 +54,10 @@ from repro.obs.metrics import get_registry
 from repro.optimizer.dp import optimize_dp
 from repro.optimizer.estimate import CardinalityEstimator, aggregate_qerror
 from repro.optimizer.spaces import OptimizationResult, SearchSpace
-from repro.query import JoinQuery, Plan, _run
+from repro.query import JoinQuery, Plan
 from repro.runtime.core import using_runtime
 from repro.strategy.cost import tau_cost
+from repro.strategy.tree import run
 
 __all__ = ["StepProfile", "RunReport"]
 
@@ -212,7 +213,7 @@ class _PhaseClock:
 
 
 class _OperatorClock:
-    """The ``memo`` :func:`repro.query._run` calls once per step.
+    """The ``memo`` :func:`repro.strategy.tree.run` calls once per step.
 
     Each call serves the step from the join memo exactly as
     :meth:`Plan.execute <repro.query.Plan.execute>` does and appends one
@@ -344,7 +345,7 @@ class RunReport:
         * **statistics** -- the classical estimator collects its
           per-column statistics;
         * **execute** -- the plan runs once through
-          :func:`repro.query._run`, the function :meth:`Plan.execute
+          :func:`repro.strategy.tree.run`, the function :meth:`Plan.execute
           <repro.query.Plan.execute>` calls, on the database it was
           planned on, and every operator it visits above the leaves
           becomes one row, in post-order.
@@ -379,7 +380,7 @@ class RunReport:
                     estimator = CardinalityEstimator.from_database(planned)
                 operators = _OperatorClock(planned)
                 with clock.phase("execute"):
-                    _run(plan.strategy, kernels, operators)
+                    run(plan.strategy, kernels, operators)
                 executor_cache = planned.cache_stats().delta(planner_cache)
                 nodes = {node.scheme_set.schemes: node for node in plan.strategy.steps()}
                 steps = []

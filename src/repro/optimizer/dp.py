@@ -28,24 +28,36 @@ sorted-scheme order is bit ``1 << i``), which also supplies the
 components the CP-avoiding filters read.  The search is one bottom-up
 pass over the states in ascending mask order: a proper subset of a state
 is a smaller mask, so both parts of every split are solved before the
-state, and the whole scheme's tau is the last one asked for.  Costs sit
-in a table indexed by mask, with the winning split per state;
+state, and the whole scheme's tau is the last one asked for.  A state's
+tau is the same term in every split, so the DP picks the split from its
+parts' costs first and asks for the tau after.  Costs sit in a table
+indexed by mask, with the winning split per state;
 :class:`~repro.strategy.tree.Strategy` nodes are built for the winning
 plan only, once the search is over.
+
+On a database the router moved (:attr:`Database.routing`), asking for
+the tau of a cyclic component ``C`` first hands ``C`` to
+:meth:`~repro.optimizer.route.EngineRouter.decide_cyclic`: the winning
+split fixes I, what ``C``'s plan produces below its root, and the
+executor the router picks (Generic Join or that plan, run binary)
+builds ``R_C`` into the join memo, so tau(R_C) is its length.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.database import Database
 from repro.errors import OptimizerError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
+from repro.optimizer.route import CyclicDecision, EngineRouter
 from repro.optimizer.spaces import OptimizationResult, SearchSpace
+from repro.relational.relation import Relation
 from repro.schemegraph.index import SubsetIndex, bits_of
-from repro.strategy.tree import Strategy
+from repro.strategy.tree import Strategy, run
 
 __all__ = ["optimize_dp"]
 
@@ -146,6 +158,20 @@ def _strategy(
     )
 
 
+def _route_cyclic(
+    db: Database, index: SubsetIndex, chosen: Dict[int, int], mask: int, inner: int
+) -> Tuple[CyclicDecision, Callable[[], Relation]]:
+    """The router's decision for the cyclic component ``mask``, whose
+    winning plan produces ``inner`` tuples below its root, and the build
+    of ``R_mask`` it picks: the database's Generic Join, or the plan run
+    binary through the join memo."""
+    decision = EngineRouter.decide_cyclic(db, mask, inner)
+    if decision.engine == "wcoj":
+        subset = None if mask == index.full else index.members(mask)
+        return decision, partial(db.join_of, subset)
+    return decision, partial(run, _strategy(db, index, chosen, mask))
+
+
 def optimize_dp(
     db: Database,
     space: SearchSpace = SearchSpace.ALL,
@@ -159,7 +185,8 @@ def optimize_dp(
     optimizer's cost source.  ``subset_cost`` maps a frozenset of relation
     schemes to the cost charged for producing that subset's join.  It is
     called once per multi-relation state, every proper subset before the
-    subset itself, so the whole scheme comes last.  It defaults to the
+    subset itself and after the subset's split is chosen, so the whole
+    scheme comes last.  It defaults to the
     *true* tau, read by mask (:meth:`Database.tau_of_mask`, which
     ``db.tau_of`` resolves to).  Passing an estimator here turns this
     into a classical estimate-driven optimizer (see
@@ -171,6 +198,11 @@ def optimize_dp(
     wins.  ``ALL`` enumerates its splits as submasks and breaks ties by
     that order (:func:`_earlier`); the other spaces try their splits in
     that order.
+
+    On a routed database, the call for a cyclic component's tau builds
+    the component's join with the executor the router picks from the
+    winning split (see the module docstring); a ``subset_cost`` that
+    does not reach the database leaves it unbuilt.
 
     ``runtime`` bounds the search (docs/api.md): one budget unit is
     charged per DP state expanded.  On deadline/budget exhaustion the DP
@@ -187,6 +219,7 @@ def optimize_dp(
             return subset_cost(frozenset(members(mask)))
 
     full = index.full
+    routed = EngineRouter.cyclic_components(db)
     # cost[mask]: the cheapest cost of a state (None: no plan in the
     # space); chosen: mask -> part 1 of that cost's split.
     chosen: Dict[int, int] = {}
@@ -230,18 +263,19 @@ def optimize_dp(
             if not mask & (mask - 1):
                 cost[mask] = 0
                 continue
-            tau_here = tau(mask)
+            # best: the parts' cost of the winning split; the state's
+            # own tau, the same in every split, is added after.
             if reached is None:
                 # Part 1 holds the lowest relation and a proper submask
                 # of the rest, from the largest submask down to none.
                 low = mask & -mask
                 rest = mask ^ low
                 sub = (rest - 1) & rest
-                best = cost[low | sub] + cost[rest ^ sub] + tau_here
+                best = cost[low | sub] + cost[rest ^ sub]
                 win = low | sub
                 while sub:
                     sub = (sub - 1) & rest
-                    total = cost[low | sub] + cost[rest ^ sub] + tau_here
+                    total = cost[low | sub] + cost[rest ^ sub]
                     if total < best or (total == best and _earlier(low | sub, win)):
                         best = total
                         win = low | sub
@@ -257,14 +291,21 @@ def optimize_dp(
                     if left is None or right is None:
                         continue
                     feasible += 1
-                    total = left + right + tau_here
+                    total = left + right
                     if best is None or total < best:
                         best = total
                         win = part1
-            cost[mask] = best
             if feasible:
                 chosen[mask] = win
                 plans_pruned += feasible - 1
+            if feasible and mask in routed:
+                with db.deferring(
+                    mask, partial(_route_cyclic, db, index, chosen, mask, best)
+                ):
+                    tau_here = tau(mask)
+            else:
+                tau_here = tau(mask)
+            cost[mask] = None if best is None else best + tau_here
         total_cost = cost[full]
         if total_cost is None:
             raise OptimizerError(

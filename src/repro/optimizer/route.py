@@ -7,14 +7,16 @@ O(N^1.5) (the AGM bound; Generic Join runs within it), and on
 Θ(N²) while the output is tiny (the Yannakakis reducer bounds every
 intermediate by input + output).  :class:`EngineRouter` makes every
 engine decision: :meth:`~EngineRouter.route` pins an unpinned database
-to the multiway engine its components want (the ``engine:`` line), and
-:meth:`~EngineRouter.execution` decides per plan whether a kernel
-replaces a component's plan subtree (the ``execute:`` lines).
+to the multiway engine its components want (the ``engine:`` line),
+:meth:`~EngineRouter.decide_cyclic` picks the executor that builds each
+cyclic component of a routed database while the subset DP asks for its
+tau, and :meth:`~EngineRouter.execution` reports per plan whether a
+kernel replaces a component's plan subtree (the ``execute:`` lines).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.database import Database
 from repro.relational.attributes import AttributeSet, format_attrs
@@ -26,13 +28,56 @@ from repro.wcoj.order import choose_order
 if TYPE_CHECKING:
     from repro.strategy.tree import Strategy
 
-__all__ = ["ComponentExecution", "EngineRouter", "EngineRouting", "RHO_STAR"]
+__all__ = [
+    "AGM_SHARE",
+    "ComponentExecution",
+    "CyclicDecision",
+    "EngineRouter",
+    "EngineRouting",
+    "RHO_STAR",
+]
 
 #: The :attr:`ComponentExecution.rho` at and above which the Yannakakis
 #: kernel replaces a routed acyclic component's plan subtree.  On the e2e
 #: pools the executed plan won up to rho 1.17 (tree6) and the kernel tied
 #: or won from 1.23 (star4) up (docs/performance.md).
 RHO_STAR = 1.2
+
+#: Generic Join builds a routed cyclic component iff its plan's non-root
+#: steps produce at least min(U, AGM_SHARE * AGM) tuples
+#: (:class:`CyclicDecision`).  Any share from 0.25 to 0.50 gives the same
+#: total on the 113-database calibration corpus of docs/performance.md.
+AGM_SHARE = 0.45
+
+#: The bound a :class:`CyclicDecision` compared ``I`` with, without and
+#: with ``U``, as the ``execute:`` line spells it.
+_BOUNDS = (f"{AGM_SHARE} AGM", f"min(U, {AGM_SHARE} AGM)")
+
+
+class CyclicDecision(NamedTuple):
+    """Which executor built a routed cyclic component ``C``, decided
+    before anything materialized ``R_C``: ``"wcoj"`` (Generic Join) iff
+    ``inner >= min(upper, AGM_SHARE * agm)``, else ``"plan"`` (the DP's
+    plan for ``C``, run binary).
+
+    ``inner`` is I = τ(S*_C) − τ(R_C), what the plan's non-root steps
+    produce; ``upper`` is U, the least τ(C∖{R}) over the relations ``R``
+    whose attributes the rest of ``C`` also holds, an upper bound on
+    τ(R_C) (``None`` when no relation qualifies); ``agm`` is ``C``'s AGM
+    bound.  Generic Join's work is bounded by the output's worst case,
+    so it can only win where the plan's intermediates outgrow a bound on
+    the output."""
+
+    engine: str
+    inner: int
+    upper: Optional[int]
+    agm: float
+
+    @property
+    def reason(self) -> str:
+        """The rule as it came out, for the ``execute:`` line."""
+        sign = "I >= " if self.engine == "wcoj" else "I < "
+        return sign + _BOUNDS[self.upper is not None]
 
 
 _VERDICTS = {  # an unpinned database's engine and reason, by the kernels wanted
@@ -132,7 +177,9 @@ class ComponentExecution(NamedTuple):
     strategy's subtree for ``C``, over Σ_{R∈C}|R| + τ(R_C), what the
     reducer at least reads and emits.  The four are ``None`` when no
     kernel could run ``C``: it is not a node of the strategy, or the
-    database's engine has no kernel for its shape."""
+    database's engine has no kernel for its shape.  ``inner``, ``upper``
+    and ``agm`` are the terms of the :class:`CyclicDecision` that built
+    a routed cyclic ``C`` (``None`` otherwise)."""
 
     subset: FrozenSet[AttributeSet]
     relations: Tuple[str, ...]
@@ -143,14 +190,21 @@ class ComponentExecution(NamedTuple):
     plan_tau: Optional[int]
     inputs: int
     output: int
+    inner: Optional[int] = None
+    upper: Optional[int] = None
+    agm: Optional[float] = None
 
     def describe(self) -> str:
         """The ``execute:`` explain line."""
         head = f"execute: {{{', '.join(self.relations)}}} -> {self.engine}"
         if self.rho is None:
             return f"{head} ({self.reason})"
+        terms = ""
+        if self.agm is not None:
+            upper = "-" if self.upper is None else self.upper
+            terms = f"I {self.inner}, U {upper}, AGM {self.agm:.6g}; "
         return (
-            f"{head} ({self.reason}; rho {self.rho:.3g} = tau(S*) "
+            f"{head} ({self.reason}; {terms}rho {self.rho:.3g} = tau(S*) "
             f"{self.plan_tau} / (sum|R| {self.inputs} + tau(R_C) {self.output}))"
         )
 
@@ -208,6 +262,52 @@ class EngineRouter:
                              cover, components, tree, expansion)
 
     @staticmethod
+    def cyclic_components(db: Database) -> FrozenSet[int]:
+        """The masks of the cyclic components of a database the router
+        moved (:attr:`Database.routing`); empty for any other database.
+        The subset DP routes each one on its plan's tau."""
+        routing = db.routing
+        if routing is None or not (routing.routed and routing.cyclic):
+            return frozenset()
+        index = db.scheme.subset_index()
+        return frozenset(
+            mask
+            for mask, (_, cyclic, _) in zip(index.components(index.full), routing.components)
+            if cyclic
+        )
+
+    @staticmethod
+    def decide_cyclic(db: Database, mask: int, inner: int) -> CyclicDecision:
+        """The executor for the routed cyclic component ``mask``
+        (:meth:`cyclic_components`) whose plan's non-root steps produce
+        ``inner`` tuples: the rule of :class:`CyclicDecision`.  U reads
+        the taus of ``mask``'s proper subsets the DP already asked for,
+        moving no cache counter; the AGM bound is the routing record's
+        cover, or ``C``'s own when the scheme has other components."""
+        index = db.scheme.subset_index()
+        members = index.members(mask)
+        seen: Set[str] = set()
+        shared: Set[str] = set()  # the attributes two or more members hold
+        for scheme in members:
+            shared |= seen & scheme
+            seen |= scheme
+        upper = None
+        for scheme in members:
+            if scheme <= shared:
+                tau = db.cached_tau(mask ^ index.bit_of[scheme])
+                if upper is None or tau < upper:
+                    upper = tau
+        cover = db.routing.cover
+        if mask != index.full:
+            relations = [db.state_for(s) for s in members]
+            cover = fractional_edge_cover(
+                [rel.scheme for rel in relations], [len(rel) for rel in relations]
+            )
+        agm = cover.bound
+        bound = AGM_SHARE * agm if upper is None else min(upper, AGM_SHARE * agm)
+        return CyclicDecision("wcoj" if inner >= bound else "plan", inner, upper, agm)
+
+    @staticmethod
     def execution(
         strategy: Strategy, cost: int, routing: Optional[EngineRouting]
     ) -> Tuple[ComponentExecution, ...]:
@@ -215,8 +315,11 @@ class EngineRouter:
         ``strategy``'s database (of tau ``cost``, planned under
         ``routing``), from taus costing it left in the caches.  A
         component runs the strategy's steps unless the database's engine
-        has its kernel and it is a node of the strategy: Generic Join if
-        cyclic, Yannakakis if acyclic and pinned or ``rho`` >= :data:`RHO_STAR`."""
+        has its kernel and it is a node of the strategy: if cyclic, the
+        executor the recorded :class:`CyclicDecision` names when the DP
+        routed it (:meth:`Database.decision`) and Generic Join
+        otherwise; if acyclic, Yannakakis when pinned or ``rho`` >=
+        :data:`RHO_STAR`."""
         db = strategy.database
         index = db.scheme.subset_index()
         parts = index.components(index.full)
@@ -246,7 +349,11 @@ class EngineRouter:
                 inputs, output = sum(map(len, states)), db.tau_of_mask(mask)
                 rho = plan_tau / max(inputs + output, 1)
                 terms = (rho, plan_tau, inputs, output)
-                if cyclic:
+                decision = db.decision(mask) if cyclic else None
+                if decision is not None:
+                    engine, reason = decision.engine, decision.reason
+                    terms += decision[1:]
+                elif cyclic:
                     engine, reason = "wcoj", "cyclic"
                 elif routing is None or not routing.routed:
                     engine, reason = "yannakakis", "pinned on the database"

@@ -41,7 +41,7 @@ from repro.relational.attributes import AttributeSet, format_attrs
 from repro.relational.relation import Relation
 from repro.runtime.core import Runtime, using_runtime
 from repro.strategy.cost import step_costs, tau_cost
-from repro.strategy.tree import Strategy, parse_strategy
+from repro.strategy.tree import Strategy, parse_strategy, run
 
 __all__ = ["JoinQuery", "Plan", "PlanProvenance"]
 
@@ -154,28 +154,6 @@ def _render(
     return label, lines, mask
 
 
-def _run(node: Strategy, kernels, memo=Database._join_memo) -> Relation:
-    """The state of ``node``: a leaf's base state; a step whose subset is
-    in ``kernels`` from the database's kernel entry; any other step the
-    join of its children's states.  Steps go through the join memo, so
-    a memoized subset is reused and a computed one is memoized.  Every
-    step is one call ``memo(db, subset[, compute])``; the profiler
-    (:meth:`repro.obs.profile.RunReport.capture`) passes a ``memo`` that
-    times each one."""
-    db = node.database
-    if node.is_leaf:
-        (scheme,) = node.scheme_set.schemes
-        return db.state_for(scheme)
-    key = node.scheme_set.schemes
-    if key in kernels:
-        return memo(db, key)
-    return memo(
-        db,
-        key,
-        lambda: _run(node.left, kernels, memo).join(_run(node.right, kernels, memo)),
-    )
-
-
 class Plan:
     """An executable join plan: a strategy plus provenance.
 
@@ -272,7 +250,7 @@ class Plan:
         kernels = {
             record.subset for record in self.execution if record.engine != "plan"
         }
-        return _run(self.strategy, kernels)
+        return run(self.strategy, kernels)
 
     def explain(self) -> str:
         """A plan tree rendering with per-node tau, root first::
@@ -344,8 +322,9 @@ class JoinQuery:
         if self._routing.routed:
             # Pin the routed engine so every join launched through this
             # query (searches, condition sweeps, plan execution via the
-            # shared memo) runs on it.
-            db = db.with_engine(self._routing.effective)
+            # shared memo) runs on it, and hand the copy the record, so
+            # the subset DP routes its cyclic components.
+            db = db.with_engine(self._routing.effective, self._routing)
         self._db = db
         self._runtime = runtime
         self._condition_cache: Dict[str, bool] = {}

@@ -8,12 +8,13 @@ quantity the paper defines (``tau``, C1-C4, Theorems 1-3 all reduce to
 evaluating many overlapping natural joins).  The kernel removes that cost:
 
 * **Value interning** -- every attribute value is mapped once to a small
-  integer id (:func:`intern_value`).  Interning uses dict-key
-  equivalence (``hash`` + ``==``), so two values receive the same id
-  exactly when they would collide as dict keys.  Ids are process-wide,
-  never recycled, and
-  allocation is guarded by a lock so concurrent threads (the planned
-  async server) cannot race an id.
+  integer id (:func:`intern_value`).  Two values receive the same id
+  exactly when they have the same type and compare equal, tuples and
+  frozensets element by element (:func:`typed_key`): ``True``, ``1``
+  and ``1.0`` get three ids, so they do not join each other and each
+  decodes as itself.  Ids are process-wide, never recycled, and
+  allocation is guarded by a lock so concurrent threads cannot race an
+  id.
 * **Columnar tables** -- a :class:`ColumnarTable` is a relation state
   encoded as positional tuples of value ids over a fixed, sorted
   attribute order.  A table is born as one of two representations and
@@ -89,6 +90,7 @@ __all__ = [
     "IdRow",
     "intern_value",
     "lookup_value",
+    "typed_key",
     "value_of",
     "interned_count",
     "decode_row",
@@ -116,18 +118,37 @@ _OUTPUT_TUPLES = _METRICS.counter("join.output_tuples", "tuples produced by join
 
 # -- value interning -----------------------------------------------------------
 
+#: Scalars under the first type seen among values equal to them: the hit
+#: path of :func:`intern_value`, one lookup and a type check.
 _IDS: Dict[Hashable, int] = {}
+#: Every other value under its :func:`typed_key`: tuples, frozensets, and
+#: scalars equal to an earlier one of another type (``1.0`` after ``1``).
+_TYPED: Dict[Hashable, int] = {}
 _VALUES: List[Hashable] = []
 #: Guards id allocation.  Lookups stay lock-free (a dict read under the
 #: GIL either sees the id or misses and takes the lock); allocation is
 #: append-then-publish under the lock so a concurrent reader never sees
 #: an id without its value.
 _INTERN_LOCK = threading.Lock()
+_CONTAINERS = (tuple, frozenset)
+
+
+def typed_key(value: Hashable) -> Hashable:
+    """``value`` paired with its type, tuples and frozensets element by
+    element: two values have equal typed keys exactly when they have the
+    same type and compare equal, so ``1``, ``1.0`` and ``True`` have
+    three keys."""
+    if isinstance(value, tuple):
+        return (value.__class__, tuple(map(typed_key, value)))
+    if isinstance(value, frozenset):
+        return (value.__class__, frozenset(map(typed_key, value)))
+    return (value.__class__, value)
 
 
 def intern_value(value: Hashable) -> int:
     """The process-wide id of ``value`` (allocating one on first sight).
 
+    Values of different types get different ids (:func:`typed_key`).
     Thread-safe: concurrent first sights of the same value converge on
     one id.  Raises :class:`~repro.errors.RelationError` for unhashable
     values -- the same contract :class:`Row` enforces.
@@ -138,12 +159,30 @@ def intern_value(value: Hashable) -> int:
         raise RelationError(
             f"tuple values must be hashable, got {value!r}"
         ) from exc
-    if vid is None:
-        with _INTERN_LOCK:
-            vid = _IDS.get(value)
-            if vid is None:
-                vid = len(_VALUES)
-                _VALUES.append(value)
+    if vid is not None and _VALUES[vid].__class__ is value.__class__:
+        return vid
+    return _intern_typed(value)
+
+
+def _intern_typed(value: Hashable) -> int:
+    """The id of ``value`` off the hit path: a first sight, a tuple or
+    frozenset, or a scalar equal to an earlier one of another type."""
+    key = typed_key(value)
+    vid = _TYPED.get(key)
+    if vid is not None:
+        return vid
+    container = isinstance(value, _CONTAINERS)
+    with _INTERN_LOCK:
+        vid = _IDS.get(value)
+        if vid is not None and not container and _VALUES[vid].__class__ is value.__class__:
+            return vid
+        vid = _TYPED.get(key)
+        if vid is None:
+            vid = len(_VALUES)
+            _VALUES.append(value)
+            if container or value in _IDS:
+                _TYPED[key] = vid
+            else:
                 _IDS[value] = vid
     return vid
 
@@ -151,9 +190,12 @@ def intern_value(value: Hashable) -> int:
 def lookup_value(value: Hashable) -> Optional[int]:
     """The id of ``value`` if it was ever interned, else ``None``."""
     try:
-        return _IDS.get(value)
+        vid = _IDS.get(value)
     except TypeError:
         return None
+    if vid is not None and _VALUES[vid].__class__ is value.__class__:
+        return vid
+    return _TYPED.get(typed_key(value))
 
 
 def value_of(vid: int) -> Hashable:

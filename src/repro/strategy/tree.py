@@ -26,7 +26,7 @@ from repro.relational.attributes import AttributeSet, attrs, format_attrs
 from repro.relational.relation import Relation
 from repro.schemegraph.scheme import DatabaseScheme
 
-__all__ = ["Strategy", "parse_strategy", "SpecLike"]
+__all__ = ["Strategy", "parse_strategy", "run", "SpecLike"]
 
 #: Nested-pair strategy specs accepted by :meth:`Strategy.from_spec`:
 #: a leaf is a relation name or scheme string, an internal node is a
@@ -292,6 +292,30 @@ class Strategy:
 
     def __repr__(self) -> str:
         return f"<Strategy {self.describe()}>"
+
+
+def run(node: Strategy, kernels=frozenset(), memo=Database._join_memo) -> Relation:
+    """The state of ``node`` as the strategy builds it: a leaf's base
+    state; a step whose subset is in ``kernels`` from the database's
+    kernel entry; any other step the join of its children's states.
+    Steps go through the join memo, so a memoized subset is reused and a
+    computed one is memoized.  Every step is one call ``memo(db,
+    subset[, compute])``; the profiler
+    (:meth:`repro.obs.profile.RunReport.capture`) passes a ``memo`` that
+    times each one.  :meth:`repro.query.Plan.execute` runs a plan this
+    way, and the subset DP a routed cyclic component's plan."""
+    db = node.database
+    if node.is_leaf:
+        (scheme,) = node.scheme_set.schemes
+        return db.state_for(scheme)
+    key = node.scheme_set.schemes
+    if key in kernels:
+        return memo(db, key)
+    return memo(
+        db,
+        key,
+        lambda: run(node.left, kernels, memo).join(run(node.right, kernels, memo)),
+    )
 
 
 def _resolve_scheme(db: Database, token: Union[str, AttributeSet]) -> AttributeSet:

@@ -9,6 +9,9 @@ of attribute names and ``rows`` an iterable of attribute->value mappings
 operator returns a ``(frozenset scheme, set of Row)`` pair.  Nothing
 here touches ``ColumnarTable`` or the value interner, so a kernel bug
 that lives there cannot hide by showing up on both sides of a check.
+Values are equal when they have the same type and compare equal,
+tuples and frozensets element by element (:func:`typed`), the library's
+rule: ``True``, ``1`` and ``1.0`` join none of each other.
 
 The conditions C1, C1', C2, C3 and C4 are read the same way
 (:func:`condition_instances`): a relation scheme is a frozenset of
@@ -28,9 +31,21 @@ def _row(mapping):
     return Row(dict(mapping.items()))
 
 
+def typed(value):
+    """``value`` with the type of every scalar in it: two values are the
+    same exactly when their images are equal."""
+    if isinstance(value, tuple):
+        return type(value), tuple(typed(item) for item in value)
+    if isinstance(value, frozenset):
+        return type(value), frozenset(typed(item) for item in value)
+    return type(value), value
+
+
 def _agree(left, right):
     """True when two rows agree on every attribute they share."""
-    return all(right[attr] == value for attr, value in left.items() if attr in right)
+    return all(
+        typed(right[attr]) == typed(value) for attr, value in left.items() if attr in right
+    )
 
 
 def join(left, right):
@@ -88,12 +103,17 @@ def operand(scheme, tuples):
     return frozenset(scheme), [dict(zip(order, values)) for values in tuples]
 
 
+def _image(rows):
+    return {tuple((attr, typed(value)) for attr, value in row.items()) for row in rows}
+
+
 def assert_matches(result, expected):
-    """``result`` (a Relation) has the oracle's scheme and decoded rows."""
+    """``result`` (a Relation) has the oracle's scheme and decoded rows,
+    value types included."""
     scheme, rows = expected
     assert set(result.scheme) == set(scheme)
     assert len(result) == len(rows)
-    assert result.rows == rows
+    assert _image(result.rows) == _image(rows)
 
 
 # -- the paper's conditions -------------------------------------------------------

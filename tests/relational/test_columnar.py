@@ -184,10 +184,14 @@ class TestKernelInternals:
             "same-value-sentinel"
         )
 
-    def test_equal_numerics_share_an_id(self):
-        # dict-key equivalence: 1 and 1.0 collide as keys, so the kernel
-        # joins them exactly as a dict-keyed hash join would.
-        assert intern_value(1) == intern_value(1.0)
+    def test_equal_numerics_of_different_types_get_distinct_ids(self):
+        # Typed equality: True, 1 and 1.0 compare equal in Python but are
+        # three values, so none joins another and each decodes as itself.
+        ids = {intern_value(True), intern_value(1), intern_value(1.0)}
+        assert len(ids) == 3
+        assert intern_value((1, "a")) != intern_value((1.0, "a"))
+        assert intern_value(frozenset({1})) != intern_value(frozenset({True}))
+        assert intern_value(2) == intern_value(2)
 
     def test_join_tables_direct(self):
         a = ColumnarTable(

@@ -9,7 +9,11 @@ The oracle reads the raw values each test built, never interned ids, so
 the comparison covers the interner too.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import threading
 
 import pytest
@@ -275,3 +279,51 @@ class TestInterner:
         # ...and each id resolves back to the value that produced it.
         for v, vid in zip(values, results[0]):
             assert value_of(vid) == v
+
+    def test_a_relation_reads_back_the_values_it_was_built_from(self):
+        Relation.from_tuples("AB", [(True, "x")])
+        (bc,) = Relation.from_tuples("BC", [("x", 1)]).rows
+        (cd,) = Relation.from_tuples("CD", [(1.0, "y")]).rows
+        assert type(bc["C"]) is int and bc["C"] == 1
+        assert type(cd["C"]) is float and cd["C"] == 1.0
+        # Typed values join none of each other, and a relation keeps all three.
+        assert len(relation("AB", [(1, "x")]).join(relation("BC", [(1.0, "x")]))) == 0
+        mixed = Relation.from_tuples("A", [(True,), (1,), (1.0,)])
+        assert len(mixed) == len(mixed.rows) == 3
+        oracle.assert_matches(mixed, oracle.operand("A", [(True,), (1,), (1.0,)]))
+
+    def test_racing_first_sights_of_true_one_and_one_point_zero(self):
+        # A fresh interpreter, so the three values are first sights.
+        script = textwrap.dedent("""
+            import sys
+            import threading
+            from repro.relational.columnar import intern_value, lookup_value, value_of
+            values = [True, 1, 1.0]
+            assert all(lookup_value(v) is None for v in values)
+            results = [None] * 6
+            barrier = threading.Barrier(6)
+
+            def worker(slot):
+                order = values[slot % 3:] + values[:slot % 3]
+                barrier.wait()
+                results[slot] = {type(v): intern_value(v) for v in order * 20}
+
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert all(r == results[0] for r in results), results
+            assert len(set(results[0].values())) == 3, results[0]
+            for kind, vid in results[0].items():
+                assert type(value_of(vid)) is kind
+            print("ok")
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.stdout.strip() == "ok", done.stderr
