@@ -85,8 +85,12 @@ from repro.workloads.generators import (  # noqa: E402
 SPEEDUP_TARGET = 3.0  # selective_star, at SIZE -- enforced everywhere
 AUTO_SLACK = 1.10  # auto over the faster side, every leg -- full runs
 SIZE = 301  # tuples per satellite (m = 300 doomed rows per hub block)
-ROUNDS_FULL = 21
-ROUNDS_QUICK = 3
+# Quick runs take as many rounds as full ones, about a second more: with
+# the median of three per-round ratios one slow spell could sink a gated
+# leg, and 2 of 50 quick runs fell under the sentinel's floor
+# (selective_star, whose kernel side lasts under half a millisecond, and
+# star4); 1 of 50 still did at 11 rounds, and none at 21.
+ROUNDS = 21
 STAR4_SPEC_FULL = dict(size=120, domain=4, seed=17)
 STAR4_SPEC_QUICK = dict(size=60, domain=4, seed=17)
 FK_CHAIN_SPEC = dict(n=6, size=400, seed=23)
@@ -186,19 +190,18 @@ def _bench_workload(name: str, db: Database, rounds: int) -> dict:
 
 
 def run_benchmark(quick: bool = False) -> dict:
-    rounds = ROUNDS_QUICK if quick else ROUNDS_FULL
     star4_spec = STAR4_SPEC_QUICK if quick else STAR4_SPEC_FULL
     payload = {
         "quick": quick,
         "cpu_count": _visible_cpus(),
-        "rounds": rounds,
+        "rounds": ROUNDS,
         "size": SIZE,
         "speedup_target_selective_star": SPEEDUP_TARGET,
         "selective_star": _bench_workload(
-            "selective_star", generate_selective_star(3, SIZE), rounds
+            "selective_star", generate_selective_star(3, SIZE), ROUNDS
         ),
-        "star4": _bench_workload("star4", _star4(star4_spec), rounds),
-        "fk_chain": _bench_workload("fk_chain", _fk_chain(FK_CHAIN_SPEC), rounds),
+        "star4": _bench_workload("star4", _star4(star4_spec), ROUNDS),
+        "fk_chain": _bench_workload("fk_chain", _fk_chain(FK_CHAIN_SPEC), ROUNDS),
     }
     # This target does not depend on core count -- both sides are
     # sequential -- so it binds everywhere.
@@ -275,7 +278,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="fewer rounds and a smaller star4; byte identity and the "
+        help="a smaller star4; byte identity and the "
         "selective-star speedup target are still asserted, auto's slack "
         "is not (the CI yannakakis-smoke contract)",
     )

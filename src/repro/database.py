@@ -20,8 +20,11 @@ by mask.  On a miss it routes by shape -- a singleton subset is
 just ``len(state)``; an unconnected subset is the product of its lowest
 component's tau and the rest's (its join *is* the Cartesian product of
 its components' joins); a connected subset with a join tree (the
-index's Kruskal pass says alpha-acyclic) is counted on that tree, on
-every engine, by :func:`~repro.yannakakis.join.yannakakis_count`, the
+index's, see :meth:`~repro.schemegraph.index.SubsetIndex.join_tree`:
+the induced subgraph when the scheme's intersection graph is a forest,
+else a Kruskal pass that also decides alpha-acyclicity) is counted on
+that tree, on every engine, by
+:func:`~repro.yannakakis.join.yannakakis_count`, the
 reducer's bottom-up sweep with weights (each row starts with weight 1;
 leaf to root, a parent row's weight is multiplied by the summed weights
 of the child rows it joins with, and parents with no match drop to 0 --
@@ -82,7 +85,7 @@ from repro.obs.trace import get_tracer
 from repro.relational.attributes import AttributeSet, AttrsLike, attrs, format_attrs
 from repro.relational.relation import Relation
 from repro.runtime.core import KernelExhausted, current_runtime
-from repro.schemegraph.index import bits_of
+from repro.schemegraph.index import TreeEdges, bits_of
 from repro.schemegraph.scheme import DatabaseScheme
 from repro.wcoj.join import generic_count, generic_join
 from repro.yannakakis.join import _count_with_messages, yannakakis_join
@@ -131,6 +134,10 @@ _KERNEL_FALLBACKS = {
         "yannakakis.pipeline",
     ),
 }
+
+#: The engines that run a connected subset of three or more relations
+#: on a multiway kernel.
+_MULTIWAY = ("wcoj", "yannakakis")
 
 #: Key type of the subset caches.
 SubsetKey = FrozenSet[AttributeSet]
@@ -448,10 +455,12 @@ class Database:
     ) -> Relation:
         """The memoized subset join, computed on a miss by ``compute``
         (``Plan.execute`` passes a step: its children's states joined) or
-        by :meth:`_compute_join`, which peels off a scheme whose removal
-        keeps the subset connected (a spanning-tree leaf), so no
-        intermediate is a Cartesian product of a connected input, and
-        joins an unconnected subset component by component.
+        by :meth:`_compute_join`, which reads the subset's components off
+        the subset index: it joins an unconnected subset component by
+        component, hands a connected one of three or more relations to a
+        multiway engine's kernel, and otherwise peels off a scheme whose
+        removal keeps the subset connected (a spanning-tree leaf), so no
+        intermediate is a Cartesian product of a connected input.
         """
         mask = self._scheme.subset_index().mask_of(chosen)
         cached = self._join_cache.get(mask)
@@ -462,7 +471,7 @@ class Database:
             return cached
         self._computed += 1
         if compute is None:
-            compute = partial(self._compute_join, chosen)
+            compute = partial(self._compute_join, chosen, mask)
         if _TRACER.enabled:
             with _TRACER.span("db.join", relations=len(chosen)) as span:
                 result = compute()
@@ -473,39 +482,46 @@ class Database:
         self._join_cache[mask] = result
         return result
 
-    def _compute_join(self, chosen: SubsetKey) -> Relation:
-        if len(chosen) == 1:
-            (only,) = chosen
-            result = self._relations[only]
-        else:
-            components = DatabaseScheme(chosen).components()
-            if len(components) > 1:
-                parts = sorted(
-                    (frozenset(c.schemes) for c in components),
-                    key=lambda part: sorted(s.sorted() for s in part),
-                )
-                result = self._join_memo(parts[0])
-                for part in parts[1:]:
-                    result = result.join(self._join_memo(part))
-            else:
-                result = self._multiway_join(chosen)
-                if result is None:
-                    result = self._binary_join(chosen)
-        return result
+    def _compute_join(self, chosen: SubsetKey, mask: int) -> Relation:
+        index = self._scheme.subset_index()
+        if not mask & (mask - 1):
+            return self._relations[index.schemes[mask.bit_length() - 1]]
+        components = index.components(mask)
+        if len(components) > 1:
+            members = index.members
+            result = self._join_memo(frozenset(members(components[0])))
+            for part in components[1:]:
+                result = result.join(self._join_memo(frozenset(members(part))))
+            return result
+        if self._engine in _MULTIWAY and len(chosen) >= 3:
+            result = self._multiway_join(chosen, mask, index.join_tree(mask))
+            if result is not None:
+                return result
+        return self._binary_join(chosen, mask)
 
-    def _binary_join(self, chosen: SubsetKey) -> Relation:
+    def _binary_join(self, chosen: SubsetKey, mask: int) -> Relation:
         """The binary pipeline's join of a connected subset: its
-        spanning-tree leaf joined onto the memoized join of the rest."""
-        leaf = self._spanning_tree_leaf(chosen)
+        spanning-tree leaf (:meth:`SubsetIndex.spanning_leaf
+        <repro.schemegraph.index.SubsetIndex.spanning_leaf>`) joined onto
+        the memoized join of the rest."""
+        index = self._scheme.subset_index()
+        leaf = index.schemes[index.spanning_leaf(mask).bit_length() - 1]
         return self._join_memo(chosen - {leaf}).join(self._relations[leaf])
 
     def _multiway_join(
-        self, chosen: SubsetKey, count: bool = False
+        self,
+        chosen: SubsetKey,
+        mask: int,
+        tree: Optional[TreeEdges],
+        count: bool = False,
     ) -> Union[Relation, int, None]:
-        """Run a connected subset of >= 3 relations on this database's
-        multiway kernel, or return ``None`` for the binary pipeline.
+        """Run a connected subset of >= 3 relations on the multiway
+        kernel of this database's engine (``"wcoj"`` or ``"yannakakis"``,
+        which the caller checked), or return ``None`` for the binary
+        pipeline.
 
-        The subset index's join tree decides acyclicity and is handed to
+        The caller holds the subset index's join tree ``tree`` (``None``:
+        the subset is cyclic), which decides the kernel and is handed to
         the pipeline.  ``"yannakakis"`` sends acyclic subsets to the
         semijoin-reduction pipeline and cyclic ones to Generic Join, so a
         mixed database runs every subset on its best kernel.  ``"wcoj"``
@@ -525,20 +541,15 @@ class Database:
         binary pipeline serves the result (or its length) without
         re-entering the kernel on this subset.
         """
-        engine = self._engine
-        if engine not in ("wcoj", "yannakakis") or len(chosen) < 3:
-            return None
-        index = self._scheme.subset_index()
-        mask = index.mask_of(chosen)
-        tree = None if count else index.join_tree(mask)
         if count:
             kernel, join = "wcoj", generic_count
         elif tree is not None:
-            if engine == "wcoj":
+            if self._engine == "wcoj":
                 return None
             kernel, join = "yannakakis", partial(yannakakis_join, tree=tree)
         else:
             kernel, join = "wcoj", generic_join
+        index = self._scheme.subset_index()
         tables = [self._relations[s]._table() for s in index.members(mask)]
         runtime = current_runtime()
         try:
@@ -556,29 +567,11 @@ class Database:
                 trigger=exc.trigger,
                 relations=len(chosen),
             )
-            binary = self._binary_join(chosen)
+            binary = self._binary_join(chosen, mask)
             return len(binary) if count else binary
         if count:
             return result
         return Relation._from_table(AttributeSet(result.order), result)
-
-    @staticmethod
-    def _spanning_tree_leaf(chosen: SubsetKey) -> AttributeSet:
-        """A scheme whose removal keeps the (connected) subset connected:
-        the last vertex reached by a DFS spanning tree."""
-        ordered = sorted(chosen, key=lambda s: s.sorted())
-        start = ordered[0]
-        seen = {start}
-        stack = [start]
-        last = start
-        while stack:
-            node = stack.pop()
-            last = node
-            for other in ordered:
-                if other not in seen and node & other:
-                    seen.add(other)
-                    stack.append(other)
-        return last
 
     def evaluate(self) -> Relation:
         """``R_D``: the natural join of all relation states."""
@@ -698,16 +691,18 @@ class Database:
             ]
             return _count_with_messages(tables, tree, bits, self._messages)
         # Cyclic connected subset: no join tree.  On the multiway
-        # engines Generic Join counts a proper subset; R_D itself is
-        # materialized for Plan.execute to read back, and so is every
-        # cyclic subset on the vector engine.
+        # engines Generic Join counts a proper subset, and joins R_D
+        # itself for Plan.execute to read back, handed the verdict
+        # already reached; the vector engine materializes every cyclic
+        # subset.
         chosen = frozenset(index.members(mask))
-        tau = None
+        if self._engine not in _MULTIWAY:
+            return len(self._join_memo(chosen))
         if mask != index.full:
-            tau = self._multiway_join(chosen, count=True)
-        if tau is None:
-            tau = len(self._join_memo(chosen))
-        return tau
+            return self._multiway_join(chosen, mask, None, count=True)
+        return len(
+            self._join_memo(chosen, partial(self._multiway_join, chosen, mask, None))
+        )
 
     def is_nonnull(self) -> bool:
         """The paper's standing hypothesis ``R_D ≠ ∅``."""

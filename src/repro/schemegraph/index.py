@@ -9,22 +9,37 @@ and a subset is the OR of its relations' bits.
 
 The index is built once per scheme
 (:meth:`~repro.schemegraph.scheme.DatabaseScheme.subset_index`) and
-holds four things: each relation's neighbour mask in the intersection
+holds five things: each relation's neighbour mask in the intersection
 graph, the relation pairs that share attributes in Kruskal order, a
-holder mask for every attribute held by two or more relations, and the
-relation <-> bit map.  It also enumerates the connected subsets once,
-on first use, for the condition checkers: on masks the paper's
-*disjoint* is ``not a & b`` and *linked* is ``linked(a) & b``.
+holder mask for every attribute held by two or more relations, the
+relation <-> bit map, and whether the intersection graph is a forest.
+It also enumerates the connected subsets once, on first use, for the
+condition checkers: on masks the paper's *disjoint* is ``not a & b``
+and *linked* is ``linked(a) & b``.
 
-Join trees come from Maier's characterization of alpha-acyclicity: a
-connected scheme is alpha-acyclic iff a maximum-weight spanning tree of
-its intersection graph, an edge weighing the number of attributes its
-ends share, is a join tree.  Any spanning tree weighs at most
+Join trees come from the intersection graph.  The index decides once,
+when it is built, whether that graph is a forest: it is iff the number
+of sharing pairs equals the number of relations minus the number of
+components.  In a forest every attribute is held by at most two
+relations (its holders form a clique), so each connected subset is
+Berge-acyclic and its join tree is its induced subgraph: a breadth-first
+search over the neighbour masks inside the subset lists it.  Luo et al.
+("Algorithms for Optimizing Acyclic Queries") likewise build such trees
+by a graph search rather than an optimisation.
+
+Every other scheme, cyclic or alpha-acyclic with a cycle in its
+intersection graph (``AB, BC, AC, ABC``, a hyperedge chain), takes
+Maier's characterization of alpha-acyclicity: a connected scheme is
+alpha-acyclic iff a maximum-weight spanning tree of its intersection
+graph, an edge weighing the number of attributes its ends share, is a
+join tree.  Any spanning tree weighs at most
 ``Σ_a (|holders of a| - 1)``, because the edges whose ends both hold
 ``a`` form a forest over the holders of ``a``; it reaches that sum
 exactly when every attribute's holders induce a subtree, which is the
 running intersection property.  One Kruskal pass therefore yields both
-the tree and the acyclicity verdict.
+the tree and the acyclicity verdict.  Both paths list the same tree the
+same way (:meth:`SubsetIndex.join_tree`): on a forest the maximum-weight
+spanning tree of a connected subset is the only spanning tree it has.
 """
 
 from __future__ import annotations
@@ -62,8 +77,8 @@ class SubsetIndex:
     """
 
     __slots__ = (
-        "schemes", "bit_of", "full", "_neighbours", "_pairs", "_holders", "_shared",
-        "_connected",
+        "schemes", "bit_of", "full", "forest", "_neighbours", "_pairs", "_holders",
+        "_shared", "_connected",
     )
 
     def __init__(self, schemes: Iterable[AttributeSet]):
@@ -96,6 +111,9 @@ class SubsetIndex:
         # Per relation: how many of its attributes some other relation holds.
         self._shared = {bit: sum(1 for m in shared if m & bit) for bit in bits}
         self._connected: Optional[Tuple[int, ...]] = None
+        #: Whether the intersection graph is a forest: then every
+        #: connected subset's join tree is its induced subgraph.
+        self.forest = len(pairs) == len(ordered) - len(self.components(self.full))
 
     def mask_of(self, schemes: Iterable[AttributeSet]) -> int:
         """The mask of the given relation schemes."""
@@ -171,35 +189,55 @@ class SubsetIndex:
             mask ^= reached
         return out
 
+    def spanning_leaf(self, mask: int) -> int:
+        """The bit of a relation whose removal keeps the connected subset
+        ``mask`` connected: the last relation a depth-first search from
+        the lowest one pops, each popped relation pushing its unvisited
+        neighbours lowest first (a leaf of the search's spanning tree)."""
+        neighbours = self._neighbours
+        last = seen = mask & -mask
+        stack = [last]
+        while stack:
+            last = stack.pop()
+            fresh = neighbours[last] & mask & ~seen
+            seen |= fresh
+            stack.extend(bits_of(fresh))
+        return last
+
     def join_tree(self, mask: int) -> Optional[TreeEdges]:
         """A join tree of the subset ``mask``, or ``None`` when it has none.
 
-        The edges join positions in :meth:`members`.  Kruskal takes the
-        pairs inside ``mask`` heaviest first; the subset is alpha-acyclic
-        iff the tree weighs ``Σ_a (|holders_a ∩ mask| - 1)`` over the
-        attributes it holds (module docstring).  A cyclic or unconnected
-        subset returns ``None``.
+        The edges join positions in :meth:`members`.  On a :attr:`forest`
+        scheme the tree is the subset's induced subgraph, so a
+        breadth-first search over the neighbour masks lists it, and an
+        unconnected subset is one the search does not span.  Otherwise
+        Kruskal takes the pairs inside ``mask`` heaviest first; the
+        subset is alpha-acyclic iff the tree weighs
+        ``Σ_a (|holders_a ∩ mask| - 1)`` over the attributes it holds
+        (module docstring).  A cyclic or unconnected subset returns
+        ``None``.
 
         The tree comes rooted at position 0: each edge is a ``(child,
         parent)`` pair, listed in breadth-first order with each node's
         children in ascending position, so a parent's own edge comes
         before its children's.
         """
+        if self.forest:
+            return _rooted(mask, self._neighbours)
         # target: the weight of a join tree, Σ_a (|holders_a ∩ mask| - 1)
         # over the attributes two or more relations hold.
-        position: Dict[int, int] = {}
+        members = bits_of(mask)
         target = 0
-        for bit in bits_of(mask):
-            position[bit] = len(position)
+        for bit in members:
             target += self._shared[bit]
         target -= sum(1 for held in self._holders if held & mask)
         # group[bit]: the mask of the tree fragment holding bit;
         # adjacent[bit]: the mask of its tree neighbours.
-        group = {bit: bit for bit in position}
-        adjacent = dict.fromkeys(position, 0)
+        group = {bit: bit for bit in members}
+        adjacent = dict.fromkeys(members, 0)
         edges = 0
         weight = 0
-        last = len(position) - 1
+        last = len(members) - 1
         for pair, pair_weight, a, b in self._pairs:
             if edges == last:
                 break
@@ -214,17 +252,27 @@ class SubsetIndex:
             weight += pair_weight
         if edges != last or weight != target:
             return None
-        # Breadth-first from the lowest relation: a lower bit is a lower
-        # position, so children come out in ascending position.
-        queue = [mask & -mask]
-        seen = queue[0]
-        listing = []
-        for node in queue:
-            fresh = adjacent[node] & ~seen
-            seen |= fresh
-            while fresh:
-                child = fresh & -fresh
-                fresh ^= child
-                listing.append((position[child], position[node]))
-                queue.append(child)
-        return tuple(listing)
+        return _rooted(mask, adjacent)
+
+
+def _rooted(mask: int, adjacent: Dict[int, int]) -> Optional[TreeEdges]:
+    """The tree whose edges ``adjacent`` holds inside ``mask``, listed
+    breadth-first from the lowest relation as ``(child, parent)``
+    positions in ``mask``, or ``None`` when the search does not reach
+    every relation of ``mask``.  A lower bit is a lower position, so
+    children come out in ascending position."""
+    position = {bit: i for i, bit in enumerate(bits_of(mask))}
+    queue = [mask & -mask]
+    seen = queue[0]
+    listing = []
+    for node in queue:
+        fresh = adjacent[node] & mask & ~seen
+        seen |= fresh
+        while fresh:
+            child = fresh & -fresh
+            fresh ^= child
+            listing.append((position[child], position[node]))
+            queue.append(child)
+    if seen != mask:
+        return None
+    return tuple(listing)

@@ -179,10 +179,11 @@ def _candidate_edges(db: DatabaseScheme) -> List[Tuple[int, Edge]]:
 def build_join_tree(scheme) -> JoinTree:
     """Build one join tree for an alpha-acyclic connected database scheme.
 
-    Maier's maximum-weight spanning tree, from the scheme's
-    :class:`~repro.schemegraph.index.SubsetIndex`: one Kruskal pass over
-    the pairs sharing attributes, heaviest first, whose weight also
-    decides acyclicity.  The same pass gives the tau counter and the
+    The scheme's :class:`~repro.schemegraph.index.SubsetIndex` tree of
+    the whole scheme: the intersection graph itself when it is a
+    forest, else Maier's maximum-weight spanning tree, one Kruskal pass
+    over the pairs sharing attributes, heaviest first, whose weight also
+    decides acyclicity.  The same call gives the tau counter and the
     Yannakakis pipeline their trees, so the router, the consistency
     code, the counter and the pipeline build every tree one way.  The
     edges are validated again by :class:`JoinTree`.  Raises

@@ -50,7 +50,14 @@ class DatabaseScheme:
     __slots__ = ("_schemes", "_hash", "_components", "_index")
 
     def __init__(self, schemes: Iterable[AttrsLike]):
-        scheme_set = frozenset(attrs(s) for s in schemes)
+        if type(schemes) is frozenset and all(
+            type(s) is AttributeSet and s for s in schemes
+        ):
+            # Already normalized (a union of two schemes, a strategy's
+            # node): nothing for attrs() to convert or reject.
+            scheme_set = schemes
+        else:
+            scheme_set = frozenset(attrs(s) for s in schemes)
         if not scheme_set:
             raise SchemaError("a database scheme must contain at least one relation scheme")
         self._schemes: FrozenSet[AttributeSet] = scheme_set
@@ -130,7 +137,7 @@ class DatabaseScheme:
 
     def is_disjoint_from(self, other: "DatabaseScheme") -> bool:
         """Paper's *disjoint*: no relation scheme in common."""
-        return not (self._schemes & other._schemes)
+        return self._schemes.isdisjoint(other._schemes)
 
     def is_linked_to(self, other: "DatabaseScheme") -> bool:
         """Paper's *linked*: the attribute unions intersect."""

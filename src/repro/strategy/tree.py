@@ -64,9 +64,12 @@ class Strategy:
                     f"{format_attrs(_leaf_scheme)} is not a relation scheme of "
                     "the database"
                 )
-            self._schemes = DatabaseScheme([_leaf_scheme])
+            self._schemes = DatabaseScheme(frozenset((_leaf_scheme,)))
             self._left = None
             self._right = None
+            # The structure key: a leaf's scheme, a step's children's keys
+            # as an unordered pair.
+            self._key = _leaf_scheme
         else:
             if left._db is not db or right._db is not db:
                 raise StrategyError(
@@ -80,7 +83,7 @@ class Strategy:
             self._schemes = left._schemes.union(right._schemes)
             self._left = left
             self._right = right
-        self._key = self._structure_key()
+            self._key = frozenset((left._key, right._key))
 
     # -- constructors --------------------------------------------------------------
 
@@ -116,12 +119,6 @@ class Strategy:
         )
 
     # -- identity -------------------------------------------------------------------
-
-    def _structure_key(self):
-        if self._left is None:
-            (scheme,) = self._schemes.schemes
-            return scheme
-        return frozenset((self._left._key, self._right._key))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Strategy):

@@ -6,9 +6,10 @@ connected alpha-acyclic subset, :func:`yannakakis_join`:
 
 1. takes the join tree :class:`~repro.database.Database` hands it as
    ``tree=`` (its subset index's), or builds one with the same
-   :class:`~repro.schemegraph.index.SubsetIndex` code: a
-   maximum-weight spanning tree by Kruskal, whose weight also decides
-   acyclicity,
+   :class:`~repro.schemegraph.index.SubsetIndex` code: the induced
+   subgraph, by breadth-first search, when the intersection graph is a
+   forest, else a maximum-weight spanning tree by Kruskal, whose weight
+   also decides acyclicity,
 2. runs the *full reducer* (:mod:`repro.yannakakis.reducer`): a
    bottom-up then top-down semijoin sweep over the vector kernel's
    semijoin primitive, after which every surviving tuple extends to at

@@ -6,8 +6,8 @@ and listed once in BFS order.  A caller that holds the tree passes it
 as ``tree=`` (``(child, parent)`` edges between table positions in BFS
 order, as :meth:`~repro.schemegraph.index.SubsetIndex.join_tree`
 returns them); otherwise the set-up sorts the tables by scheme and
-builds the tree with the same index code, one Kruskal pass that also
-decides acyclicity.
+builds the tree with the same index code, which also decides
+acyclicity.
 
 * :func:`yannakakis_join` is the acyclic analogue of
   :func:`repro.wcoj.join.generic_join`: it runs the full reducer, then

@@ -14,6 +14,14 @@ on its own, its edges listed as the reducer's :func:`bfs_order` lists
 them.  The DP is checked against the exhaustive optimizer on
 small random databases of the same shapes.
 
+On a scheme whose intersection graph is a forest the index lists each
+subset's tree by a breadth-first search instead of Kruskal's search.
+Today's Kruskal listing is kept here as a reference, and on random
+forest and non-forest schemes every subset's tree must equal it, with
+``None`` on the same subsets; the index's forest verdict is checked
+against union-find over the sharing pairs, and the binary pipeline's
+spanning-tree leaf against a depth-first search over sorted schemes.
+
 The pinned plans and trees were recorded before the DP and the join-tree
 build moved onto the index: the plans ``optimize_dp`` picks on the
 paper's examples and on databases where every split of a subset costs
@@ -24,6 +32,7 @@ set-based enumeration it replaced.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,15 +102,23 @@ def schemes(draw, most=8):
         halves = st.sampled_from([k for k in fits if _SHAPES[k] <= half])
         left = _shape(draw, draw(halves), half)
         right = _shape(draw, draw(halves), most - len(left))
-        base = left + [AttributeSet("x" + a for a in s) for s in right]
+        base = _disjoint(left, right)
     else:
         base = _shape(draw, kind, most)
-    out = []
-    for index, scheme in enumerate(base):
-        if draw(st.booleans()):
-            scheme = AttributeSet(list(scheme) + [f"p{index}"])
-        out.append(scheme)
-    return out
+    return _private(draw, base)
+
+
+def _private(draw, base):
+    """``base`` with a private attribute on some relations."""
+    return [
+        AttributeSet(list(scheme) + [f"p{i}"]) if draw(st.booleans()) else scheme
+        for i, scheme in enumerate(base)
+    ]
+
+
+def _disjoint(left, right):
+    """Two shapes over disjoint attributes."""
+    return left + [AttributeSet("x" + a for a in s) for s in right]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -162,6 +179,139 @@ def test_the_dp_agrees_with_exhaustive_search(drawn, seed):
         assert dp.cost == brute.cost, space
         assert space.contains(dp.strategy)
         assert tau_cost(dp.strategy) == dp.cost
+
+
+# -- the forest BFS against the Kruskal listing ----------------------------------
+
+
+def _kruskal_listing(ordered, mask):
+    """The join tree of the subset ``mask`` of ``ordered`` (schemes in
+    sorted-scheme order) as the index's Kruskal pass lists it, or
+    ``None``: pairs heaviest first, ties by position; acyclic iff the
+    tree weighs ``Σ_a (|holders_a| - 1)``; then breadth-first from the
+    lowest relation, children in ascending position."""
+    members = [i for i in range(len(ordered)) if mask >> i & 1]
+    group = {i: frozenset([i]) for i in members}
+    adjacent = {i: [] for i in members}
+    weight = 0
+    pairs = sorted(
+        (-len(ordered[i] & ordered[j]), i, j)
+        for i, j in combinations(members, 2)
+        if ordered[i] & ordered[j]
+    )
+    for negative, i, j in pairs:
+        if j in group[i]:
+            continue
+        merged = group[i] | group[j]
+        for k in merged:
+            group[k] = merged
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+        weight -= negative
+    if len(group[members[0]]) != len(members):
+        return None
+    attributes = set().union(*(ordered[i] for i in members))
+    target = sum(sum(1 for i in members if a in ordered[i]) - 1 for a in attributes)
+    if weight != target:
+        return None
+    position = {i: p for p, i in enumerate(members)}
+    queue, seen, listing = [members[0]], {members[0]}, []
+    for node in queue:
+        for child in sorted(adjacent[node]):
+            if child not in seen:
+                seen.add(child)
+                listing.append((position[child], position[node]))
+                queue.append(child)
+    return tuple(listing)
+
+
+def _is_forest(ordered):
+    """Union-find over the sharing pairs: no pair closes a cycle."""
+    root = list(range(len(ordered)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i, j in combinations(range(len(ordered)), 2):
+        if ordered[i] & ordered[j]:
+            a, b = find(i), find(j)
+            if a == b:
+                return False
+            root[a] = b
+    return True
+
+
+@st.composite
+def forest_schemes(draw, most=8):
+    """Chains, stars, random trees, and unions of two of them."""
+    kind = draw(st.sampled_from(["chain", "star", "tree", "union"]))
+    if kind != "union":
+        return _private(draw, _shape(draw, kind, most))
+    half = most // 2
+    left = _shape(draw, draw(st.sampled_from(["chain", "star", "tree"])), half)
+    right = _shape(draw, draw(st.sampled_from(["chain", "star", "tree"])), most - half)
+    return _private(draw, _disjoint(left, right))
+
+
+@st.composite
+def non_forest_schemes(draw, most=8):
+    """Cycles, cliques, hyperedge chains of three or more, ``AB, BC, AC,
+    ABC``, each alone or beside another shape."""
+    kind = draw(st.sampled_from(["cycle", "clique", "hyperedge", "covered_triangle"]))
+    if kind == "hyperedge":
+        n = draw(st.integers(3, most))
+        base = [AttributeSet([f"H{i}", f"H{i + 1}", f"H{i + 2}"]) for i in range(n)]
+    else:
+        base = _shape(draw, kind, most)
+    room = most - len(base)
+    if room >= 1 and draw(st.booleans()):
+        other = draw(st.sampled_from(["chain", "tree", "hyperedge"]))
+        base = _disjoint(base, _shape(draw, other, room))
+    return _private(draw, base)
+
+
+def _check_every_mask(drawn, forest):
+    index = DatabaseScheme(drawn).subset_index()
+    assert _is_forest(index.schemes) is forest
+    assert index.forest is forest
+    for mask in range(1, index.full + 1):
+        assert index.join_tree(mask) == _kruskal_listing(index.schemes, mask), mask
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(forest_schemes())
+def test_forest_trees_equal_the_kruskal_listing(drawn):
+    _check_every_mask(drawn, forest=True)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(non_forest_schemes())
+def test_non_forest_trees_equal_the_kruskal_listing(drawn):
+    _check_every_mask(drawn, forest=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(schemes())
+def test_spanning_leaf_is_the_sorted_scheme_dfs_leaf(drawn):
+    # The binary pipeline peels this relation off a connected subset:
+    # the last one a depth-first search over the subset's sorted schemes
+    # pops, each pushing its unvisited neighbours in sorted order.
+    index = DatabaseScheme(drawn).subset_index()
+    for mask in index.connected():
+        ordered = index.members(mask)
+        seen, stack, last = {ordered[0]}, [ordered[0]], ordered[0]
+        while stack:
+            last = stack.pop()
+            for other in ordered:
+                if other not in seen and last & other:
+                    seen.add(other)
+                    stack.append(other)
+        assert index.schemes[index.spanning_leaf(mask).bit_length() - 1] == last
+        if mask & (mask - 1):
+            rest = mask ^ index.bit_of[last]
+            assert index.component(rest) == rest
 
 
 # -- pins recorded before the DP moved onto the index --------------------------

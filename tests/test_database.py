@@ -235,17 +235,52 @@ class TestJoinMemoConnectivity:
         assert disconnected_db.tau_of(["AB", "DE"]) == 2 * 2
 
     def test_spanning_tree_leaf_is_non_cut(self):
-        from repro.relational.attributes import attrs
-
-        chosen = frozenset(
-            [attrs("AB"), attrs("BC"), attrs("CD"), attrs("DE")]
-        )
-        from repro.database import Database as DB
-
-        leaf = DB._spanning_tree_leaf(chosen)
         from repro.schemegraph.scheme import DatabaseScheme
 
-        assert DatabaseScheme(chosen - {leaf}).is_connected()
+        scheme = DatabaseScheme(["AB", "BC", "CD", "DE"])
+        index = scheme.subset_index()
+        leaf = index.schemes[index.spanning_leaf(index.full).bit_length() - 1]
+        assert scheme.difference([leaf]).is_connected()
+
+
+class TestStructureFromTheIndex:
+    """The join path reads each structural answer off the subset index
+    once: a pinned multiway engine's count of a cyclic R_D reaches
+    ``join_tree`` of the full scheme once, and the kernel is handed that
+    verdict instead of asking again."""
+
+    @pytest.mark.parametrize("engine", ["wcoj", "yannakakis"])
+    def test_cyclic_full_count_asks_for_the_join_tree_once(self, engine, monkeypatch):
+        import random
+
+        from repro.schemegraph.index import SubsetIndex
+        from repro.workloads.generators import (
+            WorkloadSpec,
+            cycle_scheme,
+            generate_database,
+        )
+
+        relations = generate_database(
+            cycle_scheme(4), random.Random(4), WorkloadSpec(size=10, domain=3)
+        ).relations()
+        db = Database(relations, engine=engine)
+        full = db.scheme.subset_index().full
+        asked = []
+        join_tree = SubsetIndex.join_tree
+
+        def spy(index, mask):
+            asked.append(mask)
+            return join_tree(index, mask)
+
+        monkeypatch.setattr(SubsetIndex, "join_tree", spy)
+        tau = db.tau_of(None)
+        assert asked.count(full) == 1
+        monkeypatch.undo()
+        assert tau == len(Database(relations, engine="vector").evaluate())
+        # tau_of computes the count, the count builds R_D into the join
+        # memo, and the count is cached.
+        stats = db.cache_stats()
+        assert (stats.computed, stats.join_entries, stats.tau_entries) == (2, 1, 1)
 
 
 class TestResultLength:
