@@ -45,7 +45,7 @@ from typing import List, Optional
 import repro.obs as obs
 from repro import __version__
 from repro.conditions.checks import check_condition
-from repro.database import ENGINES, Database
+from repro.database import ENGINES
 from repro.optimizer.dp import optimize_dp
 from repro.optimizer.exhaustive import optimize_exhaustive
 from repro.optimizer.spaces import SearchSpace
@@ -86,13 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine",
         choices=ENGINES,
-        default="vector",
-        help="execution engine every database of the command carries: "
-        "the vectorized binary kernel (default; the database stays "
-        "unpinned, so cyclic schemes are auto-routed to the worst-case "
-        "optimal generic join and acyclic ones to the Yannakakis "
-        "semijoin-reduction pipeline), the generic-join engine forced "
-        "on, or the Yannakakis engine forced on (see docs/performance.md)",
+        default=None,
+        help="pin every database of the command to an engine: the "
+        "vectorized binary kernel alone (the reference), generic join on "
+        "cyclic components, or the Yannakakis pipeline on acyclic ones "
+        "and generic join on cyclic ones.  Omitted, the databases stay "
+        "unpinned and each component's executor is decided on its plan "
+        "(see docs/performance.md)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -224,12 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _with_engine(db: Database, args: argparse.Namespace) -> Database:
-    """``db`` pinned to ``--engine``; the default ``vector`` leaves it
-    unpinned, so the engine router decides."""
-    return db if args.engine == "vector" else db.with_engine(args.engine)
-
-
 def _cmd_examples(args: argparse.Namespace) -> int:
     table = Table(
         ["example", "what it shows", "verdict"],
@@ -243,7 +237,7 @@ def _cmd_examples(args: argparse.Namespace) -> int:
         ("5", "the unique optimum is bushy: Theorem 3 needs C3", example5),
     ]
     for number, lesson, make in rows:
-        query = JoinQuery(_with_engine(make(), args))
+        query = JoinQuery(make().with_engine(args.engine))
         best = query.optimize()
         verdict = (
             f"optimum tau={best.cost}, linear={best.is_linear}, "
@@ -353,7 +347,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         or args.chrome_trace is not None
     )
     spec = WorkloadSpec.from_args(args)
-    db = _with_engine(spec.build(), args)
+    db = spec.build().with_engine(args.engine)
     query = JoinQuery(db, runtime=_runtime_from(args))
     if not tracing:
         plan = _plan(args, query)
@@ -402,7 +396,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.obs.profile import RunReport
 
     spec = WorkloadSpec.from_args(args)
-    db = _with_engine(spec.build(), args)
+    db = spec.build().with_engine(args.engine)
     # A clean slate so the exports below carry exactly this run.
     obs.reset()
     obs.enable()
@@ -434,7 +428,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_conditions(args: argparse.Namespace) -> int:
-    db = _with_engine(_EXAMPLES[args.example](), args)
+    db = _EXAMPLES[args.example]().with_engine(args.engine)
     runtime = _runtime_from(args)
     pairs = []
     for name in ("C1", "C1'", "C2", "C3", "C4"):
@@ -460,7 +454,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         relations=args.relations,
         seed=args.seed,
     )
-    db = _with_engine(spec.build(), args)
+    db = spec.build().with_engine(args.engine)
     sampler = sample_linear_strategy if args.linear else sample_strategy
     summary = cost_distribution(
         db,

@@ -33,28 +33,33 @@ global consistency, so the root weights sum to the exact join
 cardinality).  The sweep's messages go into a memo on the database
 (:func:`~repro.yannakakis.join._count_with_messages`), so subsets that
 share a subtree count it once.  A cyclic connected subset
-has no join tree.  On the ``"wcoj"`` and ``"yannakakis"`` engines
+has no join tree.  Unless the database is pinned to ``"vector"``,
 Generic Join counts every proper one
 (:func:`~repro.wcoj.join.generic_count`: weighted tries over the
 shared attributes only, nothing materialized), while the whole database
 ``R_D`` is still joined and memoized, because ``Plan.execute`` reads it
 back; the subset DP asks for its tau last, once every proper subset is
-counted.  On a copy :class:`~repro.query.JoinQuery` moved to its engine
-(:attr:`Database.routing`), the DP instead hands each cyclic component
-``C`` of the scheme to the router when it asks for tau(R_C): the router
-picks Generic Join or the DP's plan for ``C``, that executor builds
-``R_C`` into the join memo, tau(R_C) is its length, and the decision is
-kept (:meth:`Database.decision`).  On the ``"vector"`` engine every
-cyclic subset is joined (binary joins, memoized) and its length taken.
-The caches and the message memo are unbounded and live as long as the
-database.
+counted.  On an unpinned database the DP instead hands each cyclic
+component ``C`` of the scheme to the router when it asks for tau(R_C):
+the router picks Generic Join or the DP's plan for ``C``, that executor
+builds ``R_C`` into the join memo, tau(R_C) is its length, and the
+decision is kept (:meth:`Database.decision`).  On the ``"vector"`` pin,
+the reference, every cyclic subset is joined (binary joins, memoized)
+and its length taken.  The caches and the message memo are unbounded
+and live as long as the database.
 
-Each database carries its own engine, ``Database(engine=...)`` with one
-of :data:`ENGINES`.  The default ``None`` leaves it unpinned: it runs as
-``"vector"``, and :class:`~repro.query.JoinQuery` may re-pin it through
-:class:`~repro.optimizer.route.EngineRouter`.  No engine state lives at
-module level, so databases carrying different engines can run in
-concurrent threads.
+A database is unpinned by default: which executor runs each component
+of three or more relations is then decided per plan
+(:class:`~repro.optimizer.route.EngineRouter`).  ``Database(engine=...)``
+with one of :data:`ENGINES` pins it, and the pin overrides that choice:
+``"vector"`` runs no kernel, ``"wcoj"`` runs Generic Join on cyclic
+components only, and ``"yannakakis"`` runs the semijoin pipeline on
+acyclic components and Generic Join on cyclic ones.  The pin also names
+the kernel :meth:`Database.join_of` runs on a connected subset of three
+or more relations; an unpinned database joins it by the binary peel.
+Every kernel runs through one entry, :meth:`Database.run_kernel`.  No
+engine state lives at module level, so databases carrying different
+pins can run in concurrent threads.
 
 The paper's relation schemes within one database are distinct sets of
 attributes, and we enforce that; display names are carried by the
@@ -87,24 +92,25 @@ from repro.relational.relation import Relation
 from repro.runtime.core import KernelExhausted, current_runtime
 from repro.schemegraph.index import TreeEdges, bits_of
 from repro.schemegraph.scheme import DatabaseScheme
+from repro.wcoj.agm import FractionalEdgeCover, fractional_edge_cover
 from repro.wcoj.join import generic_count, generic_join
 from repro.yannakakis.join import _count_with_messages, yannakakis_join
 
 if TYPE_CHECKING:
-    from repro.optimizer.route import CyclicDecision, EngineRouting
+    from repro.optimizer.route import CyclicDecision
 
-#: What the subset DP defers to a routed cyclic component's count: a
-#: call returning the router's decision and the build of the component's
-#: join that it picks.
+#: What the subset DP defers to the count of an unpinned database's
+#: cyclic component: a call returning the router's decision and the
+#: build of the component's join that it picks.
 Decide = Callable[[], Tuple["CyclicDecision", Callable[[], Relation]]]
 
 __all__ = ["ENGINES", "CacheStats", "Database", "database"]
 
-#: The engines a database can carry (``Database(engine=...)``).  Binary
-#: joins always run on the vector kernel; ``"wcoj"`` adds Generic Join
-#: for connected cyclic subsets, and ``"yannakakis"`` adds semijoin
-#: reduction for connected acyclic subsets plus Generic Join for cyclic
-#: ones.
+#: The pins a database can carry (``Database(engine=...)``).  Binary
+#: joins always run on the vector kernel; ``"vector"`` runs nothing
+#: else, ``"wcoj"`` adds Generic Join for connected cyclic subsets, and
+#: ``"yannakakis"`` adds semijoin reduction for connected acyclic
+#: subsets plus Generic Join for cyclic ones.
 ENGINES = ("vector", "wcoj", "yannakakis")
 
 # Subset-join cache telemetry (see docs/observability.md).  The hit/miss
@@ -233,7 +239,8 @@ class Database:
         "_computed",
         "_connected",
         "_engine",
-        "_routing",
+        "_parts",
+        "_covers",
         "_deferred",
         "_decisions",
         # The resource sampler watches databases by weakref (a dropped
@@ -252,7 +259,6 @@ class Database:
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
         self._engine = engine
-        self._routing: Optional[EngineRouting] = None
         relations = tuple(relations)
         if not relations:
             raise SchemaError("a database must contain at least one relation")
@@ -275,9 +281,12 @@ class Database:
         self._join_cache: Dict[int, Relation] = {}
         self._tau_cache: Dict[int, int] = {}
         self._messages: Dict[Tuple[int, int, int], List[int]] = {}
-        # A routed copy's cyclic components: the DP's pending decision
-        # per mask while it asks for the component's tau, and the
-        # decision that built each one (see decision()).
+        # The scheme's components with their join trees, the AGM cover
+        # per mask, and, on an unpinned database, the DP's pending
+        # decision per cyclic component while it asks for the
+        # component's tau and the decision that built each one.
+        self._parts: Optional[Tuple[Tuple[int, Optional[TreeEdges]], ...]] = None
+        self._covers: Dict[int, FractionalEdgeCover] = {}
         self._deferred: Dict[int, Decide] = {}
         self._decisions: Dict[int, CyclicDecision] = {}
         # Per-instance cache accounting behind Database.cache_stats().
@@ -375,55 +384,56 @@ class Database:
         return chosen
 
     @property
-    def engine(self) -> str:
-        """The execution engine this database's joins run on: the
-        pinned ``engine=`` choice, or ``"vector"`` when unpinned."""
-        return self._engine or "vector"
-
-    @property
-    def pinned_engine(self) -> Optional[str]:
-        """The ``engine=`` choice this database was built with, or
-        ``None`` when it is unpinned (runs as ``"vector"``, and
-        :class:`~repro.query.JoinQuery` may re-pin it through
-        :class:`~repro.optimizer.route.EngineRouter`)."""
+    def engine(self) -> Optional[str]:
+        """The ``engine=`` pin, one of :data:`ENGINES`, or ``None`` when
+        the database is unpinned (see the module docstring)."""
         return self._engine
 
-    def with_engine(
-        self, engine: Optional[str], routing: Optional[EngineRouting] = None
-    ) -> "Database":
+    def with_engine(self, engine: Optional[str]) -> "Database":
         """A copy pinned to ``engine`` (``None`` unpins).
 
         The copy shares the relation states but starts with fresh
         caches: joins computed on one engine must not be served to
         another (the bytes agree, but provenance and telemetry would
-        lie about which kernel did the work).  ``routing`` is the
-        router's record when the router chose ``engine``
-        (:attr:`routing`).
+        lie about which kernel did the work).
         """
-        if engine == self._engine and routing is self._routing:
+        if engine == self._engine:
             return self
         copy = Database(self._relations.values(), engine=engine)
         copy._scheme = self._scheme  # immutable: one subset index serves both
-        copy._routing = routing
         return copy
 
-    @property
-    def routing(self) -> Optional[EngineRouting]:
-        """The :class:`~repro.optimizer.route.EngineRouting` record of
-        the router that moved this copy to its engine
-        (:class:`~repro.query.JoinQuery` passes it to
-        :meth:`with_engine`), or ``None``.  On such a copy the subset DP
-        routes each cyclic component on its plan's tau
-        (:meth:`~repro.optimizer.route.EngineRouter.decide_cyclic`)."""
-        return self._routing
+    def component_trees(self) -> Tuple[Tuple[int, Optional[TreeEdges]], ...]:
+        """The components of the whole scheme as ``(mask, join tree)``
+        pairs of the subset index, lowest component first; a cyclic
+        component's tree is ``None``.  Found once per database."""
+        parts = self._parts
+        if parts is None:
+            index = self._scheme.subset_index()
+            parts = self._parts = tuple(
+                (mask, index.join_tree(mask)) for mask in index.components(index.full)
+            )
+        return parts
+
+    def cover(self, mask: int) -> FractionalEdgeCover:
+        """The AGM fractional edge cover of the states of the subset
+        ``mask``, whose bound caps its join's size; solved once per
+        mask."""
+        cover = self._covers.get(mask)
+        if cover is None:
+            states = [self._relations[s] for s in self._scheme.subset_index().members(mask)]
+            cover = self._covers[mask] = fractional_edge_cover(
+                [rel.scheme for rel in states], [len(rel) for rel in states]
+            )
+        return cover
 
     def decision(self, mask: int) -> Optional[CyclicDecision]:
         """The :class:`~repro.optimizer.route.CyclicDecision` whose
         executor built the join of the cyclic component ``mask``, or
-        ``None`` when no subset DP routed it (its join, if built, came
-        from :meth:`join_of`'s kernel path).  The first DP that asks for
-        the component's tau decides; a later plan reads the same join
-        back from the memo."""
+        ``None`` when no subset DP decided it (the database is pinned,
+        or something else asked for the component's tau first).  The
+        first DP that asks for the component's tau decides; a later plan
+        reads the same join back from the memo."""
         return self._decisions.get(mask)
 
     @contextmanager
@@ -454,13 +464,14 @@ class Database:
         self, chosen: SubsetKey, compute: Optional[Callable[[], Relation]] = None
     ) -> Relation:
         """The memoized subset join, computed on a miss by ``compute``
-        (``Plan.execute`` passes a step: its children's states joined) or
-        by :meth:`_compute_join`, which reads the subset's components off
-        the subset index: it joins an unconnected subset component by
-        component, hands a connected one of three or more relations to a
-        multiway engine's kernel, and otherwise peels off a scheme whose
-        removal keeps the subset connected (a spanning-tree leaf), so no
-        intermediate is a Cartesian product of a connected input.
+        (``Plan.execute`` passes a step: its children's states joined,
+        or its kernel's :meth:`run_kernel`) or by :meth:`_compute_join`,
+        which reads the subset's components off the subset index: it
+        joins an unconnected subset component by component, hands a
+        connected one of three or more relations to the pinned engine's
+        kernel, and otherwise peels off a scheme whose removal keeps the
+        subset connected (a spanning-tree leaf), so no intermediate is a
+        Cartesian product of a connected input.
         """
         mask = self._scheme.subset_index().mask_of(chosen)
         cached = self._join_cache.get(mask)
@@ -494,9 +505,13 @@ class Database:
                 result = result.join(self._join_memo(frozenset(members(part))))
             return result
         if self._engine in _MULTIWAY and len(chosen) >= 3:
-            result = self._multiway_join(chosen, mask, index.join_tree(mask))
-            if result is not None:
-                return result
+            # The pin's kernel: Generic Join for a cyclic subset, and on
+            # "yannakakis" the semijoin pipeline for an acyclic one.
+            tree = index.join_tree(mask)
+            if tree is None:
+                return self.run_kernel("wcoj", chosen, mask)
+            if self._engine == "yannakakis":
+                return self.run_kernel("yannakakis", chosen, mask, tree)
         return self._binary_join(chosen, mask)
 
     def _binary_join(self, chosen: SubsetKey, mask: int) -> Relation:
@@ -508,31 +523,27 @@ class Database:
         leaf = index.schemes[index.spanning_leaf(mask).bit_length() - 1]
         return self._join_memo(chosen - {leaf}).join(self._relations[leaf])
 
-    def _multiway_join(
+    def run_kernel(
         self,
+        kernel: str,
         chosen: SubsetKey,
-        mask: int,
-        tree: Optional[TreeEdges],
+        mask: Optional[int] = None,
+        tree: Optional[TreeEdges] = None,
         count: bool = False,
-    ) -> Union[Relation, int, None]:
-        """Run a connected subset of >= 3 relations on the multiway
-        kernel of this database's engine (``"wcoj"`` or ``"yannakakis"``,
-        which the caller checked), or return ``None`` for the binary
-        pipeline.
+    ) -> Union[Relation, int]:
+        """The join of the connected subset ``chosen`` (of three or more
+        relations) on the multiway ``kernel``, computed without the join
+        memo: the one entry through which every kernel runs.  The
+        caller names the kernel from the record that chose it (a
+        :class:`~repro.optimizer.route.ComponentExecution`, a
+        :class:`~repro.optimizer.route.CyclicDecision`, or the pin).
 
-        The caller holds the subset index's join tree ``tree`` (``None``:
-        the subset is cyclic), which decides the kernel and is handed to
-        the pipeline.  ``"yannakakis"`` sends acyclic subsets to the
-        semijoin-reduction pipeline and cyclic ones to Generic Join, so a
-        mixed database runs every subset on its best kernel.  ``"wcoj"``
-        sends only cyclic subsets to Generic Join (a join tree already
-        gives an optimal binary order on acyclic ones).
-
-        ``count=True`` asks for the tau of a *cyclic* subset instead of
-        its join (:meth:`_count` counts acyclic ones with
-        :func:`~repro.yannakakis.join.yannakakis_count`):
-        :func:`~repro.wcoj.join.generic_count` counts it without
-        materializing anything.
+        ``"wcoj"`` runs Generic Join on a cyclic subset; ``"yannakakis"``
+        runs the semijoin-reduction pipeline on an acyclic one, along
+        ``tree``, the subset index's join tree of ``mask`` (looked up
+        when not given).  ``count=True`` asks Generic Join for the
+        subset's tau instead (:func:`~repro.wcoj.join.generic_count`,
+        nothing materialized).
 
         When the kernel trips the ambient runtime's deadline or budget,
         the fallback is recorded once -- on the runtime, on the kernel's
@@ -541,15 +552,17 @@ class Database:
         binary pipeline serves the result (or its length) without
         re-entering the kernel on this subset.
         """
-        if count:
-            kernel, join = "wcoj", generic_count
-        elif tree is not None:
-            if self._engine == "wcoj":
-                return None
-            kernel, join = "yannakakis", partial(yannakakis_join, tree=tree)
-        else:
-            kernel, join = "wcoj", generic_join
         index = self._scheme.subset_index()
+        if mask is None:
+            mask = index.mask_of(chosen)
+        if count:
+            join = generic_count
+        elif kernel == "wcoj":
+            join = generic_join
+        else:
+            if tree is None:
+                tree = index.join_tree(mask)
+            join = partial(yannakakis_join, tree=tree)
         tables = [self._relations[s]._table() for s in index.members(mask)]
         runtime = current_runtime()
         try:
@@ -606,12 +619,12 @@ class Database:
         and the rest's, connected acyclic subsets are counted by
         :func:`~repro.yannakakis.join.yannakakis_count` on the subset
         index's join tree, on every engine, with this database's message
-        memo, and on the multiway engines proper cyclic subsets by
-        Generic Join's counting mode (see the module docstring).  Only
-        ``R_D`` itself, and cyclic subsets on the vector engine, fall
-        back to ``len(join_of(...))``.  Each call counts one cache hit
-        or one computed subset; the lookups it makes on the way move no
-        counter.
+        memo, and, unless the database is pinned to ``"vector"``, proper
+        cyclic subsets by Generic Join's counting mode (see the module
+        docstring).  Only ``R_D`` itself, and cyclic subsets on the
+        vector pin, fall back to ``len(join_of(...))``.  Each call counts
+        one cache hit or one computed subset; the lookups it makes on
+        the way move no counter.
         """
         cached = self._join_cache.get(mask)
         if cached is not None:
@@ -664,17 +677,16 @@ class Database:
         :func:`~repro.yannakakis.join.yannakakis_count` sweep on the
         index's join tree (its tables in sorted-scheme order, rooted at
         the lowest relation), with this database's message memo; a
-        proper cyclic subset's
-        :func:`~repro.wcoj.join.generic_count` on the
-        ``"wcoj"``/``"yannakakis"`` engines; or else the memoized
-        join's length."""
+        proper cyclic subset's :func:`~repro.wcoj.join.generic_count`
+        unless the database is pinned to ``"vector"``; or else the
+        memoized join's length."""
         index = self._scheme.subset_index()
         if not mask & (mask - 1):
             return len(self._relations[index.schemes[mask.bit_length() - 1]])
         decide = self._deferred.pop(mask, None)
         if decide is not None:
-            # A routed cyclic component, built once by the executor its
-            # decision picks.
+            # A cyclic component of an unpinned database, built once by
+            # the executor its decision picks.
             decision, build = decide()
             self._decisions[mask] = decision
             return len(build())
@@ -690,18 +702,16 @@ class Database:
                 self._relations[schemes[bit.bit_length() - 1]]._table() for bit in bits
             ]
             return _count_with_messages(tables, tree, bits, self._messages)
-        # Cyclic connected subset: no join tree.  On the multiway
-        # engines Generic Join counts a proper subset, and joins R_D
-        # itself for Plan.execute to read back, handed the verdict
-        # already reached; the vector engine materializes every cyclic
-        # subset.
+        # Cyclic connected subset: no join tree.  Generic Join counts a
+        # proper subset, and joins R_D itself for Plan.execute to read
+        # back; the vector pin materializes every cyclic subset.
         chosen = frozenset(index.members(mask))
-        if self._engine not in _MULTIWAY:
+        if self._engine == "vector":
             return len(self._join_memo(chosen))
         if mask != index.full:
-            return self._multiway_join(chosen, mask, None, count=True)
+            return self.run_kernel("wcoj", chosen, mask, count=True)
         return len(
-            self._join_memo(chosen, partial(self._multiway_join, chosen, mask, None))
+            self._join_memo(chosen, partial(self.run_kernel, "wcoj", chosen, mask))
         )
 
     def is_nonnull(self) -> bool:

@@ -332,11 +332,11 @@ class RunReport:
         report's ``degradation`` records why.  The execute phase always
         runs the served plan to completion.
 
-        * **plan** -- :class:`~repro.query.JoinQuery` routes ``db`` and
-          pins the engine the router chose; ``planner`` then finds the
-          tau-optimal strategy in ``space`` on the pinned database.  It
-          is called as ``planner(db, space, runtime=runtime)``: the
-          subset DP by default, or
+        * **plan** -- :class:`~repro.query.JoinQuery` describes ``db``
+          (its routing record), and ``planner`` finds the tau-optimal
+          strategy in ``space`` on ``db`` itself, called as
+          ``planner(db, space, runtime=runtime)``: the subset DP by
+          default, or
           :func:`~repro.optimizer.exhaustive.optimize_exhaustive` for
           ground-truth enumeration at paper scale.  A ``strategy`` passed
           in is costed instead, and runs on its own database, where
@@ -379,8 +379,9 @@ class RunReport:
                 with clock.phase("statistics"):
                     estimator = CardinalityEstimator.from_database(planned)
                 operators = _OperatorClock(planned)
+                engines = {key: record.engine for key, record in kernels.items()}
                 with clock.phase("execute"):
-                    run(plan.strategy, kernels, operators)
+                    run(plan.strategy, engines, operators)
                 executor_cache = planned.cache_stats().delta(planner_cache)
                 nodes = {node.scheme_set.schemes: node for node in plan.strategy.steps()}
                 steps = []
@@ -454,14 +455,9 @@ class RunReport:
             ("optimizer", self.optimizer),
         ]
         if self.routing is not None:
-            pairs.append(("engine", self.routing.effective))
-            pairs.append(
-                (
-                    "scheme",
-                    ("cyclic" if self.routing.cyclic else "acyclic")
-                    + (f"; {self.routing.reason}"),
-                )
-            )
+            shape = "cyclic" if self.routing.cyclic else "acyclic"
+            pairs.append(("engine", self.routing.engine or "unpinned"))
+            pairs.append(("scheme", f"{shape}; {self.routing.reason}"))
             if self.routing.cover is not None:
                 pairs.append(
                     ("agm bound", f"{self.routing.cover.bound:.6g}")

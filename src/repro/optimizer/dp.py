@@ -35,8 +35,8 @@ indexed by mask, with the winning split per state;
 :class:`~repro.strategy.tree.Strategy` nodes are built for the winning
 plan only, once the search is over.
 
-On a database the router moved (:attr:`Database.routing`), asking for
-the tau of a cyclic component ``C`` first hands ``C`` to
+On an unpinned database, asking for the tau of a cyclic component ``C``
+first hands ``C`` to
 :meth:`~repro.optimizer.route.EngineRouter.decide_cyclic`: the winning
 split fixes I, what ``C``'s plan produces below its root, and the
 executor the router picks (Generic Join or that plan, run binary)
@@ -163,13 +163,14 @@ def _route_cyclic(
 ) -> Tuple[CyclicDecision, Callable[[], Relation]]:
     """The router's decision for the cyclic component ``mask``, whose
     winning plan produces ``inner`` tuples below its root, and the build
-    of ``R_mask`` it picks: the database's Generic Join, or the plan run
-    binary through the join memo."""
+    of ``R_mask`` it picks: Generic Join through the database's kernel
+    entry, or the plan run binary, each through the join memo."""
     decision = EngineRouter.decide_cyclic(db, mask, inner)
-    if decision.engine == "wcoj":
-        subset = None if mask == index.full else index.members(mask)
-        return decision, partial(db.join_of, subset)
-    return decision, partial(run, _strategy(db, index, chosen, mask))
+    if decision.engine == "plan":
+        return decision, partial(run, _strategy(db, index, chosen, mask))
+    subset = frozenset(index.members(mask))
+    kernel = partial(db.run_kernel, decision.engine, subset, mask)
+    return decision, partial(db._join_memo, subset, kernel)
 
 
 def optimize_dp(
@@ -199,9 +200,9 @@ def optimize_dp(
     that order (:func:`_earlier`); the other spaces try their splits in
     that order.
 
-    On a routed database, the call for a cyclic component's tau builds
-    the component's join with the executor the router picks from the
-    winning split (see the module docstring); a ``subset_cost`` that
+    On an unpinned database, the call for a cyclic component's tau
+    builds the component's join with the executor the router picks from
+    the winning split (see the module docstring); a ``subset_cost`` that
     does not reach the database leaves it unbuilt.
 
     ``runtime`` bounds the search (docs/api.md): one budget unit is
@@ -219,7 +220,10 @@ def optimize_dp(
             return subset_cost(frozenset(members(mask)))
 
     full = index.full
-    routed = EngineRouter.cyclic_components(db)
+    # An unpinned database's cyclic components, decided on their plans.
+    routed = () if db.engine is not None else {
+        mask for mask, tree in db.component_trees() if tree is None
+    }
     # cost[mask]: the cheapest cost of a state (None: no plan in the
     # space); chosen: mask -> part 1 of that cost's split.
     chosen: Dict[int, int] = {}

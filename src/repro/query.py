@@ -54,17 +54,16 @@ class PlanProvenance:
     ``degradation`` -- ``None`` for an exact result -- the
     :class:`~repro.optimizer.spaces.Degradation` record when a bounded
     search exhausted its :class:`~repro.runtime.Runtime` and served the
-    greedy fallback instead; and ``routing`` -- set by
-    :class:`JoinQuery` and the CLI -- the
-    :class:`~repro.optimizer.route.EngineRouting` record saying which
-    engine the database is pinned to and why (with the AGM bound for
-    connected schemes).  ``execution`` holds the plan's
+    greedy fallback instead; ``routing`` -- set by :class:`JoinQuery`
+    and the CLI, ``None`` otherwise -- the
+    :class:`~repro.optimizer.route.EngineRouting` record ``explain``
+    prints (the database's pin, the scheme's shape, the AGM bound of a
+    connected scheme); and ``execution`` the plan's
     :class:`~repro.optimizer.route.ComponentExecution` records once
-    :attr:`Plan.execution` has decided them; setting ``routing`` clears
-    them.
+    :attr:`Plan.execution` has decided them.
     """
 
-    __slots__ = ("cost", "space", "optimizer", "degradation", "_routing", "execution")
+    __slots__ = ("cost", "space", "optimizer", "degradation", "routing", "execution")
 
     def __init__(
         self,
@@ -79,15 +78,6 @@ class PlanProvenance:
         self.optimizer = optimizer
         self.degradation = degradation
         self.routing = routing
-
-    @property
-    def routing(self):
-        """The engine-routing record (``None`` outside :class:`JoinQuery`)."""
-        return self._routing
-
-    @routing.setter
-    def routing(self, routing) -> None:
-        self._routing = routing
         self.execution = None
 
     @property
@@ -220,9 +210,7 @@ class Plan:
         use and kept on the provenance record."""
         provenance = self.provenance
         if provenance.execution is None:
-            provenance.execution = EngineRouter.execution(
-                self.strategy, self.cost, provenance.routing
-            )
+            provenance.execution = EngineRouter.execution(self.strategy, self.cost)
         return provenance.execution
 
     def to_dict(self) -> Dict[str, Any]:
@@ -243,12 +231,14 @@ class Plan:
         join and memoizes the result under its subset in the database's
         join memo, so ``Strategy.state``, ``tau_of`` and a second
         ``execute()`` read it back.  A component that :attr:`execution`
-        hands to a kernel runs through the database's kernel entry
-        instead (runtime fallback included).  On a plan executed this
-        way, the steps produce exactly ``cost`` tuples.
+        hands to a kernel runs on that kernel through the database's
+        kernel entry instead (runtime fallback included).  On a plan
+        executed binary, the steps produce exactly ``cost`` tuples.
         """
         kernels = {
-            record.subset for record in self.execution if record.engine != "plan"
+            record.subset: record.engine
+            for record in self.execution
+            if record.engine != "plan"
         }
         return run(self.strategy, kernels)
 
@@ -319,12 +309,6 @@ class JoinQuery:
 
     def __init__(self, db: Database, runtime: Optional[Runtime] = None):
         self._routing = EngineRouter(db).route()
-        if self._routing.routed:
-            # Pin the routed engine so every join launched through this
-            # query (searches, condition sweeps, plan execution via the
-            # shared memo) runs on it, and hand the copy the record, so
-            # the subset DP routes its cyclic components.
-            db = db.with_engine(self._routing.effective, self._routing)
         self._db = db
         self._runtime = runtime
         self._condition_cache: Dict[str, bool] = {}
@@ -336,14 +320,14 @@ class JoinQuery:
 
     @property
     def database(self) -> Database:
-        """The underlying database (re-pinned when the router moved it
-        to another engine -- see :attr:`routing`)."""
+        """The database the query plans on: the one it was given."""
         return self._db
 
     @property
     def routing(self):
         """The :class:`~repro.optimizer.route.EngineRouting` record the
-        query was built with: which engine executes the joins and why."""
+        query was built with: the database's pin and scheme facts, as
+        ``explain`` prints them."""
         return self._routing
 
     # -- planning --------------------------------------------------------------
@@ -358,7 +342,7 @@ class JoinQuery:
         return using_runtime(self._runtime)
 
     def _finish(self, plan: Plan) -> Plan:
-        """Stamp the query's engine routing onto a plan's provenance."""
+        """Stamp the query's routing record onto a plan's provenance."""
         plan.provenance.routing = self._routing
         return plan
 
@@ -477,8 +461,8 @@ class JoinQuery:
         return self._theorems_apply() and self._guarantee(space)
 
     def _theorems_apply(self) -> bool:
-        """Theorems 2 and 3 assume a connected scheme (which the router
-        already decided, on the same schemes) and ``R_D ≠ ∅``."""
+        """Theorems 2 and 3 assume a connected scheme (which the routing
+        record already holds) and ``R_D ≠ ∅``."""
         return self._routing.connected and self._db.is_nonnull()
 
     def _guarantee(self, space: SearchSpace):

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Dict, Iterator, Optional
 
 from repro.errors import OperationCancelled, ReproError
@@ -368,16 +369,17 @@ class Charger:
 
 #: The runtime installed by :func:`using_runtime` for code that cannot
 #: take a ``runtime=`` parameter (deep execution layers like the wcoj
-#: kernel, reached through Database's memoized join cache).  A plain
-#: module global, not a contextvar: the engine's hot paths are
-#: single-threaded per process.
-_AMBIENT: Optional[Runtime] = None
+#: kernel, reached through Database's memoized join cache).  A context
+#: variable, so each thread (and each asyncio task) sees only the
+#: runtime its own ``using_runtime`` block installed.
+_AMBIENT: ContextVar[Optional[Runtime]] = ContextVar("repro_runtime", default=None)
 
 
 def current_runtime() -> Optional[Runtime]:
-    """The ambient :class:`Runtime` installed by :func:`using_runtime`,
-    or ``None`` when the current work is unbounded."""
-    return _AMBIENT
+    """The ambient :class:`Runtime` installed by :func:`using_runtime`
+    in the current thread, or ``None`` when the current work is
+    unbounded."""
+    return _AMBIENT.get()
 
 
 @contextmanager
@@ -390,12 +392,11 @@ def using_runtime(runtime: Optional[Runtime]) -> Iterator[Optional[Runtime]]:
     :func:`current_runtime` so their inner loops observe the same
     deadline/budget the caller threaded everywhere else.  ``None`` is
     accepted and clears the ambient runtime for the block.  Nesting
-    restores the previous runtime on exit.
+    restores the previous runtime on exit.  The runtime is per thread:
+    a block in one thread is invisible to every other.
     """
-    global _AMBIENT
-    previous = _AMBIENT
-    _AMBIENT = runtime
+    token = _AMBIENT.set(runtime)
     try:
         yield runtime
     finally:
-        _AMBIENT = previous
+        _AMBIENT.reset(token)

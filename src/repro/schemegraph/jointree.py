@@ -184,8 +184,8 @@ def build_join_tree(scheme) -> JoinTree:
     forest, else Maier's maximum-weight spanning tree, one Kruskal pass
     over the pairs sharing attributes, heaviest first, whose weight also
     decides acyclicity.  The same call gives the tau counter and the
-    Yannakakis pipeline their trees, so the router, the consistency
-    code, the counter and the pipeline build every tree one way.  The
+    Yannakakis pipeline their trees, so the consistency code, the
+    counter and the pipeline build every tree one way.  The
     edges are validated again by :class:`JoinTree`.  Raises
     :class:`~repro.errors.AcyclicityError` when the scheme is not
     alpha-acyclic or not connected.

@@ -18,6 +18,7 @@ respect that.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.database import Database
@@ -291,23 +292,24 @@ class Strategy:
         return f"<Strategy {self.describe()}>"
 
 
-def run(node: Strategy, kernels=frozenset(), memo=Database._join_memo) -> Relation:
+def run(node: Strategy, kernels=None, memo=Database._join_memo) -> Relation:
     """The state of ``node`` as the strategy builds it: a leaf's base
-    state; a step whose subset is in ``kernels`` from the database's
-    kernel entry; any other step the join of its children's states.
-    Steps go through the join memo, so a memoized subset is reused and a
-    computed one is memoized.  Every step is one call ``memo(db,
-    subset[, compute])``; the profiler
+    state; a step whose subset ``kernels`` maps to a kernel name from
+    that kernel (:meth:`Database.run_kernel`); any other step the join
+    of its children's states.  Steps go through the join memo, so a
+    memoized subset is reused and a computed one is memoized.  Every
+    step is one call ``memo(db, subset, compute)``; the profiler
     (:meth:`repro.obs.profile.RunReport.capture`) passes a ``memo`` that
     times each one.  :meth:`repro.query.Plan.execute` runs a plan this
-    way, and the subset DP a routed cyclic component's plan."""
+    way, and the subset DP a cyclic component's plan."""
     db = node.database
     if node.is_leaf:
         (scheme,) = node.scheme_set.schemes
         return db.state_for(scheme)
     key = node.scheme_set.schemes
-    if key in kernels:
-        return memo(db, key)
+    kernel = kernels.get(key) if kernels else None
+    if kernel is not None:
+        return memo(db, key, partial(db.run_kernel, kernel, key))
     return memo(
         db,
         key,

@@ -4,8 +4,9 @@ The rest of the library evaluates strategies as *binary* join trees --
 exactly the space that Ngo, Porat, Ré, and Rudra prove asymptotically
 suboptimal on cyclic queries: on a triangle, every binary plan can pay a
 ``Θ(N²)`` intermediate while the output is only ``O(N^{3/2})`` (the AGM
-fractional-edge-cover bound).  This subpackage is the kernel behind
-``Database(engine="wcoj")``:
+fractional-edge-cover bound).  This subpackage is the kernel that runs
+a cyclic component wherever the per-component decision, or a
+``"wcoj"``/``"yannakakis"`` pin, picks Generic Join:
 
 * :mod:`trie` -- per-relation nested-dict tries over the columnar
   tables' interned id columns, built in the chosen attribute order;

@@ -121,3 +121,54 @@ class TestTimedOutVerdict:
         assert decided.timed_out is None
         assert decided.verdict() == "holds"
         assert ConditionReport("C1", False, 2, []).verdict() == "fails"
+
+
+class TestAmbientRuntimePerThread:
+    """The ambient runtime is per thread: a ``using_runtime`` block in
+    one thread neither shows nor hides a runtime in another, and leaves
+    nothing behind once it ends.  Events fix the interleaving: A enters,
+    B enters, A reads and leaves, B reads and leaves."""
+
+    WAIT_S = 30
+
+    def test_blocks_in_two_threads_do_not_overwrite_each_other(self):
+        import threading
+
+        import repro.obs as obs
+        from repro.database import Database
+        from repro.obs.metrics import get_registry
+        from repro.runtime import current_runtime, using_runtime
+        from repro.workloads.generators import generate_spiked_cycle
+
+        runtime_a, runtime_b = Runtime(budget=WorkBudget(1)), Runtime()
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen, waited = {}, []
+
+        def thread_a():
+            with using_runtime(runtime_a):
+                a_in.set()
+                waited.append(b_in.wait(self.WAIT_S))
+                seen["a"] = current_runtime()
+            a_out.set()
+
+        def thread_b():
+            waited.append(a_in.wait(self.WAIT_S))
+            with using_runtime(runtime_b):
+                b_in.set()
+                waited.append(a_out.wait(self.WAIT_S))
+                seen["b"] = current_runtime()
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(self.WAIT_S)
+        assert waited == [True, True, True]
+        assert seen == {"a": runtime_a, "b": runtime_b}
+        assert current_runtime() is None
+        # Nothing is left installed: an unbounded Generic Join in this
+        # thread neither falls back nor charges A's budget of one unit.
+        with obs.observed():
+            Database(generate_spiked_cycle(3, 200).relations(), engine="wcoj").evaluate()
+            assert get_registry().counter("wcoj.fallback").value() is None
+        assert runtime_a.units_spent == 0

@@ -60,6 +60,18 @@ class TestEngineFlag:
         for engine in ("vector", "wcoj", "yannakakis"):
             assert f"'{engine}'" in err
 
+    def test_omitted_engine_leaves_the_database_unpinned(self, capsys):
+        assert build_parser().parse_args(["optimize"]).engine is None
+        assert main(["optimize", "--shape", "cycle", "--relations", "4"]) == 0
+        assert "engine: unpinned (scheme cyclic" in capsys.readouterr().out
+
+    def test_vector_pins_the_reference_engine(self, capsys):
+        argv = ["--engine", "vector", "optimize", "--shape", "cycle", "--relations", "4"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "engine: vector (scheme cyclic; pinned on the database)" in out
+        assert "-> plan (vector engine)" in out
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -277,13 +289,15 @@ class TestExplainCommand:
         spec = WorkloadSpec(size=10, domain=6, shape="chain", relations=4, seed=0)
         assert profile["tau"] == optimize_dp(spec.build()).cost
 
-    @pytest.mark.parametrize("engine", ["vector", "wcoj"])
+    @pytest.mark.parametrize("engine", [None, "vector", "wcoj"])
     @pytest.mark.parametrize("shape", ["chain", "cycle"])
     def test_obs_report_reprints_the_explain_output(
         self, capsys, tmp_path, shape, engine
     ):
         path = tmp_path / "run.jsonl"
-        argv = ["--engine", engine, "explain", "--shape", shape, "--relations", "4"]
+        argv = ["explain", "--shape", shape, "--relations", "4"]
+        if engine is not None:
+            argv = ["--engine", engine] + argv
         assert main(argv + ["--trace-json", str(path)]) == 0
         printed = capsys.readouterr().out.split("\n\nwrote ")[0]
         assert printed.startswith("EXPLAIN ANALYZE: ")

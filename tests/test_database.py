@@ -283,6 +283,37 @@ class TestStructureFromTheIndex:
         assert (stats.computed, stats.join_entries, stats.tau_entries) == (2, 1, 1)
 
 
+class TestCyclicSchemeCounts:
+    """The subset DP on a cycle computes each subset once on an
+    unpinned database: every proper subset is counted, and R_D is built
+    once, by the executor the DP decides (one more computed entry, in
+    the join memo).  The vector pin, the reference, also joins the
+    subsets on R_D's peel path after counting them."""
+
+    @pytest.mark.parametrize(
+        "n,unpinned,vector", [(3, 5, 7), (4, 12, 15), (5, 30, 31)]
+    )
+    def test_subsets_computed_by_the_dp(self, n, unpinned, vector):
+        import random
+
+        from repro.optimizer.dp import optimize_dp
+        from repro.workloads.generators import (
+            WorkloadSpec,
+            cycle_scheme,
+            generate_database,
+        )
+
+        relations = generate_database(
+            cycle_scheme(n), random.Random(n), WorkloadSpec(size=12, domain=4)
+        ).relations()
+        computed = {}
+        for engine in (None, "vector"):
+            db = Database(relations, engine=engine)
+            optimize_dp(db)
+            computed[engine] = db.cache_stats().computed
+        assert computed == {None: unpinned, "vector": vector}
+
+
 class TestResultLength:
     """``len`` of a join result reads the kernel table's row count: it
     builds no row set.  Vector and Yannakakis results are born as

@@ -15,8 +15,10 @@ from repro.strategy.cost import tau_cost
 from repro.workloads.generators import (
     WorkloadSpec,
     chain_scheme,
+    clique_scheme,
     cycle_scheme,
     generate_database,
+    star_scheme,
 )
 from repro.workloads.paper import example4
 
@@ -210,8 +212,8 @@ class TestRelease:
         "make",
         [
             example4,
-            lambda: _uniform(chain_scheme(4)),  # routed to yannakakis
-            lambda: _uniform(cycle_scheme(4)),  # routed to wcoj
+            lambda: _uniform(chain_scheme(4)),  # an acyclic component
+            lambda: _uniform(cycle_scheme(4)),  # a cyclic component
         ],
         ids=["example4", "chain4", "cycle4"],
     )
@@ -222,10 +224,55 @@ class TestRelease:
             db = Database(make().relations())
             query = JoinQuery(db)
             query.execute(query.optimize())
-            # The routed copy when the router re-pinned, else db itself.
+            # The query plans on db itself.
             refs = [weakref.ref(db), weakref.ref(query.database)]
             del db, query
             assert [ref() for ref in refs] == [None, None]
         finally:
             if enabled:
                 gc.enable()
+
+
+def _seen(db):
+    """What a fresh query over ``db`` says about how its plan runs: the
+    ``engine:`` line and every ``execute:`` line of its explain."""
+    lines = JoinQuery(db).optimize().explain().splitlines()
+    return [line for line in lines if line.startswith(("engine:", "execute:"))]
+
+
+class TestOneDatabase:
+    """A query plans on the database it is given.  So a ``with_state``
+    or ``restrict`` copy of ``query.database``, and a second query over
+    it, decide every component as ``JoinQuery(db)`` does: no engine pin
+    from an earlier query rides along.  The inputs are the kernel
+    bench's star4, where rho keeps the plan, and the e2e ``cyclic_join``
+    pool's draws of cycle4, cycle5 and clique4 (values not renamed),
+    where the cyclic rule keeps it."""
+
+    INPUTS = {  # scheme, seed, size, domain
+        "star4": (star_scheme(4), 17, 120, 4),
+        "cycle4": (cycle_scheme(4), "cyclic_join/cycle4/data", 150, 20),
+        "cycle5": (cycle_scheme(5), "cyclic_join/cycle5/data", 150, 15),
+        "clique4": (clique_scheme(4), "cyclic_join/clique4/data", 250, 6),
+    }
+
+    @pytest.mark.parametrize("label", ["star4", "cycle4", "cycle5", "clique4"])
+    def test_copies_and_a_second_query_decide_as_a_fresh_one(self, label):
+        scheme, seed, size, domain = self.INPUTS[label]
+        relations = generate_database(
+            scheme, random.Random(seed), WorkloadSpec(size=size, domain=domain)
+        ).relations()
+        expected = _seen(Database(relations))
+        assert all("-> plan (" in line for line in expected[1:])
+        query = JoinQuery(Database(relations))
+        query.execute(query.optimize())
+        db = query.database
+        copies = {
+            "with_state": db.with_state(db.relations()[0]),
+            "restrict": db.restrict(db.scheme),
+            "second query": db,
+        }
+        for name, copy in copies.items():
+            assert _seen(copy) == expected, name
+            assert copy.engine is None, name
+        assert expected[0].startswith("engine: unpinned")

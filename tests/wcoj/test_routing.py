@@ -1,6 +1,7 @@
-"""Engine routing: the shape-driven upgrade to wcoj/yannakakis, its
-explain surface, the database pin that bypasses it, and databases with
-different pins running side by side in threads."""
+"""Engine routing: the scheme record an unpinned or pinned database
+gets, its explain surface, the database pin that overrides the
+per-component decision, and databases with different pins running side
+by side in threads."""
 
 import importlib
 import json
@@ -32,8 +33,8 @@ class TestEngineRouter:
     def test_cyclic_default_routes_to_wcoj(self, triangle):
         routing = route_of(triangle)
         assert routing.effective == "wcoj"
-        assert routing.requested == "vector"
-        assert routing.routed and routing.cyclic and routing.connected
+        assert routing.engine is None
+        assert routing.cyclic and routing.connected
         assert routing.cover is not None
         m = (21 - 1) // 2
         assert routing.cover.bound == pytest.approx((2 * m + 1) ** 1.5)
@@ -41,22 +42,23 @@ class TestEngineRouter:
     def test_acyclic_routes_to_yannakakis(self, chain3):
         routing = route_of(chain3)
         assert routing.effective == "yannakakis"
-        assert routing.routed and not routing.cyclic and routing.connected
-        assert "semijoin reduction" in routing.reason
+        assert routing.engine is None
+        assert not routing.cyclic and routing.connected
+        assert routing.reason == "each component decided on its plan's tau"
 
     def test_small_schemes_stay_on_the_default(self, disconnected_db):
         # No connected component reaches three relations, so nothing is
         # worth a multiway kernel.
         routing = route_of(disconnected_db)
         assert routing.effective == "vector"
-        assert not routing.routed
+        assert routing.engine is None
         assert "three or more" in routing.reason
 
     def test_database_pin_wins(self, triangle):
         pinned = Database(triangle.relations(), engine="vector")
         routing = route_of(pinned)
         assert routing.effective == "vector"
-        assert not routing.routed
+        assert routing.engine == "vector"
         assert "pinned" in routing.reason
 
     def test_disconnected_scheme_has_no_cover(self, disconnected_db):
@@ -67,15 +69,13 @@ class TestEngineRouter:
     def test_describe_and_to_dict(self, triangle):
         routing = route_of(triangle)
         line = routing.describe()
-        assert line.startswith("engine: wcoj")
+        assert line.startswith("engine: unpinned")
         assert "cyclic" in line
         image = routing.to_dict()
         assert image["effective"] == "wcoj"
-        assert image["routed"] is True
+        assert image["engine"] is None
         assert image["agm"]["bound"] == pytest.approx(routing.cover.bound)
-        assert image["components"] == [
-            {"relations": 3, "cyclic": True, "engine": "wcoj"}
-        ]
+        assert image["components"] == [{"relations": 3, "cyclic": True}]
         assert image["tree"] is None
         assert image["expansion"] == list(routing.expansion)
         json.dumps(image)  # must be JSON-ready
@@ -89,29 +89,30 @@ class TestEngineRouter:
     def test_unrouted_describe_has_no_requested_clause(self, disconnected_db):
         line = route_of(disconnected_db).describe()
         assert "requested" not in line
-        assert line.startswith("engine: vector")
+        assert line.startswith("engine: unpinned")
 
 
 class TestEngineSwitch:
     def test_with_engine_repins_with_fresh_caches(self, triangle):
         routed = triangle.with_engine("wcoj")
-        assert routed.pinned_engine == "wcoj"
+        assert routed.engine == "wcoj"
         assert routed is not triangle
-        assert triangle.pinned_engine is None
+        assert triangle.engine is None
         # Same engine is a no-op.
         assert routed.with_engine("wcoj") is routed
 
 
 class TestQueryIntegration:
-    def test_query_repins_the_database(self, triangle):
+    def test_query_plans_on_the_database_it_is_given(self, triangle):
         query = JoinQuery(triangle)
         assert query.routing.effective == "wcoj"
-        assert query.database.pinned_engine == "wcoj"
+        assert query.database is triangle
+        assert triangle.engine is None
 
     def test_plan_explain_shows_engine_and_agm(self, triangle):
         plan = JoinQuery(triangle).optimize()
         text = plan.explain()
-        assert "engine: wcoj (requested vector" in text
+        assert "engine: unpinned (scheme cyclic" in text
         assert "agm: tau <=" in text
         assert f"(binary plan tau: {plan.cost})" in text
 
@@ -133,7 +134,7 @@ class TestQueryIntegration:
 
     def test_acyclic_query_explain_reports_yannakakis(self, chain3):
         text = JoinQuery(chain3).optimize().explain()
-        assert "engine: yannakakis (requested vector" in text
+        assert "engine: unpinned (scheme acyclic" in text
         assert "acyclic" in text
 
 
@@ -147,7 +148,7 @@ class TestCLI:
             == 0
         )
         out = capsys.readouterr().out
-        assert "engine: wcoj (requested vector" in out
+        assert "engine: unpinned (scheme cyclic" in out
         assert "agm: tau <=" in out
 
     def test_explain_reports_engine_and_cyclicity(self, capsys):
@@ -193,7 +194,7 @@ class TestCLI:
         )
         out = capsys.readouterr().out
         assert "acyclic" in out
-        assert "yannakakis" in out
+        assert "unpinned" in out
         assert "join tree" in out
 
     def test_engine_flag_accepts_wcoj(self, capsys):
@@ -210,7 +211,7 @@ class TestCLI:
 
 def test_engine_routing_repr(triangle):
     routing = EngineRouter(triangle).route()
-    assert "vector->wcoj" in repr(routing)
+    assert repr(routing) == "<EngineRouting unpinned cyclic=True>"
     assert isinstance(routing, EngineRouting)
 
 

@@ -152,9 +152,7 @@ class TestMixedComponents:
 
         routing = EngineRouter(self._mixed_db()).route()
         assert routing.effective == "yannakakis"
-        assert "mixed components" in routing.reason
-        verdicts = {engine for _, _, engine in routing.components}
-        assert verdicts == {"wcoj", "yannakakis"}
+        assert routing.components == ((3, True), (3, False))
 
     def test_each_subset_runs_on_its_best_kernel(self):
         expected = self._mixed_db(engine="vector").evaluate()
