@@ -22,17 +22,20 @@ component's tau and the rest's (its join *is* the Cartesian product of
 its components' joins); a connected subset with a join tree (the
 index's, see :meth:`~repro.schemegraph.index.SubsetIndex.join_tree`:
 the induced subgraph when the scheme's intersection graph is a forest,
-else a Kruskal pass that also decides alpha-acyclicity) is counted on
-that tree, on every engine, by
-:func:`~repro.yannakakis.join.yannakakis_count`, the
-reducer's bottom-up sweep with weights (each row starts with weight 1;
-leaf to root, a parent row's weight is multiplied by the summed weights
-of the child rows it joins with, and parents with no match drop to 0 --
-the running intersection property makes tree-local agreement imply
-global consistency, so the root weights sum to the exact join
-cardinality).  The sweep's messages go into a memo on the database
-(:func:`~repro.yannakakis.join._count_with_messages`), so subsets that
-share a subtree count it once.  A cyclic connected subset
+else a Kruskal pass that also decides alpha-acyclicity) is 0 if it
+holds an empty relation, and is otherwise counted on that tree, on
+every engine, by the reducer's bottom-up sweep with weights
+(:func:`~repro.yannakakis.join.yannakakis_count`; each row starts with
+weight 1; leaf to root, a parent row's weight is multiplied by the
+summed weights of the child rows it joins with, and parents with no
+match drop to 0 -- the running intersection property makes tree-local
+agreement imply global consistency, so the root weights sum to the
+exact join cardinality).  The sweep reads each relation's table by its
+bit, and files its messages and each subset's root weights in a memo
+on the database (:func:`~repro.yannakakis.join._count_subset`), so
+subsets that share a subtree count it once, and a subset whose root
+has two or more children multiplies the root weights of a smaller
+subset by one message.  A cyclic connected subset
 has no join tree.  Unless the database is pinned to ``"vector"``,
 Generic Join counts every proper one
 (:func:`~repro.wcoj.join.generic_count`: weighted tries over the
@@ -45,7 +48,7 @@ the router picks Generic Join or the DP's plan for ``C``, that executor
 builds ``R_C`` into the join memo, tau(R_C) is its length, and the
 decision is kept (:meth:`Database.decision`).  On the ``"vector"`` pin,
 the reference, every cyclic subset is joined (binary joins, memoized)
-and its length taken.  The caches and the message memo are unbounded
+and its length taken.  The caches and the count memo are unbounded
 and live as long as the database.
 
 A database is unpinned by default: which executor runs each component
@@ -77,7 +80,6 @@ from typing import (
     FrozenSet,
     Iterable,
     Iterator,
-    List,
     Optional,
     Tuple,
     Union,
@@ -88,13 +90,14 @@ from repro.obs.metrics import get_registry
 from repro.obs.recorder import get_recorder
 from repro.obs.trace import get_tracer
 from repro.relational.attributes import AttributeSet, AttrsLike, attrs, format_attrs
+from repro.relational.columnar import ColumnarTable
 from repro.relational.relation import Relation
 from repro.runtime.core import KernelExhausted, current_runtime
 from repro.schemegraph.index import TreeEdges, bits_of
 from repro.schemegraph.scheme import DatabaseScheme
 from repro.wcoj.agm import FractionalEdgeCover, fractional_edge_cover
 from repro.wcoj.join import generic_count, generic_join
-from repro.yannakakis.join import _count_with_messages, yannakakis_join
+from repro.yannakakis.join import CountMemo, _count_subset, yannakakis_join
 
 if TYPE_CHECKING:
     from repro.optimizer.route import CyclicDecision
@@ -234,6 +237,8 @@ class Database:
         "_join_cache",
         "_tau_cache",
         "_messages",
+        "_tables",
+        "_empty",
         "_join_hits",
         "_tau_hits",
         "_computed",
@@ -276,11 +281,15 @@ class Database:
         self._scheme = DatabaseScheme(by_scheme)
         # Memo: subset-index mask -> joined relation state; the
         # tau-cache holds, by mask, the counts of subsets never
-        # materialized, and the message memo the Yannakakis counter's
-        # messages (yannakakis.join._count_with_messages).
+        # materialized, and the count memo the Yannakakis counter's
+        # messages and root weights (yannakakis.join._count_subset).
         self._join_cache: Dict[int, Relation] = {}
         self._tau_cache: Dict[int, int] = {}
-        self._messages: Dict[Tuple[int, int, int], List[int]] = {}
+        self._messages: CountMemo = {}
+        # Each relation's table by its bit, and the mask of the empty
+        # relations, found on first use (see _bit_tables()).
+        self._tables: Optional[Dict[int, ColumnarTable]] = None
+        self._empty = 0
         # The scheme's components with their join trees, the AGM cover
         # per mask, and, on an unpinned database, the DP's pending
         # decision per cyclic component while it asks for the
@@ -546,45 +555,66 @@ class Database:
         nothing materialized).
 
         When the kernel trips the ambient runtime's deadline or budget,
-        the fallback is recorded once -- on the runtime, on the kernel's
-        own ``*.fallback`` counter, and on the flight recorder -- so
+        or the runtime is exhausted before the kernel starts, the
+        fallback is recorded once -- on the runtime, on the kernel's own
+        ``*.fallback`` counter, and on the flight recorder -- so
         degradation provenance names the abandoned kernel, and the
         binary pipeline serves the result (or its length) without
-        re-entering the kernel on this subset.
+        entering the kernel (again) on this subset.
         """
         index = self._scheme.subset_index()
         if mask is None:
             mask = index.mask_of(chosen)
-        if count:
-            join = generic_count
-        elif kernel == "wcoj":
-            join = generic_join
-        else:
-            if tree is None:
-                tree = index.join_tree(mask)
-            join = partial(yannakakis_join, tree=tree)
-        tables = [self._relations[s]._table() for s in index.members(mask)]
         runtime = current_runtime()
-        try:
-            result = join(tables, runtime=runtime)
-        except KernelExhausted as exc:
-            fallbacks, site = _KERNEL_FALLBACKS[kernel]
-            if _METRICS.enabled:
-                fallbacks.inc(trigger=exc.trigger)
-            if runtime is not None:
-                runtime.record_exhaustion(exc.trigger, site)
-                runtime.record_fallback(exc.trigger, "binary join pipeline")
-            get_recorder().record(
-                "event",
-                f"{kernel}.fallback",
-                trigger=exc.trigger,
-                relations=len(chosen),
-            )
-            binary = self._binary_join(chosen, mask)
-            return len(binary) if count else binary
-        if count:
-            return result
-        return Relation._from_table(AttributeSet(result.order), result)
+        trigger = None if runtime is None else runtime.exhausted()
+        if trigger is None:
+            if count:
+                join = generic_count
+            elif kernel == "wcoj":
+                join = generic_join
+            else:
+                if tree is None:
+                    tree = index.join_tree(mask)
+                join = partial(yannakakis_join, tree=tree)
+            tables = self._bit_tables()
+            try:
+                result = join([tables[bit] for bit in bits_of(mask)], runtime=runtime)
+            except KernelExhausted as exc:
+                trigger = exc.trigger
+            else:
+                if count:
+                    return result
+                return Relation._from_table(AttributeSet(result.order), result)
+        fallbacks, site = _KERNEL_FALLBACKS[kernel]
+        if _METRICS.enabled:
+            fallbacks.inc(trigger=trigger)
+        if runtime is not None:
+            runtime.record_exhaustion(trigger, site)
+            runtime.record_fallback(trigger, "binary join pipeline")
+        get_recorder().record(
+            "event",
+            f"{kernel}.fallback",
+            trigger=trigger,
+            relations=len(chosen),
+        )
+        binary = self._binary_join(chosen, mask)
+        return len(binary) if count else binary
+
+    def _bit_tables(self) -> Dict[int, ColumnarTable]:
+        """Each relation's columnar table by its subset-index bit, found
+        once per database with the mask of the empty relations
+        (``_empty``)."""
+        tables = self._tables
+        if tables is None:
+            bit_of = self._scheme.subset_index().bit_of
+            tables = {}
+            for scheme, rel in self._relations.items():
+                bit = bit_of[scheme]
+                tables[bit] = rel._table()
+                if not len(rel):
+                    self._empty |= bit
+            self._tables = tables
+        return tables
 
     def evaluate(self) -> Relation:
         """``R_D``: the natural join of all relation states."""
@@ -618,7 +648,7 @@ class Database:
         unconnected subset is the product of its lowest component's tau
         and the rest's, connected acyclic subsets are counted by
         :func:`~repro.yannakakis.join.yannakakis_count` on the subset
-        index's join tree, on every engine, with this database's message
+        index's join tree, on every engine, with this database's count
         memo, and, unless the database is pinned to ``"vector"``, proper
         cyclic subsets by Generic Join's counting mode (see the module
         docstring).  Only ``R_D`` itself, and cyclic subsets on the
@@ -674,10 +704,11 @@ class Database:
         taus (its join is the Cartesian product of its components'
         joins); a cyclic component :meth:`deferring` holds, built by
         the executor its decision picks; a connected acyclic subset's
+        0 if it holds an empty relation, else the
         :func:`~repro.yannakakis.join.yannakakis_count` sweep on the
-        index's join tree (its tables in sorted-scheme order, rooted at
-        the lowest relation), with this database's message memo; a
-        proper cyclic subset's :func:`~repro.wcoj.join.generic_count`
+        index's join tree (rooted at the lowest relation) over the
+        tables by bit, with this database's count memo; a proper cyclic
+        subset's :func:`~repro.wcoj.join.generic_count`
         unless the database is pinned to ``"vector"``; or else the
         memoized join's length."""
         index = self._scheme.subset_index()
@@ -696,12 +727,10 @@ class Database:
             return tau * self.cached_tau(mask ^ lowest) if tau else 0
         tree = index.join_tree(mask)
         if tree is not None:
-            bits = bits_of(mask)
-            schemes = index.schemes
-            tables = [
-                self._relations[schemes[bit.bit_length() - 1]]._table() for bit in bits
-            ]
-            return _count_with_messages(tables, tree, bits, self._messages)
+            tables = self._bit_tables()
+            if mask & self._empty:
+                return 0
+            return _count_subset(tables, tree, mask, self._messages)
         # Cyclic connected subset: no join tree.  Generic Join counts a
         # proper subset, and joins R_D itself for Plan.execute to read
         # back; the vector pin materializes every cyclic subset.

@@ -30,8 +30,13 @@ pass over the states in ascending mask order: a proper subset of a state
 is a smaller mask, so both parts of every split are solved before the
 state, and the whole scheme's tau is the last one asked for.  A state's
 tau is the same term in every split, so the DP picks the split from its
-parts' costs first and asks for the tau after.  Costs sit in a table
-indexed by mask, with the winning split per state;
+parts' costs first and asks for the tau after; a state with no plan in
+the space needs none.  With the default cost source the DP keeps each
+solved state's tau beside its cost and asks the database for connected
+states only: a single relation's tau is its length, and an unconnected
+state's join is the Cartesian product of its components' joins, so its
+tau is its lowest component's times the rest's, both solved already.
+Costs sit in a table indexed by mask, with the winning split per state;
 :class:`~repro.strategy.tree.Strategy` nodes are built for the winning
 plan only, once the search is over.
 
@@ -185,11 +190,13 @@ def optimize_dp(
     in the space can be re-validated) together with its cost under the
     optimizer's cost source.  ``subset_cost`` maps a frozenset of relation
     schemes to the cost charged for producing that subset's join.  It is
-    called once per multi-relation state, every proper subset before the
-    subset itself and after the subset's split is chosen, so the whole
-    scheme comes last.  It defaults to the
-    *true* tau, read by mask (:meth:`Database.tau_of_mask`, which
-    ``db.tau_of`` resolves to).  Passing an estimator here turns this
+    called once per multi-relation state that has a plan in the space,
+    every proper subset before the subset itself and after the subset's
+    split is chosen, so the whole scheme comes last.  It defaults to the
+    *true* tau: :meth:`Database.tau_of_mask` (which ``db.tau_of``
+    resolves to) for each connected state, and the product of the DP's
+    own taus of its components for an unconnected one (see the module
+    docstring).  Passing an estimator here turns this
     into a classical estimate-driven optimizer (see
     :mod:`repro.optimizer.estimate`).  Raises
     :class:`~repro.errors.OptimizerError` when the space is empty for the
@@ -225,14 +232,20 @@ def optimize_dp(
         mask for mask, tree in db.component_trees() if tree is None
     }
     # cost[mask]: the cheapest cost of a state (None: no plan in the
-    # space); chosen: mask -> part 1 of that cost's split.
+    # space); chosen: mask -> part 1 of that cost's split; taus[mask]:
+    # with the default cost source, the tau of each solved state.
     chosen: Dict[int, int] = {}
+    taus: Union[None, List[int], Dict[int, int]] = None
     if space is SearchSpace.ALL:
         # Every subset is a state, and every split is feasible.
         reached = None
         states = range(1, full + 1)
         cost: Union[List, Dict[int, Optional[int]]] = [0] * (full + 1)
+        if subset_cost is None:
+            taus = [0] * (full + 1)
     else:
+        if subset_cost is None:
+            taus = {}
         connectivity: Dict[int, bool] = {}
 
         def connected(part: int) -> bool:
@@ -244,6 +257,9 @@ def optimize_dp(
         reached = _reached(index, space, connected)
         states = sorted(reached)
         cost = {}
+    if taus is not None:
+        for bit, rel in zip(bits_of(full), db.relations()):
+            taus[bit] = len(rel)
     states_solved = 0
     splits_considered = 0
     plans_pruned = 0
@@ -299,17 +315,36 @@ def optimize_dp(
                     if best is None or total < best:
                         best = total
                         win = part1
-            if feasible:
-                chosen[mask] = win
-                plans_pruned += feasible - 1
-            if feasible and mask in routed:
+            if best is None:
+                # No plan in the space: no tau either.
+                cost[mask] = None
+                continue
+            chosen[mask] = win
+            plans_pruned += feasible - 1
+            low = mask if taus is None else index.component(mask)
+            if low != mask:
+                # The join of an unconnected state is the Cartesian
+                # product of its components' joins, both solved already.
+                tau_here = taus[low]
+                rest = mask ^ low
+                if reached is not None:
+                    # LINEAR_NOCP may not reach the rest, but it solves
+                    # every component of a state it has a plan for.
+                    while rest not in taus:
+                        low = index.component(rest)
+                        tau_here *= taus[low]
+                        rest ^= low
+                tau_here *= taus[rest]
+            elif mask in routed:
                 with db.deferring(
                     mask, partial(_route_cyclic, db, index, chosen, mask, best)
                 ):
                     tau_here = tau(mask)
             else:
                 tau_here = tau(mask)
-            cost[mask] = None if best is None else best + tau_here
+            if taus is not None:
+                taus[mask] = tau_here
+            cost[mask] = best + tau_here
         total_cost = cost[full]
         if total_cost is None:
             raise OptimizerError(

@@ -260,7 +260,8 @@ class EngineRouter:
         if effective == "yannakakis" and not cyclic:
             schemes = index.schemes
             tree = ((schemes[0], None),) + tuple(
-                (schemes[child], schemes[parent]) for child, parent in parts[0][1]
+                (schemes[child.bit_length() - 1], schemes[parent.bit_length() - 1])
+                for child, parent in parts[0][1]
             )
         elif cyclic and effective != "vector":
             expansion = choose_order(index.schemes)

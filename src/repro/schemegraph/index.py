@@ -51,8 +51,8 @@ from repro.relational.attributes import AttributeSet
 
 __all__ = ["SubsetIndex", "TreeEdges", "bits_of"]
 
-#: A join tree rooted at position 0, as ``(child, parent)`` edges between
-#: positions of a subset's members, parents listed before their children.
+#: A join tree rooted at a subset's lowest relation, as ``(child, parent)``
+#: pairs of relation bits, parents listed before their children.
 TreeEdges = Tuple[Tuple[int, int], ...]
 
 
@@ -207,7 +207,7 @@ class SubsetIndex:
     def join_tree(self, mask: int) -> Optional[TreeEdges]:
         """A join tree of the subset ``mask``, or ``None`` when it has none.
 
-        The edges join positions in :meth:`members`.  On a :attr:`forest`
+        The edges join relation bits of ``mask``.  On a :attr:`forest`
         scheme the tree is the subset's induced subgraph, so a
         breadth-first search over the neighbour masks lists it, and an
         unconnected subset is one the search does not span.  Otherwise
@@ -217,10 +217,10 @@ class SubsetIndex:
         (module docstring).  A cyclic or unconnected subset returns
         ``None``.
 
-        The tree comes rooted at position 0: each edge is a ``(child,
-        parent)`` pair, listed in breadth-first order with each node's
-        children in ascending position, so a parent's own edge comes
-        before its children's.
+        The tree comes rooted at the lowest relation: each edge is a
+        ``(child, parent)`` pair, listed in breadth-first order with each
+        node's children in ascending bit order, so a parent's own edge
+        comes before its children's.
         """
         if self.forest:
             return _rooted(mask, self._neighbours)
@@ -257,11 +257,9 @@ class SubsetIndex:
 
 def _rooted(mask: int, adjacent: Dict[int, int]) -> Optional[TreeEdges]:
     """The tree whose edges ``adjacent`` holds inside ``mask``, listed
-    breadth-first from the lowest relation as ``(child, parent)``
-    positions in ``mask``, or ``None`` when the search does not reach
-    every relation of ``mask``.  A lower bit is a lower position, so
-    children come out in ascending position."""
-    position = {bit: i for i, bit in enumerate(bits_of(mask))}
+    breadth-first from the lowest relation as ``(child, parent)`` bits,
+    children lowest first, or ``None`` when the search does not reach
+    every relation of ``mask``."""
     queue = [mask & -mask]
     seen = queue[0]
     listing = []
@@ -271,7 +269,7 @@ def _rooted(mask: int, adjacent: Dict[int, int]) -> Optional[TreeEdges]:
         while fresh:
             child = fresh & -fresh
             fresh ^= child
-            listing.append((position[child], position[node]))
+            listing.append((child, node))
             queue.append(child)
     if seen != mask:
         return None

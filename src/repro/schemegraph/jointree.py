@@ -198,7 +198,9 @@ def build_join_tree(scheme) -> JoinTree:
     if edges is None:
         raise AcyclicityError(f"{db} is not alpha-acyclic; it has no join tree")
     nodes = index.schemes
-    return JoinTree(db, [(nodes[a], nodes[b]) for a, b in edges])
+    return JoinTree(
+        db, [(nodes[a.bit_length() - 1], nodes[b.bit_length() - 1]) for a, b in edges]
+    )
 
 
 def all_join_trees(scheme) -> Iterator[JoinTree]:

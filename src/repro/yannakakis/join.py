@@ -1,13 +1,13 @@
 """The Yannakakis entry points: count, or reduce and join.
 
-Both take a connected alpha-acyclic subset's tables and share one tree
-set-up: a join tree over the tables' positions, rooted at position 0
-and listed once in BFS order.  A caller that holds the tree passes it
-as ``tree=`` (``(child, parent)`` edges between table positions in BFS
-order, as :meth:`~repro.schemegraph.index.SubsetIndex.join_tree`
-returns them); otherwise the set-up sorts the tables by scheme and
-builds the tree with the same index code, which also decides
-acyclicity.
+Both take a connected alpha-acyclic subset's tables, in sorted-scheme
+order, and walk one join tree: ``(child, parent)`` pairs of relation
+bits, rooted at the lowest relation and listed in BFS order, as
+:meth:`~repro.schemegraph.index.SubsetIndex.join_tree` returns them.
+The ``i``-th table is the tree's ``i``-th lowest bit.  A caller that
+holds the tree passes it as ``tree=``; otherwise the set-up builds it
+with a :class:`~repro.schemegraph.index.SubsetIndex` over the tables'
+schemes, which also decides acyclicity.
 
 * :func:`yannakakis_join` is the acyclic analogue of
   :func:`repro.wcoj.join.generic_join`: it runs the full reducer, then
@@ -18,7 +18,10 @@ acyclicity.
   it to.
 * :func:`yannakakis_count` is the analogue of
   :func:`repro.wcoj.join.generic_count`: the reducer's bottom-up sweep
-  with weights, which counts the join without building it.
+  with weights, which counts the join without building it.  A
+  :class:`~repro.database.Database` runs the same sweep
+  (:func:`_count_subset`) on its own tables by relation bit, with a
+  memo that outlives the call.
 
 Runtime integration: the join pipeline charges the supplied
 :class:`~repro.runtime.Runtime` through a
@@ -39,7 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import repeat
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import AcyclicityError
 from repro.obs.metrics import get_registry
@@ -47,7 +50,7 @@ from repro.obs.trace import get_tracer
 from repro.relational.attributes import AttributeSet
 from repro.relational.columnar import ColumnarTable, _keys_of, join_tables
 from repro.runtime.core import Charger
-from repro.schemegraph.index import SubsetIndex, TreeEdges
+from repro.schemegraph.index import SubsetIndex, TreeEdges, bits_of
 from repro.yannakakis.reducer import full_reduce
 
 __all__ = ["yannakakis_count", "yannakakis_join"]
@@ -62,17 +65,21 @@ _YK_OUTPUT = _METRICS.counter(
 )
 
 
-def _join_tree(
-    tables: Sequence[ColumnarTable],
-    tree: Optional[TreeEdges] = None,
-) -> Tuple[Dict[int, ColumnarTable], List[Tuple[int, Optional[int]]]]:
-    """The join tree over ``tables``: node ids -> states, plus the
-    rooted ``(node, parent)`` listing from node 0, in BFS order.
+#: The count memo of one database: a message by ``(child bit, parent
+#: bit, mask of the child's subtree)``, a subset's root weights by its
+#: mask (see :func:`_count_subset`).
+CountMemo = Dict[Union[int, Tuple[int, int, int]], List[int]]
 
-    With ``tree`` given, node ``i`` is ``tables[i]`` and the tree's
-    ``(child, parent)`` edges, already in BFS order, are the listing.
-    Without it, the tables are numbered in sorted-scheme order, so node
-    0 (the root of every sweep) and every scan over the ids are
+
+def _by_bit(
+    tables: Sequence[ColumnarTable], tree: Optional[TreeEdges]
+) -> Tuple[Dict[int, ColumnarTable], int, TreeEdges]:
+    """The tables keyed by relation bit, the subset's mask, and its join
+    tree.
+
+    With ``tree`` given, the ``i``-th table is the tree's ``i``-th
+    lowest bit.  Without it, the tables are numbered in sorted-scheme
+    order, so the root of every sweep and every scan over the bits are
     deterministic, and the tree comes from a
     :class:`~repro.schemegraph.index.SubsetIndex` over their schemes;
     :class:`~repro.errors.AcyclicityError` is raised when they do not
@@ -87,7 +94,10 @@ def _join_tree(
             )
         by_scheme = {AttributeSet(t.order): t for t in tables}
         tables = [by_scheme[s] for s in index.schemes]
-    return dict(enumerate(tables)), [(0, None), *tree]
+    mask = tree[0][1] if tree else 1
+    for child, _ in tree:
+        mask |= child
+    return dict(zip(bits_of(mask), tables)), mask, tree
 
 
 def yannakakis_join(
@@ -118,7 +128,9 @@ def yannakakis_join(
     if any(len(t) == 0 for t in tables):
         return ColumnarTable(sorted_order, frozenset())
     charger = Charger(runtime)
-    states, order = _join_tree(tables, tree)
+    states, mask, tree = _by_bit(tables, tree)
+    root = mask & -mask
+    order = [(root, None), *tree]
     with _TRACER.span("yannakakis.reduce", nodes=len(states)) as span:
         nonempty = full_reduce(states, order, charge=charger.spend)
         span.set_attribute("nonempty", nonempty)
@@ -127,7 +139,7 @@ def yannakakis_join(
         return ColumnarTable(sorted_order, frozenset())
 
     with _TRACER.span("yannakakis.join", nodes=len(states)) as span:
-        result = states[0]
+        result = states[root]
         # BFS order keeps every joined node adjacent to the part already
         # joined, so no step is a Cartesian product; full reduction
         # bounds every intermediate by input + output.
@@ -166,28 +178,24 @@ def yannakakis_count(
     node's weighted group-by, which skips rows of weight 0.
 
     The tables must form a connected alpha-acyclic scheme, as for
-    :func:`yannakakis_join`, and ``tree`` is the same optional join tree
-    over their positions.  Without a tree, a cyclic or unconnected
-    input raises :class:`~repro.errors.AcyclicityError` before any row
-    is read.  Counting charges no runtime and moves no counter.
+    :func:`yannakakis_join`, and ``tree`` is the same optional join
+    tree.  Without a tree, a cyclic or unconnected input raises
+    :class:`~repro.errors.AcyclicityError` before any row is read.
+    Counting charges no runtime and moves no counter.
     """
     if not tables:
         raise ValueError("yannakakis_count needs at least one table")
-    return _count_with_messages(tables, tree, None, {})
+    states, mask, tree = _by_bit(tables, tree)
+    return _count_subset(states, tree, mask, {})
 
 
-def _count_with_messages(
-    tables: Sequence[ColumnarTable],
-    edges: Optional[TreeEdges],
-    bits: Optional[Sequence[int]],
-    messages: Dict[Tuple[int, int, int], List[int]],
+def _count_subset(
+    tables: Dict[int, ColumnarTable], tree: TreeEdges, mask: int, memo: CountMemo
 ) -> int:
-    """:func:`yannakakis_count`'s sweep, sending only the messages
-    ``messages`` lacks and filing them there.  A
-    :class:`~repro.database.Database` passes its memo, and ``bits``, each
-    table's relation bit in its
-    :class:`~repro.schemegraph.index.SubsetIndex` (``None``: table ``i``
-    is bit ``1 << i``).
+    """:func:`yannakakis_count`'s sweep of the subset ``mask`` along
+    ``tree``, over ``tables`` by relation bit, reading what ``memo``
+    holds and filing what it computes there.  A
+    :class:`~repro.database.Database` passes its own tables and memo.
 
     A message is keyed by (child bit, parent bit, mask of the child's
     subtree) and is a vector aligned with the parent's rows: for each,
@@ -197,42 +205,60 @@ def _count_with_messages(
     property holds on any connected part of a join tree), so the key
     fixes the message whatever tree the rest of the subset has, and
     subsets that share a subtree count it once.
+
+    A subset's root weights (its lowest relation's rows, each weighted
+    by the join tuples extending it) are filed under its mask.  They
+    too are a property of the subset's join, not of its tree.  When the
+    root has two or more children, the subset without the last child's
+    subtree is a connected part holding the root, and by the running
+    intersection property the root's weights are that part's times the
+    last child's message: with both in the memo, the count is one
+    product and a sum.
     """
-    states, order = _join_tree(tables, edges)
-    if any(len(t) == 0 for t in tables):
-        return 0
-    if bits is None:
-        bits = [1 << node for node in range(len(states))]
-    # below[node]: the mask of the node's subtree.
-    below = list(bits)
-    for node, parent in reversed(order[1:]):
-        below[parent] |= below[node]
-    # Top-down: a node weighs its rows iff its parent does and the memo
-    # lacks its message.  The root always does.
-    weighs = [False] * len(states)
-    weighs[0] = True
-    known: Dict[int, List[int]] = {}
-    for node, parent in order[1:]:
-        if weighs[parent]:
-            sent = messages.get((bits[node], bits[parent], below[node]))
-            if sent is None:
-                weighs[node] = True
-            else:
-                known[node] = sent
+    root = mask & -mask
+    # below[node]: the mask of an inner node's subtree (a leaf's is its bit).
+    below: Dict[int, int] = {}
+    for child, parent in reversed(tree):
+        below[parent] = below.get(parent, parent) | below.get(child, child)
     # weights[node]: per-row weights aligned with the node's columns,
     # present once some child has multiplied in (a leaf has none: every
     # row weighs 1).  Nothing here is mutated once built: a memoized
-    # message may serve as a parent's weights as it is.
+    # vector may serve as a node's weights as it is.
     weights: Dict[int, List[int]] = {}
-    for node, parent in reversed(order[1:]):
-        if not weighs[parent]:
+    # The root's children lead the listing.
+    edges = tree
+    last = 0
+    for _, parent in tree:
+        if parent != root:
+            break
+        last += 1
+    if last > 1:
+        child = tree[last - 1][0]
+        prior = memo.get(mask ^ below.get(child, child))
+        if prior is not None:
+            # Only the last child's subtree is left to multiply in.
+            edges = tree[last - 1 :]
+            weights[root] = prior
+    # Top-down: a node weighs its rows iff its parent does and the memo
+    # lacks its message.  The root always does.
+    weighing = root
+    known: Dict[int, List[int]] = {}
+    for child, parent in edges:
+        if parent & weighing:
+            sent = memo.get((child, parent, below.get(child, child)))
+            if sent is None:
+                weighing |= child
+            else:
+                known[child] = sent
+    for child, parent in reversed(edges):
+        if not parent & weighing:
             continue
-        sent = known.get(node)
+        sent = known.get(child)
         if sent is None:
-            child, above = states[node], states[parent]
-            shared = [attr for attr in child.order if attr in above.order]
-            keys = _keys_of(child.columns(), shared)
-            own = weights.pop(node, None)
+            lower, above = tables[child], tables[parent]
+            shared = [attr for attr in lower.order if attr in above.order]
+            keys = _keys_of(lower.columns(), shared)
+            own = weights.pop(child, None)
             if own is None:
                 summed = Counter(keys)
             else:
@@ -242,11 +268,14 @@ def _count_with_messages(
                     if weight:
                         summed[key] = get(key, 0) + weight
             sent = list(map(summed.get, _keys_of(above.columns(), shared), repeat(0)))
-            messages[bits[node], bits[parent], below[node]] = sent
+            memo[child, parent, below.get(child, child)] = sent
         prior = weights.get(parent)
         merged = sent if prior is None else list(map(mul, prior, sent))
         if not any(merged):
             return 0
         weights[parent] = merged
-    root = weights.get(0)
-    return len(states[0]) if root is None else sum(root)
+    root_weights = weights.get(root)
+    if root_weights is None:
+        return len(tables[root])
+    memo[mask] = root_weights
+    return sum(root_weights)

@@ -33,7 +33,8 @@ def bfs_order(
     adjacency: Dict[int, Set[int]], root: int
 ) -> List[Tuple[int, Optional[int]]]:
     """A (node, parent) listing of the join tree in BFS order, each
-    node's children in ascending order: from root 0, the listing
+    node's children in ascending order: over relation bits from the
+    lowest one, the listing
     :meth:`~repro.schemegraph.index.SubsetIndex.join_tree` returns its
     edges in."""
     order: List[Tuple[int, Optional[int]]] = [(root, None)]

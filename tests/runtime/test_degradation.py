@@ -2,14 +2,19 @@
 deterministic greedy plan, condition checks report timed-out, cancelled
 sweeps raise promptly, and the CLI surfaces all of it."""
 
+import importlib
 import threading
 import time
 
 import pytest
 
+import repro.obs as obs
 from repro.cli import main
 from repro.conditions.checks import check_c1, check_c3
+from repro.database import Database
 from repro.errors import OperationCancelled
+from repro.obs.metrics import get_registry
+from repro.obs.recorder import get_recorder
 from repro.optimizer.dp import optimize_dp
 from repro.optimizer.exhaustive import optimize_exhaustive
 from repro.optimizer.fallback import degrade_to_greedy
@@ -17,7 +22,11 @@ from repro.optimizer.greedy import greedy_bushy, greedy_linear
 from repro.optimizer.spaces import SearchSpace
 from repro.query import JoinQuery
 from repro.runtime import CancelToken, Deadline, Runtime
-from repro.workloads.generators import WorkloadSpec
+from repro.workloads.generators import (
+    WorkloadSpec,
+    generate_selective_star,
+    generate_spiked_cycle,
+)
 
 
 def _clique(relations=8, size=12, domain=5, seed=0):
@@ -218,3 +227,59 @@ class TestCLIRoundTrips:
         out = capsys.readouterr().out
         assert "degraded: deadline exhausted" in out
         assert "greedy-bushy" in out
+
+
+class TestExhaustedRuntimeStartsNoKernel:
+    """A query whose runtime the subset DP already spent starts no
+    multiway kernel: ``Database.run_kernel`` records the fallback as a
+    tripped kernel does, once per channel, and serves the binary
+    pipeline, so the rows are still the vector pin's."""
+
+    @pytest.mark.parametrize(
+        "make,kernel",
+        [
+            # Yannakakis runs the star at execute.
+            (lambda: generate_selective_star(4, 21).relations(), "yannakakis"),
+            # Generic Join builds R_C for the greedy plan's tau(R_D).
+            (lambda: generate_spiked_cycle(3, 41).relations(), "wcoj"),
+        ],
+        ids=["selective_star", "spiked_triangle"],
+    )
+    def test_no_kernel_once_the_dp_spent_the_budget(self, make, kernel, monkeypatch):
+        relations = make()
+        reference = Database(relations, engine="vector").evaluate()._table()
+        # ``repro.database`` as an attribute is the database() helper.
+        module = importlib.import_module("repro.database")
+        entered = []
+        for name in ("generic_join", "generic_count", "yannakakis_join"):
+
+            def spy(*args, real=getattr(module, name), name=name, **kwargs):
+                entered.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        # Counters, spans and the recorder ring start empty and are left
+        # empty: the counts below are this query's alone.
+        recorder = get_recorder()
+        obs.reset()
+        recorder.reset()
+        try:
+            with obs.observed():
+                runtime = Runtime.with_limits(budget=1)
+                query = JoinQuery(Database(relations), runtime=runtime)
+                plan = query.optimize()
+                rows = query.execute(plan)._table()
+                registry = get_registry()
+                fallbacks = registry.counter(f"{kernel}.fallback").series()
+                exhausted = registry.counter("runtime.budget_exhausted").series()
+            names = [e["name"] for e in recorder.events()]
+        finally:
+            obs.reset()
+            recorder.reset()
+        assert plan.degraded
+        assert entered == []
+        assert (rows.order, rows.rows) == (reference.order, reference.rows)
+        assert fallbacks == {(("trigger", "budget"),): 1}
+        site = {"wcoj": "wcoj.generic_join", "yannakakis": "yannakakis.pipeline"}
+        assert exhausted[(("where", site[kernel]),)] == 1
+        assert names.count(f"{kernel}.fallback") == 1

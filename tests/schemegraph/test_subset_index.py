@@ -44,6 +44,7 @@ from repro.optimizer.exhaustive import optimize_exhaustive
 from repro.optimizer.spaces import SearchSpace
 from repro.relational.attributes import AttributeSet, attrs
 from repro.schemegraph.acyclicity import is_alpha_acyclic
+from repro.schemegraph.index import bits_of
 from repro.schemegraph.jointree import JoinTree, build_join_tree
 from repro.schemegraph.scheme import DatabaseScheme
 from repro.strategy.cost import tau_cost
@@ -140,7 +141,8 @@ def test_the_index_agrees_with_the_scheme_on_every_subset(drawn):
             continue
         assert (tree is None) == (not is_alpha_acyclic(subset))
         if tree is not None:
-            edges = [(members[a], members[b]) for a, b in tree]
+            scheme_of = dict(zip(bits_of(mask), members))
+            edges = [(scheme_of[a], scheme_of[b]) for a, b in tree]
             assert JoinTree(subset, edges) == build_join_tree(subset)
 
 
@@ -148,18 +150,19 @@ def test_the_index_agrees_with_the_scheme_on_every_subset(drawn):
 @given(schemes())
 def test_join_trees_come_rooted_in_bfs_order(drawn):
     # The Yannakakis sweeps and joins walk the tree's edges as they
-    # come: (child, parent) pairs in the reducer's BFS order from
-    # position 0, children in ascending position.
+    # come: (child, parent) relation bits in the reducer's BFS order
+    # from the lowest relation, children lowest bit first.
     index = DatabaseScheme(drawn).subset_index()
     for mask in range(1, index.full + 1):
         tree = index.join_tree(mask)
         if tree is None:
             continue
-        adjacency = {node: set() for node in range(bin(mask).count("1"))}
+        adjacency = {node: set() for node in bits_of(mask)}
         for child, parent in tree:
             adjacency[child].add(parent)
             adjacency[parent].add(child)
-        assert [(0, None), *tree] == bfs_order(adjacency, 0)
+        root = mask & -mask
+        assert [(root, None), *tree] == bfs_order(adjacency, root)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -189,7 +192,8 @@ def _kruskal_listing(ordered, mask):
     sorted-scheme order) as the index's Kruskal pass lists it, or
     ``None``: pairs heaviest first, ties by position; acyclic iff the
     tree weighs ``Σ_a (|holders_a| - 1)``; then breadth-first from the
-    lowest relation, children in ascending position."""
+    lowest relation, children in ascending position, as relation
+    bits."""
     members = [i for i in range(len(ordered)) if mask >> i & 1]
     group = {i: frozenset([i]) for i in members}
     adjacent = {i: [] for i in members}
@@ -214,13 +218,12 @@ def _kruskal_listing(ordered, mask):
     target = sum(sum(1 for i in members if a in ordered[i]) - 1 for a in attributes)
     if weight != target:
         return None
-    position = {i: p for p, i in enumerate(members)}
     queue, seen, listing = [members[0]], {members[0]}, []
     for node in queue:
         for child in sorted(adjacent[node]):
             if child not in seen:
                 seen.add(child)
-                listing.append((position[child], position[node]))
+                listing.append((1 << child, 1 << node))
                 queue.append(child)
     return tuple(listing)
 

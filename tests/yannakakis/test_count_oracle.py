@@ -116,10 +116,11 @@ def test_tau_of_matches_the_oracle_on_every_engine(case):
 def test_one_database_shares_messages_across_subsets(case):
     # The test above counts each subset on a fresh database; here one
     # database counts every connected acyclic subset, so later counts
-    # read the messages earlier ones filed.  Both orders matter: in
-    # ascending mask order the smaller subtrees come first, in
-    # descending order the largest subset files messages its subsets
-    # reuse.
+    # read the messages and root weights earlier ones filed.  The order
+    # matters: in ascending mask order the smaller subtrees, and the
+    # subset without a root's last child, come first; in descending
+    # order the largest subset files messages its subsets reuse; a
+    # shuffle mixes the two.
     relations, operands = case
     index = Database(relations).scheme.subset_index()
     masks = [mask for mask in index.connected() if index.join_tree(mask) is not None]
@@ -127,8 +128,10 @@ def test_one_database_shares_messages_across_subsets(case):
         mask: _oracle_tau(operands, DatabaseScheme(index.members(mask)))
         for mask in masks
     }
+    shuffled = sorted(masks)
+    random.Random(len(masks)).shuffle(shuffled)
     for engine in (None,) + ENGINES:
-        for order in (sorted(masks), sorted(masks, reverse=True)):
+        for order in (sorted(masks), sorted(masks, reverse=True), shuffled):
             db = Database(relations, engine=engine)
             got = {mask: db.tau_of_mask(mask) for mask in order}
             assert got == expected, engine
@@ -170,15 +173,15 @@ def test_a_cyclic_subset_is_counted_elsewhere(engine, monkeypatch):
     counted = []
 
     database_module = importlib.import_module("repro.database")
-    count = database_module._count_with_messages
+    count = database_module._count_subset
 
-    def spy(tables, edges, bits, messages):
-        tau = count(tables, edges, bits, messages)
-        counted.append(frozenset(AttributeSet(t.order) for t in tables))
-        return tau
+    def spy(tables, tree, mask, memo):
+        counted.append(frozenset(index.members(mask)))
+        return count(tables, tree, mask, memo)
 
-    monkeypatch.setattr(database_module, "_count_with_messages", spy)
+    monkeypatch.setattr(database_module, "_count_subset", spy)
     db = Database(relations, engine=engine)
+    index = db.scheme.subset_index()
     cycle = frozenset(_COVERED_TRIANGLE[:3])
     for subset in db.connected_subsets():
         assert db.tau_of(subset) == _oracle_tau(operands, subset)
