@@ -40,6 +40,25 @@ Costs sit in a table indexed by mask, with the winning split per state;
 :class:`~repro.strategy.tree.Strategy` nodes are built for the winning
 plan only, once the search is over.
 
+With the default cost source, ``ALL`` also bounds its states.  The cost
+adds up the tuples of every step, and ``R_D`` is a step of every
+strategy, so a state ``X`` other than the whole scheme is a step of an
+optimal strategy only if ``tau(X) <= cost(Q) - tau(R_D)`` for any
+strategy ``Q``.  Before the pass the DP takes ``Q`` linear: it starts at
+the lowest relation and adds the lowest relation linked to the prefix
+(:meth:`~repro.schemegraph.index.SubsetIndex.linked`), or else the
+lowest one left.  The *slack* is the tau of its prefixes summed, the
+whole scheme left out.  A state whose tau exceeds the slack costs
+infinity and skips its split loop; it still gets its tau, its runtime
+charge and its count among the states.  The bound is exact, ties
+included: a strategy through such a state costs more than ``Q``, so no
+state of an optimal strategy is skipped; and skipping only raises
+costs, so each surviving state's tied splits are a subset of the old
+ones and still hold the old winner.  The restricted spaces keep their
+DP (the bound's plan would have to lie in the space), and so does an
+unpinned database whose unconnected scheme has a cyclic component: that
+component's tau waits for its split (below).
+
 On an unpinned database, asking for the tau of a cyclic component ``C``
 first hands ``C`` to
 :meth:`~repro.optimizer.route.EngineRouter.decide_cyclic`: the winning
@@ -76,6 +95,7 @@ _SPLITS = _METRICS.counter("optimizer.dp.splits", "candidate splits evaluated")
 _PRUNED = _METRICS.counter(
     "optimizer.dp.plans_pruned", "feasible splits that lose to the winning split"
 )
+_INF = float("inf")
 
 
 def _splits(
@@ -149,6 +169,37 @@ def _earlier(part1: int, other: int) -> bool:
     return bool(part1 & differ & -differ)
 
 
+def _linear_slack(
+    index: SubsetIndex, taus: List[Optional[int]], tau: Callable[[int], int]
+) -> int:
+    """The slack of ``ALL``'s bound (module docstring): tau summed over
+    the prefixes of two or more relations, the whole scheme left out, of
+    the linear plan that starts at the lowest relation and adds the
+    lowest relation linked to the prefix, or else the lowest one left.
+    A prefix's tau is the product of its finished components' taus and
+    the tau of the ``part`` still growing, which is asked once and kept
+    in ``taus``."""
+    full = index.full
+    prefix = part = finished = 1
+    slack = 0
+    while True:
+        grow = index.linked(prefix)
+        if not grow:
+            # ``part`` is a whole component: the next starts afresh.
+            finished *= taus[part]
+            grow = full ^ prefix
+            part = 0
+        bit = grow & -grow
+        prefix |= bit
+        part |= bit
+        if prefix == full:
+            return slack
+        known = taus[part]
+        if known is None:
+            known = taus[part] = tau(part)
+        slack += finished * known
+
+
 def _strategy(
     db: Database, index: SubsetIndex, chosen: Dict[int, int], mask: int
 ) -> Strategy:
@@ -196,7 +247,11 @@ def optimize_dp(
     *true* tau: :meth:`Database.tau_of_mask` (which ``db.tau_of``
     resolves to) for each connected state, and the product of the DP's
     own taus of its components for an unconnected one (see the module
-    docstring).  Passing an estimator here turns this
+    docstring).  With that default, ``ALL`` first asks for the prefixes
+    of its bound's linear plan, then for every other state before its
+    split, and skips the split loop of each state whose tau exceeds the
+    bound's slack (module docstring); the plan and its cost are what
+    the unbounded search finds.  Passing an estimator here turns this
     into a classical estimate-driven optimizer (see
     :mod:`repro.optimizer.estimate`).  Raises
     :class:`~repro.errors.OptimizerError` when the space is empty for the
@@ -232,17 +287,18 @@ def optimize_dp(
         mask for mask, tree in db.component_trees() if tree is None
     }
     # cost[mask]: the cheapest cost of a state (None: no plan in the
-    # space); chosen: mask -> part 1 of that cost's split; taus[mask]:
-    # with the default cost source, the tau of each solved state.
+    # space; infinity: skipped by the bound); chosen: mask -> part 1 of
+    # that cost's split; taus[mask]: with the default cost source, the
+    # tau of each solved state.
     chosen: Dict[int, int] = {}
-    taus: Union[None, List[int], Dict[int, int]] = None
+    taus: Union[None, List[Optional[int]], Dict[int, int]] = None
     if space is SearchSpace.ALL:
         # Every subset is a state, and every split is feasible.
         reached = None
         states = range(1, full + 1)
         cost: Union[List, Dict[int, Optional[int]]] = [0] * (full + 1)
         if subset_cost is None:
-            taus = [0] * (full + 1)
+            taus = [None] * (full + 1)
     else:
         if subset_cost is None:
             taus = {}
@@ -261,12 +317,19 @@ def optimize_dp(
         for bit, rel in zip(bits_of(full), db.relations()):
             taus[bit] = len(rel)
     states_solved = 0
+    states_skipped = 0
     splits_considered = 0
     plans_pruned = 0
 
     with _TRACER.span(
         "optimize.dp", space=space.value, relations=len(db.scheme)
     ) as span:
+        # States below ``bounded`` meet the bound: ALL on the default
+        # source, unless a routed component's tau must wait for its split.
+        bounded = slack = 0
+        if reached is None and taus is not None and all(m == full for m in routed):
+            slack = _linear_slack(index, taus, tau)
+            bounded = full
         for mask in states:
             if runtime is not None:
                 trigger = runtime.charge()
@@ -283,6 +346,23 @@ def optimize_dp(
             if not mask & (mask - 1):
                 cost[mask] = 0
                 continue
+            tau_here = None
+            if mask < bounded:
+                # The state's tau before its split (the slack's prefixes
+                # hold theirs already); above the slack it is no step of
+                # an optimal strategy.
+                low = index.component(mask)
+                if low != mask:
+                    tau_here = taus[low] * taus[mask ^ low]
+                else:
+                    tau_here = taus[mask]
+                    if tau_here is None:
+                        tau_here = tau(mask)
+                taus[mask] = tau_here
+                if tau_here > slack:
+                    cost[mask] = _INF
+                    states_skipped += 1
+                    continue
             # best: the parts' cost of the winning split; the state's
             # own tau, the same in every split, is added after.
             if reached is None:
@@ -296,7 +376,10 @@ def optimize_dp(
                 while sub:
                     sub = (sub - 1) & rest
                     total = cost[low | sub] + cost[rest ^ sub]
-                    if total < best or (total == best and _earlier(low | sub, win)):
+                    # Two infinite totals are no tie worth ordering.
+                    if total < best or (
+                        total == best < _INF and _earlier(low | sub, win)
+                    ):
                         best = total
                         win = low | sub
                 feasible = (1 << bin(rest).count("1")) - 1
@@ -321,29 +404,30 @@ def optimize_dp(
                 continue
             chosen[mask] = win
             plans_pruned += feasible - 1
-            low = mask if taus is None else index.component(mask)
-            if low != mask:
-                # The join of an unconnected state is the Cartesian
-                # product of its components' joins, both solved already.
-                tau_here = taus[low]
-                rest = mask ^ low
-                if reached is not None:
-                    # LINEAR_NOCP may not reach the rest, but it solves
-                    # every component of a state it has a plan for.
-                    while rest not in taus:
-                        low = index.component(rest)
-                        tau_here *= taus[low]
-                        rest ^= low
-                tau_here *= taus[rest]
-            elif mask in routed:
-                with db.deferring(
-                    mask, partial(_route_cyclic, db, index, chosen, mask, best)
-                ):
+            if tau_here is None:
+                low = mask if taus is None else index.component(mask)
+                if low != mask:
+                    # The join of an unconnected state is the Cartesian
+                    # product of its components' joins, both solved already.
+                    tau_here = taus[low]
+                    rest = mask ^ low
+                    if reached is not None:
+                        # LINEAR_NOCP may not reach the rest, but it solves
+                        # every component of a state it has a plan for.
+                        while rest not in taus:
+                            low = index.component(rest)
+                            tau_here *= taus[low]
+                            rest ^= low
+                    tau_here *= taus[rest]
+                elif mask in routed:
+                    with db.deferring(
+                        mask, partial(_route_cyclic, db, index, chosen, mask, best)
+                    ):
+                        tau_here = tau(mask)
+                else:
                     tau_here = tau(mask)
-            else:
-                tau_here = tau(mask)
-            if taus is not None:
-                taus[mask] = tau_here
+                if taus is not None:
+                    taus[mask] = tau_here
             cost[mask] = best + tau_here
         total_cost = cost[full]
         if total_cost is None:
@@ -352,6 +436,7 @@ def optimize_dp(
             )
         strategy = _strategy(db, index, chosen, full)
         span.set_attribute("states", states_solved)
+        span.set_attribute("skipped", states_skipped)
         span.set_attribute("splits", splits_considered)
         span.set_attribute("pruned", plans_pruned)
         span.set_attribute("cost", total_cost)

@@ -1,0 +1,21 @@
+"""Isolation for the optimizer tests: counters and spans start empty and
+disabled, and the flight-recorder ring is scrubbed, exactly as in
+tests/obs, tests/wcoj and tests/yannakakis (the process-wide registry
+keeps series and spans across tests otherwise, and
+``tracer.spans_named("optimize.dp")`` would see an earlier test's)."""
+
+import pytest
+
+import repro.obs as obs
+from repro.obs.recorder import get_recorder
+
+
+@pytest.fixture(autouse=True)
+def clean_obs_state():
+    obs.disable()
+    obs.reset()
+    get_recorder().reset()
+    yield
+    obs.disable()
+    obs.reset()
+    get_recorder().reset()

@@ -19,7 +19,8 @@ attribute names and a subset a frozenset of schemes; subsets come from
 ``itertools.combinations``, connectivity from a breadth-first search
 over schemes that share an attribute, *linked* from attribute unions,
 and every count from a caller-supplied ``tau`` (normally the length of
-:func:`join_all`).
+:func:`join_all`).  The subset DP's bound (:func:`bound_skips`) is read
+the same way.
 """
 
 from itertools import combinations, product
@@ -185,3 +186,38 @@ def condition_instances(condition, schemes, tau):
             joined, sides = tau(e1 | e2), (tau(e1), tau(e2))
             out.append(((e1, e2), joined, sides, holds(joined, sides)))
     return out
+
+
+# -- the subset DP's bound ---------------------------------------------------------
+
+
+def linear_slack(schemes, tau):
+    """The slack of the subset DP's bound: ``tau`` summed over the
+    prefixes of two or more schemes, the whole set left out, of the
+    linear plan that starts at the first scheme in sorted order and adds
+    the first scheme left that is linked to the prefix, or else the
+    first one left."""
+    left = sorted(schemes, key=sorted)
+    prefix = [left.pop(0)]
+    slack = 0
+    while len(left) > 1:
+        grow = next((s for s in left if linked([s], prefix)), left[0])
+        left.remove(grow)
+        prefix.append(grow)
+        slack += tau(frozenset(prefix))
+    return slack
+
+
+def bound_skips(schemes, tau):
+    """The subsets of two or more schemes, the whole set left out, whose
+    ``tau`` exceeds :func:`linear_slack`.  A strategy with such a step
+    costs more than that linear plan, since the whole set is a step too,
+    so none is a step of a tau-optimal strategy."""
+    schemes = list(schemes)
+    slack = linear_slack(schemes, tau)
+    return {
+        frozenset(combo)
+        for size in range(2, len(schemes))
+        for combo in combinations(schemes, size)
+        if tau(frozenset(combo)) > slack
+    }

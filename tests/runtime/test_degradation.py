@@ -258,24 +258,17 @@ class TestExhaustedRuntimeStartsNoKernel:
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, spy)
-        # Counters, spans and the recorder ring start empty and are left
-        # empty: the counts below are this query's alone.
-        recorder = get_recorder()
-        obs.reset()
-        recorder.reset()
-        try:
-            with obs.observed():
-                runtime = Runtime.with_limits(budget=1)
-                query = JoinQuery(Database(relations), runtime=runtime)
-                plan = query.optimize()
-                rows = query.execute(plan)._table()
-                registry = get_registry()
-                fallbacks = registry.counter(f"{kernel}.fallback").series()
-                exhausted = registry.counter("runtime.budget_exhausted").series()
-            names = [e["name"] for e in recorder.events()]
-        finally:
-            obs.reset()
-            recorder.reset()
+        # Counters, spans and the recorder ring start empty (conftest.py):
+        # the counts below are this query's alone.
+        with obs.observed():
+            runtime = Runtime.with_limits(budget=1)
+            query = JoinQuery(Database(relations), runtime=runtime)
+            plan = query.optimize()
+            rows = query.execute(plan)._table()
+            registry = get_registry()
+            fallbacks = registry.counter(f"{kernel}.fallback").series()
+            exhausted = registry.counter("runtime.budget_exhausted").series()
+        names = [e["name"] for e in get_recorder().events()]
         assert plan.degraded
         assert entered == []
         assert (rows.order, rows.rows) == (reference.order, reference.rows)
