@@ -83,7 +83,7 @@ from repro.runtime import CancelToken, Deadline, Runtime, WorkBudget
 from repro.errors import OperationCancelled
 from repro.theorems import check_theorem1, check_theorem2, check_theorem3
 
-__version__ = "9.2.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "Database",

@@ -19,12 +19,13 @@ Seven commands, each a small window onto the reproduction:
 * ``conditions --example N`` -- the C1/C1'/C2/C3 verdicts for a paper
   example;
 * ``sample`` -- the cost distribution of uniformly sampled strategies;
-* ``obs tail|report|diff`` -- inspect the run ledgers written by
+* ``obs tail|report|diff`` -- inspect any run ledger: those written by
   ``optimize --trace-json`` and ``explain --trace-json`` and the
-  flight-recorder bundles dumped on anomalies: ``tail`` prints the last
-  records one per line, ``report`` summarizes a ledger (or renders a
-  bundle) down to wall time, tau, Q-error, cache hit rate, resource
-  peaks, and anomalies, and reprints an ``explain`` ledger's ``EXPLAIN
+  incidents the flight recorder dumps on anomalies: ``tail`` prints the
+  last records one per line, ``report`` summarizes a ledger down to
+  wall time, tau, Q-error, cache hit rate, resource peaks, and
+  anomalies (an incident's reason and provenance first, the anomaly
+  table after), and reprints an ``explain`` ledger's ``EXPLAIN
   ANALYZE`` table, and ``diff`` compares two runs side by side (see
   docs/observability.md).
 
@@ -200,21 +201,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs_cmd = sub.add_parser(
         "obs",
-        help="inspect run ledgers and flight-recorder bundles "
+        help="inspect run ledgers, flight-recorder incidents included "
         "(docs/observability.md)",
     )
     obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
     tail = obs_sub.add_parser(
         "tail", help="print the last records of a run ledger, one per line"
     )
-    tail.add_argument("path", help="a ledger JSONL file (--trace-json)")
+    tail.add_argument("path", help="a ledger JSONL file")
     tail.add_argument("--limit", type=int, default=20, metavar="N")
     report = obs_sub.add_parser(
         "report",
-        help="summarize a run ledger (and reprint an explain ledger's "
-        "EXPLAIN ANALYZE table), or render a flight-recorder bundle",
+        help="summarize a run ledger (with an incident's reason and "
+        "anomalies, and an explain ledger's EXPLAIN ANALYZE table)",
     )
-    report.add_argument("path", help="a ledger JSONL file or a flight bundle")
+    report.add_argument("path", help="a ledger JSONL file")
     diff = obs_sub.add_parser(
         "diff", help="compare two run ledgers side by side"
     )
@@ -327,7 +328,7 @@ def _safety_pairs(query: JoinQuery):
 def _ledger(name: str, args: argparse.Namespace, spec: WorkloadSpec):
     """The :class:`~repro.obs.ledger.RunLedger` that brackets a traced
     command: it mints the trace id, opens the root span, samples
-    resources, and stamps the flight-recorder context.  Its header
+    resources, and is the flight recorder's open run.  Its header
     records the arguments :func:`main` parsed (the process's own when
     ``main`` was given none)."""
     from repro.obs.ledger import RunLedger
@@ -471,26 +472,14 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs import ledger as obs_ledger
 
     if args.obs_command == "tail":
-        kind, loaded = obs_ledger.load(args.path)
-        if kind == "bundle":
-            records = [dict(event, type="event") for event in loaded["events"]]
-        else:
-            records = loaded
-        print(obs_ledger.render_tail(records, limit=args.limit))
+        print(obs_ledger.render_tail(obs_ledger.load(args.path), limit=args.limit))
         return 0
     if args.obs_command == "report":
-        kind, loaded = obs_ledger.load(args.path)
-        if kind == "bundle":
-            print(obs_ledger.render_bundle(loaded))
-            return 0
-        print(obs_ledger.render_summary(obs_ledger.summarize(loaded)))
-        if any(record.get("type") == "profile" for record in loaded):
-            print()
-            print(obs_ledger.render_profile(loaded))
+        print(obs_ledger.render_report(obs_ledger.load(args.path)))
         return 0
     if args.obs_command == "diff":
-        summary_a = obs_ledger.summarize(obs_ledger.load(args.a)[1])
-        summary_b = obs_ledger.summarize(obs_ledger.load(args.b)[1])
+        summary_a = obs_ledger.summarize(obs_ledger.load(args.a))
+        summary_b = obs_ledger.summarize(obs_ledger.load(args.b))
         print(obs_ledger.render_diff(summary_a, summary_b))
         return 0
     return 2  # pragma: no cover - argparse enforces the choices

@@ -15,8 +15,8 @@ The subsystem has eight small parts:
   actual tau, Q-error, wall time, kernel counters, cache hit rates,
   per-phase peak memory);
 * :mod:`repro.obs.recorder` -- the always-on anomaly flight recorder: a
-  bounded ring of recent events that dumps a self-contained incident
-  bundle when the runtime degrades, times out, or is cancelled (set
+  bounded ring of recent events that dumps an incident ledger when the
+  runtime degrades, times out, or is cancelled (set
   ``REPRO_OBS_BUNDLE_DIR``);
 * :mod:`repro.obs.sampler` -- the daemon-thread resource sampler (RSS,
   CPU, tau-cache hit rate), published as ``resource.*`` metrics;
@@ -69,8 +69,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
 )
-from repro.obs.recorder import FlightRecorder, get_recorder, read_bundle
-from repro.obs.sampler import ResourceSampler, active_sampler
+from repro.obs.recorder import FlightRecorder, get_recorder
+from repro.obs.sampler import ResourceSampler
 from repro.obs.trace import Span, Tracer, get_tracer
 
 __all__ = [
@@ -79,9 +79,7 @@ __all__ = [
     "get_tracer",
     "FlightRecorder",
     "get_recorder",
-    "read_bundle",
     "ResourceSampler",
-    "active_sampler",
     "RunLedger",
     "Counter",
     "Gauge",

@@ -13,8 +13,9 @@ and on the way through:
   (:meth:`~repro.obs.trace.Tracer.begin_run`);
 * starts a :class:`~repro.obs.sampler.ResourceSampler` and stops it at
   exit, so the ledger carries the run's resource time series;
-* stamps the flight recorder's context, so an anomaly mid-run dumps a
-  bundle that names this run.
+* registers itself as the flight recorder's open run
+  (:attr:`~repro.obs.recorder.FlightRecorder.run`), so an anomaly
+  mid-run dumps an incident whose header names this run.
 
 :meth:`RunLedger.records` (and :meth:`write`) then emit one JSONL
 stream: a ``run`` header, every span, every metric row, the resource
@@ -22,7 +23,11 @@ rows, the recorder events that happened during the run, the records
 appended with :meth:`RunLedger.extend` (an ``explain`` run's ``profile``
 and ``operator`` rows), and an ``outcome`` footer.  Every record
 self-describes through its ``"type"`` field, so a reader skips the rows
-it does not know; :func:`load` reads a ledger back.
+it does not know.  An incident
+(:meth:`~repro.obs.recorder.FlightRecorder.dump`) is a ledger of the
+same shape whose header also carries ``reason`` and ``provenance``:
+:func:`run_header` builds both headers, :func:`write_records` writes
+both files, and :func:`load` reads both back.
 
 The read side aggregates ledgers for the ``repro obs`` CLI family:
 :func:`summarize` boils a ledger down to the run's headline numbers
@@ -34,7 +39,12 @@ ANALYZE`` table that ``repro explain`` prints.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import pathlib
+import platform
+import secrets
 import sys
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -47,15 +57,63 @@ from repro.report import Table, render_kv
 
 __all__ = [
     "RunLedger",
+    "run_header",
+    "write_records",
     "load",
     "summarize",
     "diff_summaries",
+    "render_report",
     "render_summary",
     "render_profile",
     "render_diff",
     "render_tail",
-    "render_bundle",
 ]
+
+
+def run_header(
+    name: Optional[str] = None,
+    trace_id: Optional[str] = None,
+    workload: Optional[Dict[str, Any]] = None,
+    argv: Optional[List[str]] = None,
+    started_wall_ns: Optional[int] = None,
+) -> Dict[str, Any]:
+    """A ledger's ``run`` record: the run's identity and the process it
+    ran in.  ``argv`` defaults to the process's arguments; called with no
+    run (an incident outside any :class:`RunLedger`), it names none."""
+    return {
+        "type": "run",
+        "name": name,
+        "trace_id": trace_id,
+        "workload": dict(workload or {}),
+        "argv": list(sys.argv[1:] if argv is None else argv),
+        "started_wall_ns": started_wall_ns,
+        "python": sys.version.split()[0],
+        "platform": platform.platform(),
+        "pid": os.getpid(),
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def write_records(records: Sequence[Dict[str, Any]], path: str) -> int:
+    """Write ledger records to ``path`` as JSONL, atomically: into a
+    temporary file beside it, then :func:`os.replace` over it, creating
+    the directory if needed.  If writing fails the temporary file is
+    removed and an existing ``path`` is left untouched.  Returns the
+    number of records written."""
+    target = pathlib.Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    temporary = target.with_name(f".{target.name}.{secrets.token_hex(6)}.tmp")
+    handle = open(temporary, "x", encoding="utf-8")
+    try:
+        with handle:
+            for record in records:
+                handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
+        os.replace(temporary, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+        raise
+    return len(records)
 
 
 class RunLedger:
@@ -63,8 +121,10 @@ class RunLedger:
 
     ``attrs`` become the root span's attributes; ``workload`` (a
     :class:`~repro.workloads.generators.WorkloadSpec` or plain dict) and
-    ``argv`` ride into the header and the flight-recorder context.
-    ``sample=False`` skips the resource sampler (tests, nested uses).
+    ``argv`` ride into the header, which incidents dumped during the run
+    carry too.  ``sample=False`` skips the resource sampler (tests,
+    nested uses).  Ledgers nest: leaving an inner one registers the
+    outer one with the flight recorder again.
     """
 
     __slots__ = (
@@ -74,6 +134,7 @@ class RunLedger:
         "attrs",
         "trace_id",
         "sampler",
+        "_outer",
         "_appended",
         "_sample",
         "_span_cm",
@@ -89,7 +150,6 @@ class RunLedger:
         argv: Optional[List[str]] = None,
         attrs: Optional[Dict[str, Any]] = None,
         sample: bool = True,
-        sample_interval: float = 0.05,
     ):
         if workload is not None and hasattr(workload, "to_dict"):
             workload = workload.to_dict()
@@ -98,7 +158,8 @@ class RunLedger:
         self.argv = list(argv) if argv is not None else list(sys.argv[1:])
         self.attrs = dict(attrs or {})
         self.trace_id: Optional[str] = None
-        self.sampler = ResourceSampler(interval=sample_interval)
+        self.sampler = ResourceSampler()
+        self._outer: Optional["RunLedger"] = None
         self._appended: List[Dict[str, Any]] = []
         self._sample = sample
         self._span_cm = None
@@ -115,18 +176,15 @@ class RunLedger:
         self._span_cm = tracer.begin_run(self.name, **self.attrs)
         self._span_cm.__enter__()
         self.trace_id = tracer.trace_id
-        recorder.set_context(
-            run=self.name,
-            trace_id=self.trace_id,
-            workload=self.workload,
-            argv=self.argv,
-        )
         recorder.record("marker", "run.begin", run=self.name, trace_id=self.trace_id)
         if self._sample:
             self.sampler.start()
+        self._outer, recorder.run = recorder.run, self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        recorder = get_recorder()
+        recorder.run, self._outer = self._outer, None
         span_cm = self._span_cm
         self._span_cm = None
         if span_cm is not None:
@@ -134,7 +192,6 @@ class RunLedger:
         if self._sample:
             self.sampler.stop()
         self._wall_ms = (time.time_ns() - self._started_wall_ns) / 1e6
-        recorder = get_recorder()
         recorder.record(
             "marker",
             "run.end",
@@ -161,20 +218,17 @@ class RunLedger:
         ledger."""
         self._appended.extend(records)
 
+    def header(self) -> Dict[str, Any]:
+        """This run's ``run`` record (:func:`run_header`)."""
+        return run_header(
+            self.name, self.trace_id, self.workload, self.argv, self._started_wall_ns
+        )
+
     def records(self) -> List[Dict[str, Any]]:
         """The full ledger, JSON-ready: header, spans, metrics,
         resources, events, appended records, outcome."""
         events = self._run_events()
         anomalies = [e for e in events if e["kind"] == "anomaly"]
-        header = {
-            "type": "run",
-            "name": self.name,
-            "trace_id": self.trace_id,
-            "workload": dict(self.workload),
-            "argv": list(self.argv),
-            "started_wall_ns": self._started_wall_ns,
-            "python": sys.version.split()[0],
-        }
         outcome = {
             "type": "outcome",
             "trace_id": self.trace_id,
@@ -182,24 +236,19 @@ class RunLedger:
             "anomalies": len(anomalies),
             "resource_summary": self.sampler.summary() if self._sample else None,
         }
-        records: List[Dict[str, Any]] = [header]
+        records: List[Dict[str, Any]] = [self.header()]
         records.extend(span.to_dict() for span in get_tracer().finished_spans())
         records.extend(get_registry().snapshot())
-        if self._sample:
-            records.extend(dict(row) for row in self.sampler.rows())
+        records.extend(dict(row) for row in self.sampler.rows())
         records.extend(events)
         records.extend(self._appended)
         records.append(outcome)
         return records
 
     def write(self, path: str) -> int:
-        """Write the ledger as JSONL to ``path``; returns the number of
-        records written."""
-        records = self.records()
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
-        return len(records)
+        """Write the ledger to ``path`` (:func:`write_records`); returns
+        the number of records written."""
+        return write_records(self.records(), path)
 
     def __repr__(self) -> str:
         return f"<RunLedger {self.name} trace={self.trace_id}>"
@@ -207,26 +256,11 @@ class RunLedger:
 
 # -- reading and aggregation ---------------------------------------------------
 
-def load(path: str) -> Tuple[str, Any]:
-    """Open either obs artifact by sniffing its content.
-
-    Returns ``("bundle", dict)`` for a flight-recorder bundle and
-    ``("ledger", records)`` for a ledger / obs JSONL file -- the
-    ``repro obs`` commands accept both without a format flag.
-    """
+def load(path: str) -> List[Dict[str, Any]]:
+    """The records of a ledger file, a run's or an incident's, in file
+    order."""
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError:
-        document = None
-    if isinstance(document, dict) and document.get("type") == "flight_bundle":
-        return "bundle", document
-    if isinstance(document, dict):
-        return "ledger", [document]
-    return "ledger", [
-        json.loads(line) for line in text.splitlines() if line.strip()
-    ]
+        return [json.loads(line) for line in handle if line.strip()]
 
 
 def _metric_rows(records: Sequence[Dict[str, Any]]) -> Dict[str, List[Dict[str, Any]]]:
@@ -291,6 +325,8 @@ def summarize(records: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     return {
         "run": header.get("name"),
         "trace_id": header.get("trace_id"),
+        "reason": header.get("reason"),
+        "provenance": header.get("provenance"),
         "workload": header.get("workload"),
         "wall_ms": outcome.get("wall_ms"),
         "spans": len(spans),
@@ -346,8 +382,10 @@ def _fmt(value: Any) -> str:
 
 
 def render_summary(summary: Dict[str, Any]) -> str:
-    """One run's summary as the ``repro obs report`` key/value block."""
-    pairs = [
+    """One run's summary as the ``repro obs report`` key/value block; an
+    incident's opens with its ``reason``."""
+    pairs = [("reason", summary["reason"])] if summary.get("reason") else []
+    pairs += [
         ("run", summary.get("run")),
         ("trace_id", summary.get("trace_id")),
         ("wall (ms)", _fmt(summary.get("wall_ms"))),
@@ -365,6 +403,9 @@ def render_summary(summary: Dict[str, Any]) -> str:
         pairs.append(
             ("workload", ",".join(f"{k}={v}" for k, v in sorted(workload.items())))
         )
+    provenance = summary.get("provenance")
+    if provenance:
+        pairs.extend((f"provenance.{k}", v) for k, v in sorted(provenance.items()))
     for degradation in summary.get("degradations") or ():
         pairs.append(
             (
@@ -373,6 +414,38 @@ def render_summary(summary: Dict[str, Any]) -> str:
             )
         )
     return render_kv(pairs)
+
+
+def _anomaly_table(records: Sequence[Dict[str, Any]]) -> Optional[str]:
+    """The ledger's anomaly events as a table, or ``None`` without any."""
+    anomalies = [
+        r for r in records if r.get("type") == "event" and r.get("kind") == "anomaly"
+    ]
+    if not anomalies:
+        return None
+    table = Table(["seq", "anomaly", "attributes"], title="Anomalies")
+    for event in anomalies:
+        attrs = {
+            k: v
+            for k, v in (event.get("attributes") or {}).items()
+            if k != "provenance" and v is not None
+        }
+        table.add_row(
+            event.get("seq"),
+            event.get("name"),
+            ",".join(f"{k}={v}" for k, v in sorted(attrs.items())),
+        )
+    return table.render()
+
+
+def render_report(records: Sequence[Dict[str, Any]]) -> str:
+    """``repro obs report`` on any ledger: the summary, the anomaly
+    table when the ledger holds anomaly events, and an ``explain``
+    ledger's ``EXPLAIN ANALYZE`` table."""
+    sections = [render_summary(summarize(records)), _anomaly_table(records)]
+    if any(record.get("type") == "profile" for record in records):
+        sections.append(render_profile(records))
+    return "\n\n".join(section for section in sections if section is not None)
 
 
 def render_profile(records: Sequence[Dict[str, Any]]) -> str:
@@ -468,50 +541,3 @@ def render_tail(records: Sequence[Dict[str, Any]], limit: int = 20) -> str:
     tail``)."""
     chosen = list(records)[-limit:]
     return "\n".join(_describe_record(record) for record in chosen)
-
-
-def render_bundle(bundle: Dict[str, Any]) -> str:
-    """A flight-recorder bundle as a human report (``repro obs report``
-    on a bundle file)."""
-    environment = bundle.get("environment") or {}
-    context = bundle.get("context") or {}
-    pairs = [
-        ("reason", bundle.get("reason")),
-        ("trace_id", bundle.get("trace_id")),
-        ("run", context.get("run")),
-        ("python", environment.get("python")),
-        ("platform", environment.get("platform")),
-        ("pid", environment.get("pid")),
-        ("events", len(bundle.get("events") or ())),
-        ("spans", len(bundle.get("spans") or ())),
-        ("metrics", len(bundle.get("metrics") or ())),
-        ("resource samples", len(bundle.get("resources") or ())),
-    ]
-    workload = context.get("workload")
-    if workload:
-        pairs.append(
-            ("workload", ",".join(f"{k}={v}" for k, v in sorted(workload.items())))
-        )
-    provenance = bundle.get("provenance")
-    if provenance:
-        pairs.extend((f"provenance.{k}", v) for k, v in sorted(provenance.items()))
-    lines = [render_kv(pairs)]
-    anomalies = [
-        e for e in bundle.get("events") or () if e.get("kind") == "anomaly"
-    ]
-    if anomalies:
-        table = Table(["seq", "anomaly", "attributes"], title="Anomalies")
-        for event in anomalies:
-            attrs = {
-                k: v
-                for k, v in (event.get("attributes") or {}).items()
-                if k != "provenance" and v is not None
-            }
-            table.add_row(
-                event.get("seq"),
-                event.get("name"),
-                ",".join(f"{k}={v}" for k, v in sorted(attrs.items())),
-            )
-        lines.append("")
-        lines.append(table.render())
-    return "\n".join(lines)

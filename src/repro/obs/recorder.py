@@ -1,5 +1,5 @@
 """The anomaly flight recorder: always-on bounded telemetry with
-post-mortem bundles.
+post-mortem incident ledgers.
 
 Spans and metrics answer "what did this run do" *when someone asked in
 advance*.  Degradations, timeouts, and cancellations do not announce themselves in advance -- by the time one happens, the
@@ -15,92 +15,93 @@ recorder is that something:
 * an **anomaly hook** (:meth:`FlightRecorder.anomaly`): the runtime
   layer calls it when a search degrades, times out, or is cancelled, and
   the condition checkers when a sweep exhausts.  Each anomaly lands in
-  the ring and -- when a bundle directory is configured -- dumps a
-  bundle;
-* a **self-contained JSON bundle** (:meth:`FlightRecorder.dump`): the
-  ring, the recent span tail, a metrics snapshot, the run's context
-  (trace id, :class:`~repro.workloads.generators.WorkloadSpec`, argv),
-  the triggering Degradation/TimedOut provenance, resource-sampler rows,
-  and the environment -- everything ``repro obs report`` needs to render
-  the incident with no access to the crashed process.
+  the ring and -- when a bundle directory is configured -- dumps an
+  incident;
+* an **incident** (:meth:`FlightRecorder.dump`): a run ledger
+  (:mod:`repro.obs.ledger`) whose ``run`` header is the open
+  :class:`~repro.obs.ledger.RunLedger`'s, or a bare one naming no run,
+  plus the anomaly's ``reason`` and ``provenance``; then the recent span
+  tail, a metrics snapshot, the open run's resource rows, the ring, and
+  an ``outcome`` -- everything ``repro obs report`` needs to render the
+  incident with no access to the crashed process.
 
-Bundle dumping is opt-in by location: set the ``REPRO_OBS_BUNDLE_DIR``
+The open ledger is the recorder's only record of the current run:
+:attr:`FlightRecorder.run` is set by ``RunLedger.__enter__`` and put
+back by its ``__exit__``.
+
+Dumping is opt-in by location: set the ``REPRO_OBS_BUNDLE_DIR``
 environment variable or call :meth:`FlightRecorder.set_bundle_dir`.
 Without a directory, anomalies still land in the ring and an explicit
-``dump()`` still returns the bundle dict -- nothing is written behind
-the caller's back.
+``dump()`` still returns the records -- nothing is written behind the
+caller's back.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
-import platform
-import sys
 import threading
-import time
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import get_registry
 from repro.obs.trace import clock_sample, get_tracer
+
+if TYPE_CHECKING:
+    from repro.obs.ledger import RunLedger
 
 __all__ = [
     "BUNDLE_DIR_ENV",
     "FlightRecorder",
     "get_recorder",
-    "read_bundle",
 ]
 
-#: Environment variable naming the directory anomaly bundles are dumped
-#: into (created on first dump).
+#: Environment variable naming the directory incidents are dumped into
+#: (created on first dump).
 BUNDLE_DIR_ENV = "REPRO_OBS_BUNDLE_DIR"
 
 #: Ring capacity: enough to hold every event of a long sweep's tail
 #: without ever growing.
 DEFAULT_CAPACITY = 512
 
-#: At most this many bundles are auto-dumped per process -- a stuck
+#: At most this many incidents are auto-dumped per process -- a stuck
 #: retry loop must not fill the disk with identical incident reports.
 MAX_AUTO_BUNDLES = 8
 
-#: How many of the most recent finished spans ride into a bundle.
+#: How many of the most recent finished spans ride into an incident.
 SPAN_TAIL = 200
 
 
 class FlightRecorder:
-    """A bounded, always-on ring of recent events plus bundle dumping.
+    """A bounded, always-on ring of recent events plus incident dumping.
 
     The process-wide instance (:func:`get_recorder`) is never replaced.
     ``enabled`` exists for tests and pathological environments; the
     default is on, and staying on is the point -- see the module
     docstring for why that is compatible with the zero-overhead
-    contract.
+    contract.  ``run`` is the open :class:`~repro.obs.ledger.RunLedger`,
+    or ``None`` outside one.
     """
 
     __slots__ = (
         "enabled",
         "capacity",
+        "run",
         "_ring",
         "_seq",
-        "_context",
         "_bundle_dir",
         "_auto_dumped",
         "_lock",
-        "_sampler",
     )
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY, enabled: bool = True):
         self.enabled = enabled
         self.capacity = capacity
+        self.run: Optional["RunLedger"] = None
         self._ring: "deque[Dict[str, Any]]" = deque(maxlen=capacity)
         self._seq = 0
-        self._context: Dict[str, Any] = {}
         self._bundle_dir: Optional[str] = None
         self._auto_dumped = 0
         self._lock = threading.Lock()
-        self._sampler: Optional[Any] = None
 
     # -- recording ----------------------------------------------------------
 
@@ -132,13 +133,14 @@ class FlightRecorder:
         **attributes: Any,
     ) -> Optional[str]:
         """Record an anomaly and -- when a bundle directory is configured
-        -- dump an incident bundle.
+        -- dump an incident into it as
+        ``flight-<trace>-<nn>-<reason>.jsonl``.
 
         ``provenance`` is the structured "why" (a
         :class:`~repro.optimizer.spaces.Degradation` or
         :class:`~repro.conditions.checks.TimedOut` image); it rides into
-        both the ring event and the bundle.  Returns the written bundle
-        path, or ``None`` when no directory is configured or the
+        both the ring event and the incident's header.  Returns the
+        written path, or ``None`` when no directory is configured or the
         auto-dump cap was reached.
         """
         if not self.enabled:
@@ -156,37 +158,21 @@ class FlightRecorder:
                 return None
             self._auto_dumped += 1
             ordinal = self._auto_dumped
-        bundle = self.dump(name, provenance=provenance)
+        # The ledger module imports this one, so its writer is imported here.
+        from repro.obs.ledger import write_records
+
+        records = self.dump(name, provenance=provenance)
+        trace = records[0]["trace_id"] or f"pid{os.getpid()}"
         stem = name.replace(".", "-")
-        trace = bundle.get("trace_id") or f"pid{os.getpid()}"
-        path = pathlib.Path(directory) / f"flight-{trace}-{ordinal:02d}-{stem}.json"
-        return self._write(bundle, path)
-
-    # -- context ------------------------------------------------------------
-
-    def set_context(self, **fields: Any) -> None:
-        """Merge run-identity fields (workload, command, argv, ...) into
-        the context every bundle carries.  A ``workload`` with a
-        ``to_dict`` is stored as its dict image."""
-        for key, value in fields.items():
-            if hasattr(value, "to_dict"):
-                value = value.to_dict()
-            self._context[key] = value
-
-    def clear_context(self) -> None:
-        """Drop the run-identity context (between CLI runs / requests)."""
-        self._context.clear()
-
-    @property
-    def context(self) -> Dict[str, Any]:
-        """The current run-identity context (a shallow copy)."""
-        return dict(self._context)
+        path = os.path.join(directory, f"flight-{trace}-{ordinal:02d}-{stem}.jsonl")
+        write_records(records, path)
+        return path
 
     # -- bundle destination --------------------------------------------------
 
     @property
     def bundle_dir(self) -> Optional[str]:
-        """Where anomaly bundles are dumped: the explicit
+        """Where incidents are dumped: the explicit
         :meth:`set_bundle_dir` value, else ``REPRO_OBS_BUNDLE_DIR``, else
         ``None`` (no auto-dumping)."""
         if self._bundle_dir is not None:
@@ -198,12 +184,6 @@ class FlightRecorder:
         bundle directory."""
         self._bundle_dir = directory
 
-    def attach_sampler(self, sampler: Optional[Any]) -> None:
-        """Let bundles include the active
-        :class:`~repro.obs.sampler.ResourceSampler`'s rows (pass ``None``
-        to detach).  The recorder only calls ``rows()`` on it."""
-        self._sampler = sampler
-
     # -- dumping ------------------------------------------------------------
 
     def dump(
@@ -211,53 +191,39 @@ class FlightRecorder:
         reason: str,
         provenance: Optional[Dict[str, Any]] = None,
         path: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Assemble (and with ``path``, write) a self-contained incident
-        bundle.  Always returns the bundle dict; see
+    ) -> List[Dict[str, Any]]:
+        """Assemble (and with ``path``, write) an incident: the ledger
+        records described in the module docstring, the header carrying
+        ``reason`` and ``provenance``.  Always returns the records; see
         docs/observability.md for the schema."""
+        from repro.obs.ledger import run_header, write_records
+
+        run = self.run
         tracer = get_tracer()
-        spans = tracer.finished_spans()[-SPAN_TAIL:]
-        resources: List[Dict[str, Any]] = []
-        sampler = self._sampler
-        if sampler is not None:
-            try:
-                resources = [dict(row) for row in sampler.rows()]
-            except Exception:  # pragma: no cover - a dying sampler must not
-                resources = []  # block the incident report
-        bundle = {
-            "type": "flight_bundle",
-            "schema": 1,
-            "reason": reason,
-            "trace_id": tracer.trace_id,
-            "wall_time_ns": time.time_ns(),
-            "context": dict(self._context),
-            "provenance": provenance,
-            "environment": self._environment(),
-            "events": [dict(event) for event in self._ring],
-            "spans": [span.to_dict() for span in spans],
-            "metrics": get_registry().snapshot(),
-            "resources": resources,
-        }
+        if run is not None:
+            header = run.header()
+        else:
+            header = run_header(trace_id=tracer.trace_id)
+        header.update(reason=reason, provenance=provenance)
+        events = [dict(event, type="event") for event in self.events()]
+        records: List[Dict[str, Any]] = [header]
+        records.extend(span.to_dict() for span in tracer.finished_spans()[-SPAN_TAIL:])
+        records.extend(get_registry().snapshot())
+        if run is not None:
+            records.extend(dict(row) for row in run.sampler.rows())
+        records.extend(events)
+        records.append(
+            {
+                "type": "outcome",
+                "trace_id": header["trace_id"],
+                "wall_ms": None,
+                "anomalies": sum(1 for e in events if e["kind"] == "anomaly"),
+                "resource_summary": None,
+            }
+        )
         if path is not None:
-            self._write(bundle, pathlib.Path(path))
-        return bundle
-
-    def _write(self, bundle: Dict[str, Any], path: pathlib.Path) -> str:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(bundle, handle, sort_keys=True, default=str)
-            handle.write("\n")
-        return str(path)
-
-    @staticmethod
-    def _environment() -> Dict[str, Any]:
-        return {
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
-            "pid": os.getpid(),
-            "cpu_count": os.cpu_count(),
-            "argv": list(sys.argv),
-        }
+            write_records(records, path)
+        return records
 
     # -- inspection ----------------------------------------------------------
 
@@ -266,11 +232,10 @@ class FlightRecorder:
         return tuple(self._ring)
 
     def reset(self) -> None:
-        """Drop the ring, context, and auto-dump budget (the enabled
-        flag and bundle directory are untouched)."""
+        """Drop the ring and the auto-dump budget (the enabled flag,
+        bundle directory and open run are untouched)."""
         self._ring.clear()
         self._seq = 0
-        self._context.clear()
         self._auto_dumped = 0
 
     def __len__(self) -> int:
@@ -279,13 +244,6 @@ class FlightRecorder:
     def __repr__(self) -> str:
         state = "on" if self.enabled else "off"
         return f"<FlightRecorder {state}, {len(self._ring)}/{self.capacity} events>"
-
-
-def read_bundle(path: str) -> Dict[str, Any]:
-    """Parse a bundle written by :meth:`FlightRecorder.dump` /
-    :meth:`FlightRecorder.anomaly`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 #: The process-wide flight recorder.  Never replaced; always on.

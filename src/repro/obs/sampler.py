@@ -4,9 +4,8 @@ Traces say what the engine *did*; the sampler says what it *cost* while
 doing it.  A :class:`ResourceSampler` wakes every ``interval`` seconds
 on a daemon thread and records one row of:
 
-* ``rss_bytes`` -- resident set size, read from ``/proc/self/status``
-  (``VmRSS``) where available, else the ``resource`` module's high-water
-  mark;
+* ``rss_bytes`` -- resident set size, read from ``/proc/self/statm``
+  where available, else the ``resource`` module's high-water mark;
 * ``cpu_seconds`` -- user + system CPU time of this process
   (``os.times()``);
 * ``tau_cache_hit_rate`` / ``tau_cache_entries`` -- cache behaviour of
@@ -14,9 +13,10 @@ on a daemon thread and records one row of:
   (:meth:`ResourceSampler.watch_database`);
 * anything registered through :meth:`ResourceSampler.add_provider`.
 
-Every row lands in a bounded deque (the ledger and flight bundles read
-it back), and -- while the metrics registry is enabled -- each value is
-also published as a ``resource.<name>`` gauge (the current value) and a
+Every row lands in a bounded deque (the run ledger, and any incident
+dumped while the ledger is open, read it back), and -- while the
+metrics registry is enabled -- each value is also published as a
+``resource.<name>`` gauge (the current value) and a
 ``resource.<name>.series`` histogram (the distribution, so JSONL exports
 carry min/max/p95 without shipping every row twice).
 
@@ -27,18 +27,15 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 import weakref
 from collections import deque
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.obs.metrics import get_registry
-from repro.obs.recorder import get_recorder
 from repro.obs.trace import clock_sample
 
 __all__ = [
     "ResourceSampler",
-    "active_sampler",
     "read_rss_bytes",
 ]
 
@@ -101,7 +98,6 @@ class ResourceSampler:
         "_thread",
         "_stop",
         "_watched_db",
-        "__weakref__",
     )
 
     def __init__(
@@ -184,17 +180,13 @@ class ResourceSampler:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "ResourceSampler":
-        """Start the daemon thread (idempotent) and register with the
-        flight recorder so incident bundles carry the rows."""
+        """Start the daemon thread (idempotent)."""
         if self._thread is None or not self._thread.is_alive():
             self._stop.clear()
             self._thread = threading.Thread(
                 target=self._loop, name="repro-resource-sampler", daemon=True
             )
             self._thread.start()
-        get_recorder().attach_sampler(self)
-        global _ACTIVE
-        _ACTIVE = weakref.ref(self)
         return self
 
     def stop(self) -> None:
@@ -248,14 +240,3 @@ class ResourceSampler:
             f"<ResourceSampler {'running' if alive else 'stopped'} "
             f"{len(self._rows)} rows @{self.interval}s>"
         )
-
-
-#: The most recently started sampler (weakly held), for consumers that
-#: want "the run's sampler" without threading it through every call.
-_ACTIVE: Optional[weakref.ref] = None
-
-
-def active_sampler() -> Optional[ResourceSampler]:
-    """The most recently started :class:`ResourceSampler` still alive,
-    or ``None``."""
-    return _ACTIVE() if _ACTIVE is not None else None

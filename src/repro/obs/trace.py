@@ -34,8 +34,8 @@ join step's tau, one estimator error) without ``with`` ceremony.
 
 Every top-level operation mints a ``trace_id``
 (:meth:`Tracer.begin_run`) that the spans it opens carry, so one id
-joins a run's spans, ledger records and flight-recorder bundles (see
-docs/observability.md, "The run ledger").
+joins a run's spans, its ledger records and the incidents the flight
+recorder dumps during it (see docs/observability.md, "The run ledger").
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ __all__ = [
     "clock_sample",
     "get_tracer",
     "new_trace_id",
-    "enable",
-    "disable",
-    "is_enabled",
-    "reset",
 ]
 
 
@@ -284,24 +280,3 @@ _TRACER = Tracer(enabled=False)
 def get_tracer() -> Tracer:
     """The process-wide tracer singleton."""
     return _TRACER
-
-
-def enable() -> None:
-    """Turn span recording on (see also :func:`repro.obs.enable`, which
-    flips the metrics registry too)."""
-    _TRACER.enabled = True
-
-
-def disable() -> None:
-    """Turn span recording off."""
-    _TRACER.enabled = False
-
-
-def is_enabled() -> bool:
-    """Whether the process-wide tracer is recording."""
-    return _TRACER.enabled
-
-
-def reset() -> None:
-    """Clear all recorded spans on the process-wide tracer."""
-    _TRACER.clear()

@@ -1,8 +1,8 @@
 """Isolation for observability tests: every test starts with the
 process-wide tracer and registry disabled and empty, the flight
-recorder's ring/context/auto-dump budget cleared (and no bundle
-directory or sampler attached), and leaves them that way -- the
-zero-by-default contract the rest of the suite relies on."""
+recorder's ring and auto-dump budget cleared (and no bundle directory
+set), and leaves them that way -- the zero-by-default contract the rest
+of the suite relies on."""
 
 import pytest
 
@@ -14,7 +14,6 @@ def _scrub_recorder():
     recorder = get_recorder()
     recorder.reset()
     recorder.set_bundle_dir(None)
-    recorder.attach_sampler(None)
     recorder.enabled = True
 
 

@@ -10,11 +10,12 @@ from repro.obs.ledger import (
     RunLedger,
     diff_summaries,
     load,
-    render_bundle,
     render_diff,
+    render_report,
     render_summary,
     render_tail,
     summarize,
+    write_records,
 )
 from repro.obs.recorder import get_recorder
 from repro.obs.trace import get_tracer
@@ -52,6 +53,7 @@ class TestRunLedger:
         assert records[0]["name"] == "test.run"
         assert records[0]["trace_id"] == ledger.trace_id
         assert records[0]["workload"] == {"shape": "chain"}
+        assert {"python", "platform", "pid", "cpu_count"} <= set(records[0])
         assert records[-1]["type"] == "outcome"
         assert records[-1]["wall_ms"] > 0
         types = {r["type"] for r in records}
@@ -86,24 +88,47 @@ class TestRunLedger:
         ledger = _run_ledger()
         path = tmp_path / "run.jsonl"
         count = ledger.write(str(path))
-        kind, records = load(str(path))
-        assert kind == "ledger"
+        records = load(str(path))
         assert len(records) == count
         assert records[0]["type"] == "run"
 
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("no text")
+
+        path = tmp_path / "run.jsonl"
+        path.write_text("old\n")
+        records = [{"type": "run"}, {"type": "x", "value": Unprintable()}]
+        with pytest.raises(RuntimeError):
+            write_records(records, str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["run.jsonl"]
+        assert path.read_text() == "old\n"
+
     def test_sampler_runs_when_enabled(self):
         obs.enable()
-        with RunLedger("test.run", sample=True, sample_interval=0.01) as ledger:
+        with RunLedger("test.run", sample=True) as ledger:
             pass
         resources = [r for r in ledger.records() if r["type"] == "resource"]
         assert resources  # stop() always takes a final sample
         assert ledger.records()[-1]["resource_summary"]["samples"] >= 1
 
     def test_recorder_context_is_stamped(self):
-        _run_ledger()
-        context = get_recorder().context
-        assert context["run"] == "test.run"
-        assert context["workload"] == {"shape": "chain"}
+        with RunLedger("test.run", workload={"shape": "chain"}, sample=False) as ledger:
+            assert get_recorder().run is ledger
+            header = get_recorder().dump("mid.run")[0]
+        assert get_recorder().run is None
+        assert header["name"] == "test.run"
+        assert header["trace_id"] == ledger.trace_id
+        assert header["workload"] == {"shape": "chain"}
+
+    def test_nested_ledger_restores_the_outer_run(self):
+        with RunLedger("outer", sample=False) as outer:
+            with RunLedger("inner", sample=False) as inner:
+                assert get_recorder().run is inner
+            assert get_recorder().run is outer
+            header = get_recorder().dump("after.inner")[0]
+        assert (header["name"], header["trace_id"]) == ("outer", outer.trace_id)
 
     def test_body_exception_propagates_and_marks_run_end(self):
         obs.enable()
@@ -179,16 +204,17 @@ class TestSummarize:
 
 
 class TestLoadAndRender:
-    def test_load_distinguishes_ledger_and_bundle(self, tmp_path):
+    def test_load_reads_a_ledger_and_an_incident(self, tmp_path):
         ledger = _run_ledger()
         ledger_path = tmp_path / "run.jsonl"
         ledger.write(str(ledger_path))
-        bundle_path = tmp_path / "bundle.json"
-        get_recorder().dump("manual", path=str(bundle_path))
-        kind, records = load(str(ledger_path))
-        assert kind == "ledger" and records[0]["type"] == "run"
-        kind, bundle = load(str(bundle_path))
-        assert kind == "bundle" and bundle["reason"] == "manual"
+        incident_path = tmp_path / "incident.jsonl"
+        get_recorder().dump("manual", path=str(incident_path))
+        records = load(str(ledger_path))
+        assert records[0]["type"] == "run" and "reason" not in records[0]
+        records = load(str(incident_path))
+        assert records[0]["type"] == "run" and records[0]["reason"] == "manual"
+        assert records[-1]["type"] == "outcome"
 
     def test_render_summary_mentions_the_run(self):
         ledger = _run_ledger()
@@ -209,9 +235,11 @@ class TestLoadAndRender:
         assert len(text.splitlines()) == 3
         assert "outcome" in text.splitlines()[-1]
 
-    def test_render_bundle_shows_reason_and_anomalies(self):
+    def test_render_report_shows_reason_and_anomalies(self):
         _run_ledger(anomaly=True)
-        bundle = get_recorder().dump("test.anomaly")
-        text = render_bundle(bundle)
-        assert "test.anomaly" in text
+        text = render_report(get_recorder().dump("test.anomaly", {"trigger": "x"}))
+        assert "reason" in text and "test.anomaly" in text
+        assert "provenance.trigger" in text
         assert "Anomalies" in text
+        # A run's own ledger shows its anomalies too.
+        assert "Anomalies" in render_report(_run_ledger(anomaly=True).records())

@@ -230,8 +230,7 @@ class TestExport:
             pass
         ledger.extend(report.records())
         ledger.write(str(path))
-        kind, records = load(str(path))
-        assert kind == "ledger"
+        records = load(str(path))
         assert [r["type"] for r in records[-len(report.steps) - 2:]] == (
             ["profile"] + ["operator"] * len(report.steps) + ["outcome"]
         )

@@ -1,15 +1,14 @@
-"""The flight recorder: the bounded ring, anomaly dumping, and bundles."""
-
-import json
+"""The flight recorder: the bounded ring, anomaly dumping, and
+incidents."""
 
 import pytest
 
 import repro.obs as obs
+from repro.obs.ledger import RunLedger, load
 from repro.obs.recorder import (
     MAX_AUTO_BUNDLES,
     FlightRecorder,
     get_recorder,
-    read_bundle,
 )
 from repro.obs.trace import get_tracer
 
@@ -42,13 +41,14 @@ class TestRing:
         assert recorder.anomaly("a") is None
         assert recorder.events() == ()
 
-    def test_reset_clears_ring_context_and_budget(self):
+    def test_reset_clears_ring_and_budget(self, tmp_path):
         recorder = FlightRecorder()
-        recorder.record("event", "e")
-        recorder.set_context(run="x")
+        recorder.set_bundle_dir(str(tmp_path))
+        for i in range(MAX_AUTO_BUNDLES):
+            recorder.anomaly(f"a.{i}")
         recorder.reset()
         assert len(recorder) == 0
-        assert recorder.context == {}
+        assert recorder.anomaly("after.reset") is not None
 
     def test_recorder_is_always_on_singleton(self):
         assert get_recorder() is get_recorder()
@@ -71,18 +71,20 @@ class TestAnomalies:
         assert counter.value(name="optimizer.degraded") == 1
 
     def test_anomaly_dumps_bundle_into_directory(self, tmp_path):
-        recorder = FlightRecorder()
+        recorder = get_recorder()
         recorder.set_bundle_dir(str(tmp_path))
-        recorder.set_context(run="cli.optimize")
-        path = recorder.anomaly(
-            "optimizer.degraded", provenance={"trigger": "deadline"}
-        )
+        with RunLedger("cli.optimize", sample=False) as ledger:
+            path = recorder.anomaly(
+                "optimizer.degraded", provenance={"trigger": "deadline"}
+            )
         assert path is not None
-        bundle = read_bundle(path)
-        assert bundle["type"] == "flight_bundle"
-        assert bundle["reason"] == "optimizer.degraded"
-        assert bundle["provenance"] == {"trigger": "deadline"}
-        assert bundle["context"]["run"] == "cli.optimize"
+        assert path.endswith(f"flight-{ledger.trace_id}-01-optimizer-degraded.jsonl")
+        header, *_, outcome = load(path)
+        assert header["type"] == "run"
+        assert header["reason"] == "optimizer.degraded"
+        assert header["provenance"] == {"trigger": "deadline"}
+        assert header["name"] == "cli.optimize"
+        assert outcome["type"] == "outcome" and outcome["anomalies"] == 1
 
     def test_auto_dump_cap(self, tmp_path):
         recorder = FlightRecorder()
@@ -108,35 +110,37 @@ class TestBundles:
             obs.get_registry().counter("c", "help").inc(3)
         recorder = FlightRecorder()
         recorder.record("marker", "run.begin")
-        path = tmp_path / "bundle.json"
-        bundle = recorder.dump("manual", path=str(path))
-        assert bundle["schema"] == 1
-        assert bundle["trace_id"] == tracer.trace_id
-        assert bundle["environment"]["python"]
-        assert bundle["spans"][0]["name"] == "cli.optimize"
-        assert bundle["metrics"][0]["name"] == "c"
-        assert len(bundle["events"]) == 1
-        # The written file is one JSON document, byte-identical content.
-        assert read_bundle(str(path)) == json.loads(json.dumps(bundle, default=str))
-
-    def test_set_context_stores_to_dict_image(self):
-        class Speclike:
-            def to_dict(self):
-                return {"shape": "chain"}
-
-        recorder = FlightRecorder()
-        recorder.set_context(workload=Speclike())
-        assert recorder.context == {"workload": {"shape": "chain"}}
+        path = tmp_path / "incident.jsonl"
+        records = recorder.dump("manual", path=str(path))
+        header = records[0]
+        assert header["type"] == "run" and header["name"] is None
+        assert header["reason"] == "manual"
+        assert header["trace_id"] == tracer.trace_id
+        assert header["python"] and header["platform"] and header["pid"]
+        by_type = {}
+        for record in records:
+            by_type.setdefault(record["type"], []).append(record)
+        assert by_type["span"][0]["name"] == "cli.optimize"
+        assert by_type["metric"][0]["name"] == "c"
+        assert len(by_type["event"]) == 1
+        assert records[-1]["type"] == "outcome"
+        # The written file reads back as the same records.
+        assert load(str(path)) == records
 
     def test_dump_includes_attached_sampler_rows(self):
-        class FakeSampler:
-            def rows(self):
-                return ({"type": "resource", "rss_bytes": 1},)
+        with RunLedger("test.run", sample=False) as ledger:
+            ledger.sampler.add_provider("rss_bytes", lambda: 1)
+            ledger.sampler.sample_once()
+            records = get_recorder().dump("manual")
+        (row,) = [r for r in records if r["type"] == "resource"]
+        assert row["rss_bytes"] == 1
 
-        recorder = FlightRecorder()
-        recorder.attach_sampler(FakeSampler())
-        bundle = recorder.dump("manual")
-        assert bundle["resources"] == [{"type": "resource", "rss_bytes": 1}]
+    def test_dump_after_a_run_names_no_run(self):
+        with RunLedger("first.run", sample=True):
+            pass
+        records = get_recorder().dump("later")
+        assert records[0]["name"] is None
+        assert [r for r in records if r["type"] == "resource"] == []
 
 
 class TestRuntimeIntegration:

@@ -6,7 +6,7 @@ import pytest
 
 import repro.obs as obs
 from repro import Database, relation
-from repro.obs.sampler import ResourceSampler, active_sampler, read_rss_bytes
+from repro.obs.sampler import ResourceSampler, read_rss_bytes
 
 
 def _db():
@@ -108,7 +108,7 @@ class TestLifecycle:
 
     def test_context_manager(self):
         with ResourceSampler(interval=0.01) as sampler:
-            assert active_sampler() is sampler
+            pass
         assert len(sampler.rows()) >= 1
 
     def test_summary_peaks(self):
@@ -127,15 +127,3 @@ class TestLifecycle:
         summary = ResourceSampler().summary()
         assert summary["samples"] == 0
         assert summary["rss_peak_bytes"] == 0
-
-    def test_start_attaches_to_flight_recorder(self):
-        from repro.obs.recorder import get_recorder
-
-        sampler = ResourceSampler(interval=0.01)
-        sampler.start()
-        try:
-            sampler.sample_once()
-            bundle = get_recorder().dump("manual")
-            assert bundle["resources"]
-        finally:
-            sampler.stop()

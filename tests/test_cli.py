@@ -407,13 +407,33 @@ class TestObsCommand:
             )
             == 0
         )
-        bundles = sorted(tmp_path.glob("flight-*.json"))
+        bundles = sorted(tmp_path.glob("flight-*.jsonl"))
         assert bundles
         capsys.readouterr()
         assert main(["obs", "report", str(bundles[0])]) == 0
         out = capsys.readouterr().out
         assert "reason" in out
         assert "provenance.trigger" in out
+
+    def test_incidents_and_ledgers_read_alike(self, capsys, tmp_path, monkeypatch):
+        # The degraded run's own ledger shows its anomalies, and an
+        # incident it dumped diffs against that ledger.
+        monkeypatch.setenv("REPRO_OBS_BUNDLE_DIR", str(tmp_path))
+        path = tmp_path / "run.jsonl"
+        argv = [
+            "optimize", "--shape", "chain", "--relations", "7",
+            "--space", "exhaustive", "--timeout-ms", "1",
+            "--trace-json", str(path),
+        ]
+        assert main(argv) == 0
+        incident = sorted(tmp_path.glob("flight-*.jsonl"))[0]
+        capsys.readouterr()
+        assert main(["obs", "report", str(path)]) == 0
+        assert "Anomalies" in capsys.readouterr().out
+        assert main(["obs", "diff", str(incident), str(path)]) == 0
+        assert "run A" in capsys.readouterr().out
+        assert main(["obs", "tail", str(incident)]) == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1].startswith("outcome")
 
     def test_obs_requires_a_subcommand(self):
         with pytest.raises(SystemExit):
